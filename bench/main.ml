@@ -28,27 +28,15 @@ let row ~id ~desc ~paper ~measured =
   collected_rows := (id, desc, paper, measured) :: !collected_rows;
   Printf.printf "%-22s %-48s | paper: %-32s | measured: %s\n" id desc paper measured
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json file =
   let rows = List.rev !collected_rows in
   let oc = open_out file in
   output_string oc "[\n";
   List.iteri
     (fun i (id, desc, paper, measured) ->
-      Printf.fprintf oc "  {\"id\": \"%s\", \"desc\": \"%s\", \"paper\": \"%s\", \"measured\": \"%s\"}%s\n"
-        (json_escape id) (json_escape desc) (json_escape paper) (json_escape measured)
+      Printf.fprintf oc "  {\"id\": %s, \"desc\": %s, \"paper\": %s, \"measured\": %s}%s\n"
+        (Dart.Telemetry.json_string id) (Dart.Telemetry.json_string desc)
+        (Dart.Telemetry.json_string paper) (Dart.Telemetry.json_string measured)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";
@@ -574,9 +562,9 @@ let experiment_accel_ablation () =
 (* Jobs scaling with globally counted cache hits: the shared store lets
    any worker answer any worker's query, so the merged hit counter is a
    fleet-wide number instead of a sum of private hoards, and the pooled
-   run budget keeps every worker busy until the whole pool drains. The
-   ablation (--no-shared-cache) must agree on verdict and bug set at
-   every job count — the store is an acceleration, not a search change. *)
+   run budget keeps every worker busy until the whole pool drains. Every
+   job count must agree with jobs 1 on the bug set — the store is an
+   acceleration, not a search change. *)
 let experiment_shared_store () =
   header "E16: shared cross-worker solve store (pooled budget, global hit accounting)";
   let ac_src, ac_top = Workloads.Paper_examples.ac_controller in
@@ -584,34 +572,27 @@ let experiment_shared_store () =
     Dart.Driver.prepare ~toplevel:ac_top ~depth:3 (Minic.Parser.parse_program ac_src)
   in
   let budget = if !quick then 400 else 2_000 in
-  let run ~jobs ~use_shared_cache =
-    let base =
-      Dart.Driver.Options.make ~depth:3 ~max_runs:budget ~stop_on_first_bug:false
-        ~use_shared_cache ()
-    in
+  let base = Dart.Driver.Options.make ~depth:3 ~max_runs:budget ~stop_on_first_bug:false () in
+  let run jobs =
     time_it (fun () -> Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs base) prog)
   in
   let bug_keys (r : Dart.Parallel.report) =
     List.sort_uniq compare
       (List.map Dart.Driver.bug_key r.Dart.Parallel.merged.Dart.Driver.bugs)
   in
+  let reference = bug_keys (fst (run 1)) in
   List.iter
     (fun jobs ->
-      let on, t_on = run ~jobs ~use_shared_cache:true in
-      let off, t_off = run ~jobs ~use_shared_cache:false in
-      let s_on = on.Dart.Parallel.merged.Dart.Driver.solver_stats in
-      let s_off = off.Dart.Parallel.merged.Dart.Driver.solver_stats in
+      let r, t = run jobs in
+      let s = r.Dart.Parallel.merged.Dart.Driver.solver_stats in
       row
         ~id:(Printf.sprintf "e16-jobs-%d" jobs)
         ~desc:(Printf.sprintf "AC controller depth 3, %d pooled runs, %d workers" budget jobs)
         ~paper:"n/a (our extension; exactness required)"
         ~measured:
-          (Printf.sprintf
-             "shared: %d queries, %d hits (%d from peers), %.2fs; private: %d queries, %d \
-              hits, %.2fs; same bugs: %b"
-             (Solver.queries s_on) (Solver.cache_hits s_on) (Solver.shared_hits s_on) t_on
-             (Solver.queries s_off) (Solver.cache_hits s_off) t_off
-             (bug_keys on = bug_keys off)))
+          (Printf.sprintf "%d queries, %d hits (%d from peers), %.2fs; same bugs as jobs 1: %b"
+             (Solver.queries s) (Solver.cache_hits s) (Solver.shared_hits s) t
+             (bug_keys r = reference)))
     [ 1; 2; 4 ]
 
 (* ---- E17: whole-library campaign (paper section 4.3 as a workflow) ------------- *)

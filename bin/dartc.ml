@@ -19,13 +19,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let strategy_conv =
   let parse = function
     | "dfs" -> Ok Dart.Strategy.Dfs
@@ -82,8 +75,7 @@ let no_cache_arg =
   Arg.(
     value & flag
     & info [ "no-cache" ]
-        ~doc:"Ablation: disable the solve cache (every query hits the solver; \
-              also disables the shared cross-worker store, which reuses its entries).")
+        ~doc:"Ablation: disable the solve cache (every query hits the solver).")
 
 let no_incremental_arg =
   Arg.(
@@ -92,15 +84,6 @@ let no_incremental_arg =
         ~doc:
           "Ablation: disable push/pop incremental solving (every query rebuilds the solver \
            pipeline from scratch). Results are identical; only solve time changes.")
-
-let no_shared_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-shared-cache" ]
-        ~doc:
-          "Ablation: with --jobs > 1, give every worker a private solve cache and a fixed \
-           budget shard instead of the shared cross-worker store and pooled budget. No \
-           effect at --jobs 1.")
 
 let no_slicing_arg =
   Arg.(
@@ -256,7 +239,7 @@ let usage_error msg =
    whose predicate fires wins, its message goes out with exit 2. Add
    new conflicts here, not as ad-hoc if/else chains in the driver. *)
 let validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
-    ~no_incremental ~no_shared_cache ~no_breaker ~time_budget ~solver_timeout ~checkpoint
+    ~no_incremental ~no_breaker ~time_budget ~solver_timeout ~checkpoint
     ~checkpoint_every ~resume ~faultsim ~status =
   let table =
     [ (jobs < 0, "--jobs must be >= 0");
@@ -274,8 +257,7 @@ let validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_sli
       (random_mode && jobs <> 1, "--jobs is not supported with --random-testing");
       ( random_mode && (no_cache || no_slicing),
         "--no-cache/--no-slicing have no effect with --random-testing" );
-      ( random_mode && (no_incremental || no_shared_cache),
-        "--no-incremental/--no-shared-cache have no effect with --random-testing" );
+      (random_mode && no_incremental, "--no-incremental has no effect with --random-testing");
       ( random_mode && no_breaker,
         "--no-breaker has no effect with --random-testing (no solver)" );
       ( (match time_budget with Some s -> s <= 0.0 | None -> false),
@@ -339,11 +321,11 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigterm handle with Invalid_argument _ | Sys_error _ -> ()
 
 let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_ptrs all_bugs
-    jobs portfolio no_cache no_slicing no_incremental no_shared_cache no_breaker no_compile
+    jobs portfolio no_cache no_slicing no_incremental no_breaker no_compile
     time_budget solver_timeout checkpoint checkpoint_every resume faultsim faultsim_seed
     trace status metrics_flag show_interface show_driver dump_ram coverage =
   try
-    let src = read_file file in
+    let src = Dart_util.Fileio.read_all file in
     let ast = Minic.Parser.parse_program ~file src in
     if show_interface then begin
       let typed = Minic.Typecheck.check ast in
@@ -357,7 +339,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
     else begin
       match
         validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
-          ~no_incremental ~no_shared_cache ~no_breaker ~time_budget ~solver_timeout
+          ~no_incremental ~no_breaker ~time_budget ~solver_timeout
           ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
       with
       | Some msg -> usage_error msg
@@ -398,7 +380,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                 ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
                 ~stop_on_first_bug:(not all_bugs) ~use_cache:(not no_cache)
                 ~use_slicing:(not no_slicing) ~use_incremental:(not no_incremental)
-                ~use_shared_cache:(not no_shared_cache) ~use_breaker:(not no_breaker)
+                ~use_breaker:(not no_breaker)
                 ?time_budget_ns:(Option.map ns_of_seconds time_budget)
                 ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
                 ~exec:
@@ -468,7 +450,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                 print_metrics report.Dart.Driver.metrics;
                 (* Incremental/shared-store counters ride with --metrics:
                    the plain report stays byte-identical across the
-                   --no-incremental/--no-shared-cache ablations. *)
+                   --no-incremental ablation. *)
                 if metrics_flag then begin
                   let st = report.Dart.Driver.solver_stats in
                   Printf.printf
@@ -626,7 +608,7 @@ let print_timeline summary =
 let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out html_out
     timeline =
   try
-    let src = read_file file in
+    let src = Dart_util.Fileio.read_all file in
     let ast = Minic.Parser.parse_program ~file src in
     let prog = Dart.Driver.prepare ~toplevel ~depth ast in
     let events, covered =
@@ -868,17 +850,11 @@ let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_r
 
 (* Report outputs are observability, not the verdict: a full disk or a
    read-only directory (or an injected io_error under --chaos) must not
-   turn a finished campaign into a crash. The write is atomic
-   (tmp-then-rename, Fun.protect-guarded) and any Sys_error degrades to
-   a warning on stderr. *)
-let write_file_with_note ?(fault = Dart_util.Faultsim.off) ~what path content =
+   turn a finished campaign into a crash. The write is atomic and any
+   Sys_error degrades to a warning on stderr. *)
+let write_file_with_note ?fault ~what path content =
   try
-    if Dart_util.Faultsim.fire fault Dart_util.Faultsim.Io_error then
-      raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content);
-    Sys.rename tmp path;
+    Dart_util.Fileio.write_atomic ?fault path content;
     Printf.eprintf "dartc campaign: wrote %s %s\n" what path
   with Sys_error msg ->
     Printf.eprintf "dartc campaign: warning: could not write %s: %s\n" what msg
@@ -898,7 +874,7 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
     priority all_bugs time_budget solver_timeout json lcov html checkpoint resume
     resume_salvage chaos chaos_seed no_breaker trace status list_only =
   try
-    let src = read_file file in
+    let src = Dart_util.Fileio.read_all file in
     match
       validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
         ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
@@ -1145,7 +1121,7 @@ let run_term =
     const run_dartc $ file_arg $ toplevel_arg $ depth_arg $ max_runs_arg $ seed_arg
     $ strategy_arg $ random_mode_arg $ symbolic_ptrs_arg $ all_bugs_arg $ jobs_arg
     $ portfolio_arg $ no_cache_arg $ no_slicing_arg $ no_incremental_arg
-    $ no_shared_cache_arg $ no_breaker_arg $ no_compile_arg $ time_budget_arg
+    $ no_breaker_arg $ no_compile_arg $ time_budget_arg
     $ solver_timeout_arg
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ faultsim_arg
     $ faultsim_seed_arg $ trace_arg $ status_arg $ metrics_arg $ show_interface_arg

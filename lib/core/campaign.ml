@@ -89,7 +89,7 @@ let retire_tag = function
   | Budget_capped -> "capped"
   | Quarantined _ -> "quarantined"
 
-let bool_tag b = if b then "1" else "0"
+module C = Checkpoint
 
 (* Everything a target's deterministic result depends on, one line;
    [load] insists on byte equality, so a resumed campaign can only ever
@@ -103,7 +103,7 @@ let meta_line ~(options : Driver.options) ~library =
     options.O.campaign.O.per_function_runs options.O.campaign.O.retire_after
     options.O.campaign.O.retry_limit
     (Strategy.to_string options.O.search.O.strategy)
-    (bool_tag (not options.O.budget.O.stop_on_first_bug))
+    (C.bool_tag (not options.O.budget.O.stop_on_first_bug))
     (Digest.to_hex (Digest.string library))
 
 (* One target = one block of lines followed by a "crc" trailer over the
@@ -120,7 +120,7 @@ let target_block tr =
         Buffer.add_char buf '\n')
       fmt
   in
-  let esc = Checkpoint.escape in
+  let esc = C.escape in
   (match tr.tr_retired with
    | Quarantined reason ->
      line "target %s %d %d %d %s %d %d %s" (esc tr.tr_name) tr.tr_index tr.tr_runs
@@ -129,25 +129,9 @@ let target_block tr =
      line "target %s %d %d %d %s %d %d" (esc tr.tr_name) tr.tr_index tr.tr_runs
        tr.tr_slices (retire_tag tr.tr_retired) tr.tr_overruns tr.tr_bopens);
   line "cover %d" (List.length tr.tr_coverage);
-  List.iter
-    (fun (fn, pc, dir) -> line "c %s %d %s" (esc fn) pc (bool_tag dir))
-    tr.tr_coverage;
+  List.iter (fun site -> line "%s" (C.cover_record "c" site)) tr.tr_coverage;
   line "bugs %d" (List.length tr.tr_bugs);
-  List.iter
-    (fun (b : Driver.bug) ->
-      let loc = b.Driver.bug_site.Machine.site_loc in
-      Buffer.add_string buf
-        (Printf.sprintf "bug %s %s %d %s %d %d %d %d"
-           (Machine.fault_tag b.Driver.bug_fault)
-           (esc b.Driver.bug_site.Machine.site_fn)
-           b.Driver.bug_site.Machine.site_pc (esc loc.Minic.Loc.file)
-           loc.Minic.Loc.line loc.Minic.Loc.col b.Driver.bug_run
-           (List.length b.Driver.bug_inputs));
-      List.iter
-        (fun (id, v) -> Buffer.add_string buf (Printf.sprintf " %d:%d" id v))
-        b.Driver.bug_inputs;
-      Buffer.add_char buf '\n')
-    tr.tr_bugs;
+  List.iter (fun b -> line "%s" (C.bug_record b)) tr.tr_bugs;
   Buffer.contents buf
 
 let to_string ~options ~library report =
@@ -171,8 +155,6 @@ let to_string ~options ~library report =
   line "end";
   Buffer.contents buf
 
-exception Bad of string
-
 (* Shared parser. In strict mode any defect rejects the whole file; in
    salvage mode a defect inside the target blocks keeps the records
    already parsed (the longest valid prefix — every block is
@@ -180,49 +162,15 @@ exception Bad of string
    Header defects reject the file in both modes: there is nothing to
    salvage without a trusted meta line. *)
 let parse ~salvage text =
-  let lines = ref (List.filter (fun l -> l <> "") (String.split_on_char '\n' text)) in
-  let next what =
-    match !lines with
-    | [] -> raise (Bad (Printf.sprintf "unexpected end of file, wanted %s" what))
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  (* Raw bytes of the block being parsed, rebuilt line by line for the
-     CRC check ([to_string] never emits empty lines, so the rebuild is
-     byte-exact). *)
-  let block = Buffer.create 256 in
-  let next_b what =
-    let l = next what in
-    Buffer.add_string block l;
-    Buffer.add_char block '\n';
-    l
-  in
-  let tokens l = String.split_on_char ' ' l in
-  let int_tok what t =
-    match int_of_string_opt t with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "bad integer in %s: %S" what t))
-  in
-  let bool_tok what = function
-    | "0" -> false
-    | "1" -> true
-    | t -> raise (Bad (Printf.sprintf "bad boolean in %s: %S" what t))
-  in
-  let unesc what t =
-    match Checkpoint.unescape t with
-    | Ok s -> s
-    | Error msg -> raise (Bad (Printf.sprintf "%s in %s" msg what))
-  in
-  let expect_counted what =
-    match tokens (next_b what) with
-    | [ tag; count ] when tag = what -> int_tok what count
-    | _ -> raise (Bad (Printf.sprintf "expected %S record" what))
-  in
+  let r = C.reader text in
+  let next = C.next r and tokens = C.tokens and int_tok = C.int_tok in
   let parse_block () =
-    Buffer.clear block;
+    (* The block's raw bytes are rebuilt from the lines read for the CRC
+       check ([to_string] never emits empty lines, so the rebuild is
+       byte-exact). *)
+    C.mark r;
     let tr_name, tr_index, tr_runs, tr_slices, tr_retired, tr_overruns, tr_bopens =
-      match tokens (next_b "target") with
+      match tokens (next "target") with
       | "target" :: name :: index :: runs :: slices :: tag :: overruns :: bopens :: rest ->
         let retired =
           match (tag, rest) with
@@ -230,71 +178,37 @@ let parse ~salvage text =
           | "complete", [] -> Complete
           | "saturated", [] -> Saturated
           | "capped", [] -> Budget_capped
-          | "quarantined", [ reason ] -> Quarantined (unesc "target" reason)
-          | _ -> raise (Bad (Printf.sprintf "unknown retire reason %S" tag))
+          | "quarantined", [ reason ] -> Quarantined (C.unescape "target" reason)
+          | _ -> raise (C.Bad (Printf.sprintf "unknown retire reason %S" tag))
         in
-        ( unesc "target" name,
+        ( C.unescape "target" name,
           int_tok "target" index,
           int_tok "target" runs,
           int_tok "target" slices,
           retired,
           int_tok "target" overruns,
           int_tok "target" bopens )
-      | _ -> raise (Bad "expected \"target\" record")
+      | _ -> raise (C.Bad "expected \"target\" record")
     in
-    let n_cov = expect_counted "cover" in
+    let n_cov = C.expect_counted r "cover" in
     let tr_coverage =
-      List.init n_cov (fun _ ->
-          match tokens (next_b "c") with
-          | [ "c"; fn; pc; dir ] ->
-            (unesc "c" fn, int_tok "c" pc, bool_tok "c" dir)
-          | _ -> raise (Bad "expected \"c\" record"))
+      List.init n_cov (fun _ -> C.cover_of_tokens "c" (tokens (next "c")))
     in
-    let n_bugs = expect_counted "bugs" in
-    let tr_bugs =
-      List.init n_bugs (fun _ ->
-          match tokens (next_b "bug") with
-          | "bug" :: fault :: fn :: pc :: file :: lno :: col :: run :: n_inputs
-            :: inputs ->
-            let bug_fault =
-              match Machine.fault_of_tag fault with
-              | Some f -> f
-              | None -> raise (Bad (Printf.sprintf "unknown fault %S" fault))
-            in
-            let n_inputs = int_tok "bug" n_inputs in
-            if List.length inputs <> n_inputs then
-              raise (Bad "bug input count mismatch");
-            { Driver.bug_fault;
-              bug_site =
-                { Machine.site_fn = unesc "bug" fn;
-                  site_pc = int_tok "bug" pc;
-                  site_loc =
-                    { Minic.Loc.file = unesc "bug" file;
-                      line = int_tok "bug" lno;
-                      col = int_tok "bug" col } };
-              bug_run = int_tok "bug" run;
-              bug_inputs =
-                List.map
-                  (fun e ->
-                    match String.split_on_char ':' e with
-                    | [ id; v ] -> (int_tok "bug" id, int_tok "bug" v)
-                    | _ -> raise (Bad (Printf.sprintf "bad bug input %S" e)))
-                  inputs }
-          | _ -> raise (Bad "expected \"bug\" record"))
-    in
+    let n_bugs = C.expect_counted r "bugs" in
+    let tr_bugs = List.init n_bugs (fun _ -> C.bug_of_tokens (tokens (next "bug"))) in
     (* The CRC trailer is outside the checksummed bytes. *)
+    let block = C.since_mark r in
     (match tokens (next "crc") with
      | [ "crc"; hex ] ->
        (match Dart_util.Crc32.of_hex hex with
-        | None -> raise (Bad (Printf.sprintf "bad crc %S" hex))
+        | None -> raise (C.Bad (Printf.sprintf "bad crc %S" hex))
         | Some expected ->
-          let actual = Dart_util.Crc32.string (Buffer.contents block) in
-          if actual <> expected then
+          if Dart_util.Crc32.string block <> expected then
             raise
-              (Bad
+              (C.Bad
                  (Printf.sprintf "checksum mismatch in record for %s (corrupted checkpoint)"
                     tr_name)))
-     | _ -> raise (Bad "expected \"crc\" record"));
+     | _ -> raise (C.Bad "expected \"crc\" record"));
     { tr_name; tr_index; tr_runs; tr_slices; tr_retired; tr_coverage; tr_bugs;
       tr_overruns; tr_bopens }
   in
@@ -303,17 +217,17 @@ let parse ~salvage text =
      | [ m; v ] when m = magic ->
        if v <> Printf.sprintf "v%d" version then
          raise
-           (Bad
+           (C.Bad
               (Printf.sprintf "unsupported campaign checkpoint version %s (this build reads v%d)"
                  v version))
      | m :: _ when m = "dart-checkpoint" ->
        raise
-         (Bad "this is a single-shot search checkpoint; resume it with plain `dartc --resume`")
-     | _ -> raise (Bad "not a dart campaign checkpoint file"));
+         (C.Bad "this is a single-shot search checkpoint; resume it with plain `dartc --resume`")
+     | _ -> raise (C.Bad "not a dart campaign checkpoint file"));
     let meta = next "meta" in
     if not (String.length meta >= 5 && String.sub meta 0 5 = "meta ") then
-      raise (Bad "expected \"meta\" record");
-    let n_finished = expect_counted "finished" in
+      raise (C.Bad "expected \"meta\" record");
+    let n_finished = C.expect_counted r "finished" in
     let results, defect =
       if salvage then begin
         let acc = ref [] in
@@ -324,35 +238,28 @@ let parse ~salvage text =
            done;
            match tokens (next "end") with
            | [ "end" ] -> ()
-           | _ -> raise (Bad "expected \"end\" record")
-         with Bad msg -> defect := Some msg);
+           | _ -> raise (C.Bad "expected \"end\" record")
+         with C.Bad msg -> defect := Some msg);
         (List.rev !acc, !defect)
       end
       else begin
         let results = List.init n_finished (fun _ -> parse_block ()) in
         (match tokens (next "end") with
          | [ "end" ] -> ()
-         | _ -> raise (Bad "expected \"end\" record"));
+         | _ -> raise (C.Bad "expected \"end\" record"));
         (results, None)
       end
     in
     Ok (meta, n_finished, results, defect)
-  with Bad msg -> Error msg
+  with C.Bad msg -> Error msg
 
 let of_string text =
   match parse ~salvage:false text with
   | Ok (meta, _, results, _) -> Ok (meta, results)
   | Error _ as e -> e
 
-let save ~path ~options ~library report =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string ~options ~library report);
-      flush oc);
-  Sys.rename tmp path
+let save ?fault ~path ~options ~library report =
+  Dart_util.Fileio.write_atomic ?fault path (to_string ~options ~library report)
 
 let check_meta ~options ~library found_meta =
   let expected = meta_line ~options ~library in
@@ -365,12 +272,7 @@ let check_meta ~options ~library found_meta =
   else Ok ()
 
 let load ?salvage ~path ~options ~library () =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Dart_util.Fileio.read_all path with
   | exception Sys_error msg -> Error msg
   | text -> (
     match salvage with
@@ -708,9 +610,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             in
             let h = cam_metrics.Telemetry.solve_hist in
             try
-              if Dart_util.Faultsim.fire fault Dart_util.Faultsim.Io_error then
-                raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-              Status.write ~path
+              Status.write ~fault ~path
                 { Status.st_mode = Status.Campaign;
                 st_elapsed_ns = elapsed;
                 st_budget_ns = time_budget_ns;
@@ -748,9 +648,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             let n = List.length r.cam_results in
             if n <> !finished_at_last_save then begin
               try
-                if Dart_util.Faultsim.fire fault Dart_util.Faultsim.Io_error then
-                  raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-                save ~path ~options ~library:text r;
+                save ~fault ~path ~options ~library:text r;
                 (* Only advance on success, so the next settle retries
                    the write instead of silently skipping it. *)
                 finished_at_last_save := n;
@@ -1068,25 +966,10 @@ let report_to_string r =
      List.iter (fun (name, reason) -> line "  - %s: %s" name reason) sk);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  let str = Telemetry.json_string in
   let bug_json target (b : Driver.bug) =
     let loc = b.Driver.bug_site.Machine.site_loc in
     Printf.sprintf

@@ -183,10 +183,17 @@ val to_json : report -> string
 
 (** {1 Checkpoint codec} *)
 
-val save : path:string -> options:Driver.options -> library:string -> report -> unit
-(** Atomic write of the campaign checkpoint: meta derived from
-    [options] plus [Digest.string library], then one record block per
-    finished target. *)
+val save :
+  ?fault:Dart_util.Faultsim.t ->
+  path:string ->
+  options:Driver.options ->
+  library:string ->
+  report ->
+  unit
+(** Atomic write ({!Dart_util.Fileio.write_atomic}) of the campaign
+    checkpoint: meta derived from [options] plus
+    [Digest.string library], then one record block per finished
+    target. [fault] may inject an [Io_error] ({!Sys_error}). *)
 
 val load :
   ?salvage:(string -> unit) ->

@@ -5,7 +5,7 @@
    and diffs meaningfully in CI artifacts. *)
 
 let magic = "dart-checkpoint"
-let version = 2
+let version = 3
 
 type meta = {
   m_seed : int;
@@ -13,7 +13,6 @@ type meta = {
   m_max_runs : int;
   m_strategy : Strategy.t;
   m_incremental : bool;
-  m_shared_cache : bool;
 }
 
 module O = Driver.Options
@@ -23,8 +22,7 @@ let meta_of_options (options : Driver.options) =
     m_depth = options.O.search.O.depth;
     m_max_runs = options.O.budget.O.max_runs;
     m_strategy = options.O.search.O.strategy;
-    m_incremental = options.O.accel.O.use_incremental;
-    m_shared_cache = options.O.accel.O.use_shared_cache }
+    m_incremental = options.O.accel.O.use_incremental }
 
 let check_meta ~expected ~found =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -41,15 +39,13 @@ let check_meta ~expected ~found =
     fail "checkpoint was taken with incremental solving %s, not %s"
       (onoff found.m_incremental)
       (onoff expected.m_incremental)
-  else if found.m_shared_cache <> expected.m_shared_cache then
-    fail "checkpoint was taken with the shared solve store %s, not %s"
-      (onoff found.m_shared_cache)
-      (onoff expected.m_shared_cache)
   else Ok ()
+
+(* ---- line-record codec, shared with Campaign ---------------------------------- *)
 
 (* Strings (function names, file paths) are %-escaped so every record
    stays one line of space-separated tokens. *)
-let esc s =
+let escape s =
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
@@ -62,37 +58,115 @@ let esc s =
 
 exception Bad of string
 
-let unesc s =
+let unescape what s =
+  let bad msg = raise (Bad (Printf.sprintf "%s in %s" msg what)) in
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
   let i = ref 0 in
   while !i < n do
     (match s.[!i] with
      | '%' ->
-       if !i + 2 >= n then raise (Bad "truncated %-escape");
+       if !i + 2 >= n then bad "truncated %-escape";
        (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
         | Some code -> Buffer.add_char buf (Char.chr (code land 0xff))
-        | None -> raise (Bad "bad %-escape"));
+        | None -> bad "bad %-escape");
        i := !i + 2
      | c -> Buffer.add_char buf c);
     incr i
   done;
   Buffer.contents buf
 
-let escape = esc
-let unescape s = match unesc s with v -> Ok v | exception Bad msg -> Error msg
-
 let bool_tag b = if b then "1" else "0"
+
+type reader = { mutable lines : string list; block : Buffer.t }
+
+let reader text =
+  { lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text);
+    block = Buffer.create 256 }
+
+let next r what =
+  match r.lines with
+  | [] -> raise (Bad (Printf.sprintf "unexpected end of file, wanted %s" what))
+  | l :: rest ->
+    r.lines <- rest;
+    Buffer.add_string r.block l;
+    Buffer.add_char r.block '\n';
+    l
+
+let mark r = Buffer.clear r.block
+let since_mark r = Buffer.contents r.block
+let tokens l = String.split_on_char ' ' l
+
+let int_tok what t =
+  match int_of_string_opt t with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "bad integer in %s: %S" what t))
+
+let bool_tok what = function
+  | "0" -> false
+  | "1" -> true
+  | t -> raise (Bad (Printf.sprintf "bad boolean in %s: %S" what t))
+
+let expect_counted r what =
+  match tokens (next r what) with
+  | [ tag; count ] when tag = what -> int_tok what count
+  | _ -> raise (Bad (Printf.sprintf "expected %S record" what))
+
+let cover_record tag (fn, pc, dir) =
+  Printf.sprintf "%s %s %d %s" tag (escape fn) pc (bool_tag dir)
+
+let cover_of_tokens tag = function
+  | [ t; fn; pc; dir ] when t = tag -> (unescape tag fn, int_tok tag pc, bool_tok tag dir)
+  | _ -> raise (Bad (Printf.sprintf "expected %S record" tag))
+
+let bug_record (b : Driver.bug) =
+  let loc = b.Driver.bug_site.Machine.site_loc in
+  String.concat ""
+    (Printf.sprintf "bug %s %s %d %s %d %d %d %d"
+       (Machine.fault_tag b.Driver.bug_fault)
+       (escape b.Driver.bug_site.Machine.site_fn)
+       b.Driver.bug_site.Machine.site_pc (escape loc.Minic.Loc.file)
+       loc.Minic.Loc.line loc.Minic.Loc.col b.Driver.bug_run
+       (List.length b.Driver.bug_inputs)
+    :: List.map (fun (id, v) -> Printf.sprintf " %d:%d" id v) b.Driver.bug_inputs)
+
+let bug_of_tokens = function
+  | "bug" :: fault :: fn :: pc :: file :: lno :: col :: run :: n_inputs :: inputs ->
+    let bug_fault =
+      match Machine.fault_of_tag fault with
+      | Some f -> f
+      | None -> raise (Bad (Printf.sprintf "unknown fault %S" fault))
+    in
+    let n_inputs = int_tok "bug" n_inputs in
+    if List.length inputs <> n_inputs then raise (Bad "bug input count mismatch");
+    { Driver.bug_fault;
+      bug_site =
+        { Machine.site_fn = unescape "bug" fn;
+          site_pc = int_tok "bug" pc;
+          site_loc =
+            { Minic.Loc.file = unescape "bug" file;
+              line = int_tok "bug" lno;
+              col = int_tok "bug" col } };
+      bug_run = int_tok "bug" run;
+      bug_inputs =
+        List.map
+          (fun e ->
+            match String.split_on_char ':' e with
+            | [ id; v ] -> (int_tok "bug" id, int_tok "bug" v)
+            | _ -> raise (Bad (Printf.sprintf "bad bug input %S" e)))
+          inputs }
+  | _ -> raise (Bad "expected \"bug\" record")
+
+(* ---- single-search checkpoints ------------------------------------------------- *)
 
 let to_string (meta : meta) (s : Driver.snapshot) =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
   line "%s v%d" magic version;
-  line "meta seed=%d depth=%d max_runs=%d strategy=%s incremental=%s shared_cache=%s"
+  line "meta seed=%d depth=%d max_runs=%d strategy=%s incremental=%s"
     meta.m_seed meta.m_depth meta.m_max_runs
     (Strategy.to_string meta.m_strategy)
-    (bool_tag meta.m_incremental)
-    (bool_tag meta.m_shared_cache);
+    (bool_tag meta.m_incremental);
   line "pending_restart %s" (bool_tag s.Driver.sn_pending_restart);
   line "rng %Ld" s.Driver.sn_rng;
   line "counters runs=%d restarts=%d total_steps=%d paths=%d resource_limited=%d"
@@ -115,51 +189,17 @@ let to_string (meta : meta) (s : Driver.snapshot) =
     (fun (id, value, kind) -> line "input %d %d %s" id value (Inputs.kind_tag kind))
     s.Driver.sn_im;
   line "coverage %d" (List.length s.Driver.sn_coverage);
-  List.iter
-    (fun (fn, pc, dir) -> line "cover %s %d %s" (esc fn) pc (bool_tag dir))
-    s.Driver.sn_coverage;
+  List.iter (fun site -> line "%s" (cover_record "cover" site)) s.Driver.sn_coverage;
   line "stats %d" (List.length s.Driver.sn_stats);
-  List.iter (fun (k, v) -> line "stat %s %d" (esc k) v) s.Driver.sn_stats;
+  List.iter (fun (k, v) -> line "stat %s %d" (escape k) v) s.Driver.sn_stats;
   line "bugs %d" (List.length s.Driver.sn_bugs);
-  List.iter
-    (fun (b : Driver.bug) ->
-      let loc = b.Driver.bug_site.Machine.site_loc in
-      Buffer.add_string buf
-        (Printf.sprintf "bug %s %s %d %s %d %d %d %d"
-           (Machine.fault_tag b.Driver.bug_fault)
-           (esc b.Driver.bug_site.Machine.site_fn)
-           b.Driver.bug_site.Machine.site_pc (esc loc.Minic.Loc.file)
-           loc.Minic.Loc.line loc.Minic.Loc.col b.Driver.bug_run
-           (List.length b.Driver.bug_inputs));
-      List.iter
-        (fun (id, v) -> Buffer.add_string buf (Printf.sprintf " %d:%d" id v))
-        b.Driver.bug_inputs;
-      Buffer.add_char buf '\n')
-    s.Driver.sn_bugs;
+  List.iter (fun b -> line "%s" (bug_record b)) s.Driver.sn_bugs;
   line "end";
   Buffer.contents buf
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let lines = ref (List.filter (fun l -> l <> "") lines) in
-  let next what =
-    match !lines with
-    | [] -> raise (Bad (Printf.sprintf "unexpected end of file, wanted %s" what))
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  let tokens l = String.split_on_char ' ' l in
-  let int_tok what t =
-    match int_of_string_opt t with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "bad integer in %s: %S" what t))
-  in
-  let bool_tok what = function
-    | "0" -> false
-    | "1" -> true
-    | t -> raise (Bad (Printf.sprintf "bad boolean in %s: %S" what t))
-  in
+  let r = reader text in
+  let next = next r in
   (* "k=v" fields in a fixed order, as written by [to_string]. *)
   let kv what key t =
     match String.index_opt t '=' with
@@ -167,11 +207,7 @@ let of_string text =
       String.sub t (i + 1) (String.length t - i - 1)
     | _ -> raise (Bad (Printf.sprintf "expected %s=... in %s, got %S" key what t))
   in
-  let expect_counted what =
-    match tokens (next what) with
-    | [ tag; count ] when tag = what -> int_tok what count
-    | _ -> raise (Bad (Printf.sprintf "expected %S record" what))
-  in
+  let expect_counted = expect_counted r in
   try
     (match tokens (next "magic") with
      | [ m; v ] when m = magic ->
@@ -184,7 +220,7 @@ let of_string text =
      | _ -> raise (Bad "not a dart checkpoint file"));
     let meta =
       match tokens (next "meta") with
-      | [ "meta"; seed; depth; max_runs; strategy; incremental; shared_cache ] ->
+      | [ "meta"; seed; depth; max_runs; strategy; incremental ] ->
         let strategy_name = kv "meta" "strategy" strategy in
         let m_strategy =
           match Strategy.of_string strategy_name with
@@ -195,8 +231,7 @@ let of_string text =
           m_depth = int_tok "meta" (kv "meta" "depth" depth);
           m_max_runs = int_tok "meta" (kv "meta" "max_runs" max_runs);
           m_strategy;
-          m_incremental = bool_tok "meta" (kv "meta" "incremental" incremental);
-          m_shared_cache = bool_tok "meta" (kv "meta" "shared_cache" shared_cache) }
+          m_incremental = bool_tok "meta" (kv "meta" "incremental" incremental) }
       | _ -> raise (Bad "expected \"meta\" record")
     in
     let sn_pending_restart =
@@ -260,48 +295,18 @@ let of_string text =
     in
     let n_cov = expect_counted "coverage" in
     let sn_coverage =
-      List.init n_cov (fun _ ->
-          match tokens (next "cover") with
-          | [ "cover"; fn; pc; dir ] ->
-            (unesc fn, int_tok "cover" pc, bool_tok "cover" dir)
-          | _ -> raise (Bad "expected \"cover\" record"))
+      List.init n_cov (fun _ -> cover_of_tokens "cover" (tokens (next "cover")))
     in
     let n_stats = expect_counted "stats" in
     let sn_stats =
       List.init n_stats (fun _ ->
           match tokens (next "stat") with
-          | [ "stat"; k; v ] -> (unesc k, int_tok "stat" v)
+          | [ "stat"; k; v ] -> (unescape "stat" k, int_tok "stat" v)
           | _ -> raise (Bad "expected \"stat\" record"))
     in
     let n_bugs = expect_counted "bugs" in
     let sn_bugs =
-      List.init n_bugs (fun _ ->
-          match tokens (next "bug") with
-          | "bug" :: fault :: fn :: pc :: file :: lno :: col :: run :: n_inputs :: inputs ->
-            let bug_fault =
-              match Machine.fault_of_tag fault with
-              | Some f -> f
-              | None -> raise (Bad (Printf.sprintf "unknown fault %S" fault))
-            in
-            let n_inputs = int_tok "bug" n_inputs in
-            if List.length inputs <> n_inputs then raise (Bad "bug input count mismatch");
-            { Driver.bug_fault;
-              bug_site =
-                { Machine.site_fn = unesc fn;
-                  site_pc = int_tok "bug" pc;
-                  site_loc =
-                    { Minic.Loc.file = unesc file;
-                      line = int_tok "bug" lno;
-                      col = int_tok "bug" col } };
-              bug_run = int_tok "bug" run;
-              bug_inputs =
-                List.map
-                  (fun e ->
-                    match String.split_on_char ':' e with
-                    | [ id; v ] -> (int_tok "bug" id, int_tok "bug" v)
-                    | _ -> raise (Bad (Printf.sprintf "bad bug input %S" e)))
-                  inputs }
-          | _ -> raise (Bad "expected \"bug\" record"))
+      List.init n_bugs (fun _ -> bug_of_tokens (tokens (next "bug")))
     in
     (match tokens (next "end") with
      | [ "end" ] -> ()
@@ -325,23 +330,9 @@ let of_string text =
   with Bad msg -> Error msg
 
 let save ~path ~meta snapshot =
-  (* Write-then-rename in the target directory: the rename is atomic on
-     POSIX, so a crash mid-save never corrupts an existing checkpoint. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string meta snapshot);
-      flush oc);
-  Sys.rename tmp path
+  Dart_util.Fileio.write_atomic path (to_string meta snapshot)
 
 let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Dart_util.Fileio.read_all path with
   | exception Sys_error msg -> Error msg
   | text -> of_string text

@@ -16,7 +16,6 @@ module Options = struct
     use_slicing : bool;
     use_cache : bool;
     use_incremental : bool;
-    use_shared_cache : bool;
     use_breaker : bool;
   }
 
@@ -52,7 +51,6 @@ module Options = struct
         { use_slicing = true;
           use_cache = true;
           use_incremental = true;
-          use_shared_cache = true;
           use_breaker = true };
       campaign =
         { per_function_runs = 200;
@@ -69,7 +67,6 @@ module Options = struct
       ?solver_deadline_ns ?(use_slicing = default.accel.use_slicing)
       ?(use_cache = default.accel.use_cache)
       ?(use_incremental = default.accel.use_incremental)
-      ?(use_shared_cache = default.accel.use_shared_cache)
       ?(use_breaker = default.accel.use_breaker)
       ?(per_function_runs = default.campaign.per_function_runs)
       ?(priority = default.campaign.priority)
@@ -78,7 +75,7 @@ module Options = struct
       ?(telemetry = default.telemetry) ?(faultsim = Dart_util.Faultsim.off) () =
     { budget = { max_runs; stop_on_first_bug; time_budget_ns; solver_deadline_ns };
       search = { seed; depth; strategy };
-      accel = { use_slicing; use_cache; use_incremental; use_shared_cache; use_breaker };
+      accel = { use_slicing; use_cache; use_incremental; use_breaker };
       campaign = { per_function_runs; priority; retire_after; retry_limit };
       exec;
       telemetry;
@@ -145,12 +142,11 @@ type snapshot = {
   sn_bugs : bug list;
 }
 
-(* A worker's claim on the run budget: either a fixed private share
-   (the classic budget sharding, and the only shape a solo search
-   uses) or a reservation against a pool shared by every worker of a
-   parallel search. Pooled workers claim runs one at a time with a CAS
-   decrement, so a worker that drains its subtree early leaves the
-   rest of the budget to its peers instead of stranding its shard. *)
+(* A search's claim on the run budget: either a fixed private count
+   (the shape a solo search uses) or a reservation against a pool
+   shared by every worker of a parallel search. Pooled workers claim
+   runs one at a time with a CAS decrement, so a worker that drains
+   its subtree early leaves the rest of the budget to its peers. *)
 type run_budget =
   | Fixed_budget of int
   | Pooled_budget of pooled_budget
@@ -172,8 +168,7 @@ type search_ctx = {
   sc_rng : Dart_util.Prng.t;
   sc_im : Inputs.t;
   sc_stats : Solver.stats;
-  sc_cache : Solver.Cache.t;
-  sc_store : (Solver.Store.t * int) option;
+  sc_cache : Solver.Store.t * int;
   sc_incr : Solver.Incr.t option;
   sc_metrics : Telemetry.metrics;
   sc_budget : run_budget;
@@ -188,8 +183,8 @@ let make_ctx ?(should_stop = fun () -> false)
   { sc_rng = Dart_util.Prng.create seed;
     sc_im = Inputs.create ();
     sc_stats = Solver.create_stats ();
-    sc_cache = Solver.Cache.create ();
-    sc_store = store;
+    sc_cache =
+      (match store with Some s -> s | None -> (Solver.Store.create ~workers:1, 0));
     sc_incr = (if incremental then Some (Solver.Incr.create ()) else None);
     sc_metrics = metrics;
     sc_budget =
@@ -320,9 +315,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     (* Status is observability output: a full disk or revoked permission
        must degrade to a warning, never abort the search. Warn once. *)
     try
-      if Dart_util.Faultsim.fire fs Dart_util.Faultsim.Io_error then
-        raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-      Status.write ~path
+      Status.write ~fault:fs ~path
       { Status.st_mode = Status.Run;
         st_elapsed_ns = elapsed;
         st_budget_ns = options.Options.budget.Options.time_budget_ns;
@@ -530,11 +523,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
       let t0 = Telemetry.now () in
       let next =
         Solve_pc.solve
-          ?cache:
-            (if options.Options.accel.Options.use_cache && Option.is_none ctx.sc_store then
-               Some ctx.sc_cache
-             else None)
-          ?store:(if options.Options.accel.Options.use_cache then ctx.sc_store else None)
+          ?cache:(if options.Options.accel.Options.use_cache then Some ctx.sc_cache else None)
           ?incr:ctx.sc_incr ?breaker:ctx.sc_breaker
           ?deadline_ns:options.Options.budget.Options.solver_deadline_ns ~faultsim:fs
           ~slicing:options.Options.accel.Options.use_slicing ~telemetry:sink

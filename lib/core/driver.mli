@@ -30,15 +30,12 @@ module Options : sig
 
   type accel = {
     use_slicing : bool; (* independence slicing of path constraints (default on) *)
-    use_cache : bool; (* solve caching (default on) *)
+    use_cache : bool;
+        (* solve caching through the context's {!Solver.Store} (default
+           on) *)
     use_incremental : bool;
         (* push/pop incremental solving through a per-worker
            {!Solver.Incr} context (default on; results identical) *)
-    use_shared_cache : bool;
-        (* with jobs > 1: one cross-worker {!Solver.Store} plus a
-           pooled run budget instead of private caches and budget
-           shards (default on; no effect at jobs = 1 or with
-           [use_cache] off) *)
     use_breaker : bool;
         (* per-site solver circuit breaker ({!Solver.Breaker}):
            consecutive deadline-overrun Unknowns at one branch site
@@ -104,7 +101,6 @@ module Options : sig
     ?use_slicing:bool ->
     ?use_cache:bool ->
     ?use_incremental:bool ->
-    ?use_shared_cache:bool ->
     ?use_breaker:bool ->
     ?per_function_runs:int ->
     ?priority:priority ->
@@ -217,12 +213,9 @@ type search_ctx = {
   sc_rng : Dart_util.Prng.t; (* private randomness stream *)
   sc_im : Inputs.t; (* private input vector *)
   sc_stats : Solver.stats; (* private solver counters *)
-  sc_cache : Solver.Cache.t;
-      (* private solve cache (shared-nothing across domains, so hits
-         and misses are deterministic per worker) *)
-  sc_store : (Solver.Store.t * int) option;
-      (* shared cross-worker solve store and this worker's id; when
-         present (and caching is on) it replaces [sc_cache] *)
+  sc_cache : Solver.Store.t * int;
+      (* solve store and this worker's id: private to a solo search,
+         shared by every worker of a parallel one *)
   sc_incr : Solver.Incr.t option;
       (* per-worker incremental solving context (never shared) *)
   sc_metrics : Telemetry.metrics; (* private phase timers *)
@@ -259,7 +252,8 @@ val make_ctx :
     to a fresh record (pass one to fold preparation time measured by
     {!prepare} into the search's report); [deadline] defaults to
     unbounded. [pool] switches the budget from a fixed [max_runs] share
-    to a shared pool; [store] attaches the cross-worker solve store;
+    to a shared pool; [store] attaches a shared solve store and this
+    worker's id (default: a fresh solo store, worker 0);
     [incremental] (default true) controls the push/pop context.
     [use_breaker] (default true) creates a fresh circuit breaker;
     [breaker] overrides it with a caller-owned one (a campaign shares

@@ -1,12 +1,13 @@
 (* Multi-domain directed search (paper §2.6: restarts of the outer
    loop are independent, hence embarrassingly parallel).  Each worker
-   domain runs a full [Driver.search] over a private [search_ctx] —
-   its own PRNG stream, input vector, solver stats and budget share —
-   so the domains share nothing but one cancellation atomic and the
-   immutable program.  Telemetry follows the same discipline: each
-   worker traces into a private ring buffer, replayed into the main
-   sink in worker order at join, so the merged trace is deterministic
-   and the main sink is only ever written from the joining domain. *)
+   domain runs a full [Driver.search] over its own [search_ctx] — its
+   own PRNG stream, input vector and solver stats — so the domains
+   share only the immutable program, one cancellation atomic, and the
+   two lock-free accelerators: the solve store and the run pool.
+   Telemetry is never shared: each worker traces into a private ring
+   buffer, replayed into the main sink in worker order at join, so the
+   merged trace is deterministic and the main sink is only ever written
+   from the joining domain. *)
 
 module O = Driver.Options
 
@@ -51,11 +52,6 @@ let worker_seeds ~base_seed n =
   let rng = Dart_util.Prng.create base_seed in
   Array.init n (fun i ->
       if i = 0 then base_seed else Int64.to_int (Dart_util.Prng.next_int64 rng))
-
-(* Shard [total] runs over [n] workers, first shards taking the
-   remainder: the shares sum to exactly [total]. *)
-let budget_shares ~total n =
-  Array.init n (fun i -> (total / n) + if i < total mod n then 1 else 0)
 
 let worker_strategy t i =
   match t.portfolio with
@@ -109,7 +105,7 @@ let merge (reports : Driver.report list) : Driver.report =
     | [] ->
       (* One worker finishing a DFS search with completeness flags
          intact proves no bug exists at this depth, whatever the other
-         budget shares managed. Otherwise the most informative partial
+         workers managed. Otherwise the most informative partial
          cause wins: an interrupt or an expired time budget explains
          the early stop better than "budget exhausted". *)
       let any v = List.exists (fun (r : Driver.report) -> r.Driver.verdict = v) reports in
@@ -165,7 +161,6 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   (* Seeds [0, n): primary workers; seeds [n, 2n): the respawn stream,
      so a supervisor restart is as deterministic as the first spawn. *)
   let seeds = worker_seeds ~base_seed:t.base.O.search.O.seed (2 * n) in
-  let shares = budget_shares ~total:t.base.O.budget.O.max_runs n in
   let stop_on_first_bug = t.base.O.budget.O.stop_on_first_bug in
   let base_sink = t.base.O.telemetry.Telemetry.sink in
   let tracing = Telemetry.enabled base_sink in
@@ -176,20 +171,14 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
     if stop_on_first_bug && n > 1 then fun () -> Atomic.get cancel
     else fun () -> false
   in
-  (* Cross-worker sharing (default on, [--no-shared-cache] restores the
-     shared-nothing layout): one lock-free solve store answers every
+  (* With several workers, one lock-free solve store answers every
      worker's queries and claims frontier branches, and the run budget
-     becomes a single CAS-claimed pool instead of static per-worker
-     shards — a worker that drains its subtree early hands its leftover
-     budget to the others. A single worker keeps the private-cache
-     fixed-share path, which stays byte-identical to [Driver.run]. *)
-  let shared_on =
-    n > 1 && t.base.O.accel.O.use_shared_cache && t.base.O.accel.O.use_cache
-  in
-  let store = if shared_on then Some (Solver.Store.create ()) else None in
-  let pool =
-    if shared_on then Some (Atomic.make t.base.O.budget.O.max_runs) else None
-  in
+     is a single CAS-claimed pool: a worker that drains its subtree
+     early hands its leftover budget to the others. A single worker
+     keeps [Driver.make_ctx]'s solo store and a fixed budget, which
+     stays byte-identical to [Driver.run]. *)
+  let store = if n > 1 then Some (Solver.Store.create ~workers:n) else None in
+  let pool = if n > 1 then Some (Atomic.make t.base.O.budget.O.max_runs) else None in
   (* A worker body never lets an exception reach [Domain.join]: it
      returns [Error reason] instead, so the supervisor always joins
      every domain, replays the surviving rings and flushes the sink. *)
@@ -209,7 +198,8 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
       Driver.make_ctx ~should_stop ?deadline ?pool
         ?store:(Option.map (fun st -> (st, slot)) store)
         ~incremental:t.base.O.accel.O.use_incremental
-        ~use_breaker:t.base.O.accel.O.use_breaker ~seed ~max_runs:shares.(slot) ()
+        ~use_breaker:t.base.O.accel.O.use_breaker ~seed
+        ~max_runs:t.base.O.budget.O.max_runs ()
     in
     let options =
       { t.base with
@@ -282,9 +272,9 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
     in
     let primary = Array.map Domain.join domains in
     (* Supervision pass: every crashed slot is respawned exactly once,
-       with a fresh derived seed, a fresh ring and the slot's full
-       budget share — the crashed attempt's runs died with its domain,
-       so the share is re-run rather than lost. *)
+       with a fresh derived seed and a fresh ring. The respawn claims
+       runs from what is left of the shared pool; the crashed attempt's
+       runs died with its domain. *)
     let rsinks = Array.make n Telemetry.null in
     let respawns =
       Array.init n (fun i ->

@@ -3,19 +3,21 @@
     The paper's outer loop (§2.6, Figure 2) restarts the directed
     search from fresh random seed points whenever incompleteness forces
     a restart; restarts are independent, hence embarrassingly parallel.
-    [run] shards the run budget across [jobs] worker domains, each
+    [run] spreads the run budget over [jobs] worker domains, each
     executing an independent {!Driver.search} with its own PRNG stream,
     input vector and solver stats — optionally with a different
     {!Strategy.t} drawn from a portfolio — and merges the worker
-    reports.
+    reports. With more than one worker, the workers share one
+    {!Solver.Store} and claim runs from one pooled budget.
 
     Determinism contract:
     - [jobs = 1] reproduces {!Driver.run} bit for bit (same seed, same
       budget, no merge pass).
     - For any [jobs = N], each worker's search is a deterministic
-      function of [(base seed, worker index, budget share)]. The
-      merged *set* of deduped bugs, the coverage union and the verdict
-      constructor are reproducible across runs on no-bug workloads;
+      function of its seed and of which peer publishes a shared solve
+      first. The merged *set* of deduped bugs, the coverage union and
+      the verdict constructor are reproducible across runs on no-bug
+      workloads;
       with [stop_on_first_bug] cancellation, late workers may drain at
       different run counts across executions, but any bug reported is
       always a real, replayable witness and single-defect workloads
@@ -23,7 +25,7 @@
 
 type options = {
   base : Driver.options;
-      (** [base.budget.max_runs] is the {e total} budget, sharded
+      (** [base.budget.max_runs] is the {e total} budget, pooled
           across workers; [base.search.seed] seeds worker 0 directly
           and derives the other workers' streams.
           [base.telemetry.sink] receives the merged trace: with more
@@ -53,8 +55,8 @@ type crash = {
   c_reason : string; (* printed exception *)
   c_respawned : bool;
       (* [true]: the supervisor restarted the slot once with a fresh
-         derived seed and its full budget share; [false]: the respawn
-         itself crashed and the share was abandoned *)
+         derived seed; [false]: the respawn itself crashed and the slot
+         was abandoned *)
 }
 
 type report = {
@@ -68,10 +70,6 @@ type report = {
 val worker_seeds : base_seed:int -> int -> int array
 (** Per-worker PRNG seeds: worker 0 gets [base_seed] itself, the rest
     get splitmix-derived values — a pure function of the base seed. *)
-
-val budget_shares : total:int -> int -> int array
-(** Shard [total] runs over [n] workers; shares sum to exactly
-    [total], first workers taking the remainder. *)
 
 val merge : Driver.report list -> Driver.report
 (** Merge worker reports: bugs deduped by {!Driver.bug_key} (keeping
@@ -97,9 +95,10 @@ val run : ?options:options -> Ram.Instr.program -> report
     [Telemetry.Worker_crash] event), every domain is still joined, the
     surviving workers' rings are replayed and the sink flushed. Each
     crashed slot is respawned exactly once with a deterministically
-    derived fresh seed and the slot's full budget share; if the respawn
-    crashes too, the share is abandoned and the merge proceeds over the
-    survivors (an all-crashed run merges to an empty
+    derived fresh seed (a lone worker's respawn gets the whole budget
+    again; with several workers it claims from what is left of the
+    pool); if the respawn crashes too, the slot is abandoned and the
+    merge proceeds over the survivors (an all-crashed run merges to an empty
     [Budget_exhausted] report).
     @raise Invalid_argument if [jobs < 0]. *)
 

@@ -74,7 +74,7 @@ let slice ~pivot ~prefix =
     in
     (pivot :: kept, List.length dropped)
 
-let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
+let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
     ?(faultsim = Dart_util.Faultsim.off) ?(telemetry = Telemetry.null) ?hist
     ?(sites = [||]) ~strategy ~rng ~stats ~im ~stack ~path_constraint () =
   let n = Array.length stack in
@@ -169,10 +169,11 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
         r
     in
     let result, cache_hit =
-      match (store, cache) with
-      | Some (st, worker), _ ->
-        (* Shared cross-worker store: a hit may have been published by
-           any worker; a miss doubles as a frontier claim. *)
+      match cache with
+      | None -> (run_solver (), false)
+      | Some (st, worker) ->
+        (* A hit may have been published by any worker sharing the
+           store; a miss doubles as a frontier claim. *)
         let keyed = Solver.Cache.canonical cs in
         (match Solver.Store.acquire st ~worker keyed with
          | Solver.Store.Hit (v, publisher) ->
@@ -191,24 +192,6 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
             | Solver.Unsat -> Solver.Store.publish st ~worker keyed Solver.Cache.Unsat
             | Solver.Unknown -> ());
            (r, false))
-      | None, Some cache ->
-        let key = Solver.Cache.canonical cs in
-        (match Solver.Cache.find cache key with
-         | Some (Solver.Cache.Sat model) ->
-           Solver.record_cache_hit stats;
-           (Solver.Sat model, true)
-         | Some Solver.Cache.Unsat ->
-           Solver.record_cache_hit stats;
-           (Solver.Unsat, true)
-         | None ->
-           Solver.record_cache_miss stats;
-           let r = run_solver () in
-           (match r with
-            | Solver.Sat model -> Solver.Cache.add cache key (Solver.Cache.Sat model)
-            | Solver.Unsat -> Solver.Cache.add cache key Solver.Cache.Unsat
-            | Solver.Unknown -> ());
-           (r, false))
-      | None, None -> (run_solver (), false)
     in
     let dur_ns = Int64.sub (Telemetry.now ()) t0 in
     (match hist with None -> () | Some h -> Telemetry.Hist.add h dur_ns);
@@ -231,7 +214,12 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
   in
   let rec go () =
     match Strategy.choose strategy rng candidates with
-    | None -> Exhausted { solver_incomplete = !solver_incomplete }
+    | None ->
+      (* An Unknown in an earlier call of this search counts too: that
+         call went on to a Sat candidate, so its local flag is gone, but
+         the branch it gave up on was never explored. *)
+      Exhausted
+        { solver_incomplete = !solver_incomplete || Solver.unknown_count stats > 0 }
     | Some j ->
       let pivot =
         match path_constraint.(j) with

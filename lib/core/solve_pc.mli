@@ -12,14 +12,11 @@
       pivot's variable-connected component of the constraint prefix is
       sent to the solver; unrelated components stay satisfied by the
       current IM, preserving the IM + IM' update semantics.
-    - {b solve caching} ([cache]): Sat models and Unsat verdicts are
-      memoised per canonical constraint set in a private per-worker
-      table; a worker's hit sequence depends only on its own queries.
-    - {b shared solve store} ([store], a {!Solver.Store.t} plus this
-      worker's id): the cross-worker alternative to [cache] — verdicts
-      published by any worker answer every worker's queries, and a
-      miss doubles as a claim on that frontier branch. Pass [store]
-      or [cache], not both (store wins if both are given).
+    - {b solve caching} ([cache], a {!Solver.Store.t} plus this
+      worker's id): Sat models and Unsat verdicts are memoised per
+      canonical constraint set. Verdicts published by any worker
+      sharing the store answer every worker's queries, and a miss
+      doubles as a claim on that frontier branch.
     - {b incremental solving} ([incr]): real solver calls go through a
       {!Solver.Incr} push/pop context that keeps the shared constraint
       prefix asserted and memoises prepared pipeline states; results
@@ -58,7 +55,8 @@ type next =
           including the flipped branch). *)
   | Exhausted of { solver_incomplete : bool }
       (** No pending branch can be forced. [solver_incomplete] reports
-          whether any solver query came back unknown, which voids the
+          whether any solver query came back unknown — in this call, or
+          earlier in the search as counted by [stats] — which voids the
           completeness claim (Theorem 1(b)). *)
 
 val domain_constraints :
@@ -76,8 +74,7 @@ val slice :
     and how many prefix constraints were eliminated as unrelated. *)
 
 val solve :
-  ?cache:Solver.Cache.t ->
-  ?store:Solver.Store.t * int ->
+  ?cache:Solver.Store.t * int ->
   ?incr:Solver.Incr.t ->
   ?breaker:Solver.Breaker.t ->
   ?slicing:bool ->

@@ -135,16 +135,7 @@ let of_json line =
             st_solve_p50_ns = solve_p50_ns;
             st_solve_p99_ns = solve_p99_ns }
 
-let write ~path st =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_json st);
-      output_char oc '\n';
-      flush oc);
-  Sys.rename tmp path
+let write ?fault ~path st = Dart_util.Fileio.write_atomic ?fault path (to_json st ^ "\n")
 
 (* Transient conditions resolve by waiting for the writer's next atomic
    rename: the file is momentarily absent (deleted, not yet created) or
@@ -152,12 +143,7 @@ let write ~path st =
    complete read that fails to parse means the file is not (or is no
    longer) a status file. *)
 let read_classified ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Dart_util.Fileio.read_all path with
   | exception Sys_error msg -> Error (`Transient msg)
   | exception End_of_file -> Error (`Transient "truncated status file")
   | contents ->

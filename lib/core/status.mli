@@ -43,8 +43,10 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 
-val write : path:string -> t -> unit
-(** Atomic snapshot write: [path ^ ".tmp"] then rename. *)
+val write : ?fault:Dart_util.Faultsim.t -> path:string -> t -> unit
+(** Atomic snapshot write ({!Dart_util.Fileio.write_atomic}): [path ^
+    ".tmp"] then rename. [fault] may inject an [Io_error]
+    ({!Sys_error}). *)
 
 val read : path:string -> (t, string) result
 (** Read and parse a status file; [Error] carries a one-line reason

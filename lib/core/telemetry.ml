@@ -207,11 +207,18 @@ let add_json_string buf s =
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
       | c when Char.code c < 32 ->
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
   Buffer.add_char buf '"'
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_json_string buf s;
+  Buffer.contents buf
 
 let event_to_json ev =
   let buf = Buffer.create 96 in

@@ -50,7 +50,7 @@ type event =
       pc : int;
       result : solve_result;
       dur_ns : int64;
-      cache_hit : bool; (* answered from the per-worker solve cache *)
+      cache_hit : bool; (* answered from the solve store *)
       sliced : int; (* prefix constraints dropped by independence slicing *)
     }
   | Input_update of { id : int; value : int } (* IM + IM' write *)
@@ -135,6 +135,16 @@ val replay : sink -> into:sink -> unit
 val flush : sink -> unit
 
 (** {1 JSONL codec} *)
+
+val add_json_string : Buffer.t -> string -> unit
+(** Append [s] as a quoted JSON string. Quote, backslash, newline, tab
+    and carriage return get their two-character escapes; other control
+    bytes are written as [\u00XX]. The one JSON string escaper of the
+    repo (traces, campaign reports, bench rows); {!parse_flat} decodes
+    every escape it writes. *)
+
+val json_string : string -> string
+(** {!add_json_string} into a fresh string. *)
 
 val event_to_json : event -> string
 (** One flat JSON object, no trailing newline. Schema (the [ev] field

@@ -1,8 +1,10 @@
-(* Per-worker solve cache (constraint caching, DART §2.6's "most of
-   the time is spent solving path constraints"; cf. the caching layers
-   of industrial concolic engines).
+(* Canonical keys for the solve cache (constraint caching, DART §2.6's
+   "most of the time is spent solving path constraints"; cf. the
+   caching layers of industrial concolic engines). The table itself is
+   [Store]; this module only says what a key is and how verdicts move
+   between a query's variables and the key's.
 
-   Keyed on the *canonical form* of a constraint set. Canonicalization
+   Keys are the *canonical form* of a constraint set. Canonicalization
    works in three solution-set-preserving steps:
 
    1. each atom is normalized — strict [e < 0] becomes [e + 1 <= 0],
@@ -18,19 +20,12 @@
       occurrence, so structurally identical queries over different
       input generations (the directed search re-issues the same
       filter shapes against fresh input ids every run) share an
-      entry. Stored models live in the renamed space; [find] maps
-      them back through the query's own variable map.
+      entry. Stored models live in the renamed space; [of_canonical]
+      maps them back through the query's own variable map.
 
    Both Sat models and Unsat verdicts are memoised; Unknown is never
    cached (it reflects resource limits, not a semantic verdict, and
-   retrying may succeed).
-
-   The cache itself is deliberately shared-nothing: every worker domain
-   owns one (it lives in the per-worker [Driver.search_ctx]), so
-   parallel searches stay deterministic — a worker's sequence of hits
-   and misses is a pure function of its own query sequence, never of
-   another domain's progress. The cross-worker sharing variant lives in
-   [Store], which reuses this module's keys and verdicts. *)
+   retrying may succeed). *)
 
 open Zarith_lite
 open Symbolic
@@ -45,12 +40,6 @@ module Key = struct
   let equal = List.equal Constr.equal
   let hash k = List.fold_left (fun acc c -> (acc * 31) + Constr.hash c) 17 k
 end
-
-module Tbl = Hashtbl.Make (Key)
-
-type t = verdict Tbl.t
-
-let create () : t = Tbl.create 256
 
 type keyed = {
   key : Key.t;
@@ -152,9 +141,3 @@ let to_canonical keyed = function
 let of_canonical keyed = function
   | Unsat -> Unsat
   | Sat model -> Sat (List.map (fun (i, z) -> (keyed.back.(i), z)) model)
-
-let find (t : t) keyed =
-  Option.map (of_canonical keyed) (Tbl.find_opt t keyed.key)
-
-let add (t : t) keyed verdict = Tbl.replace t keyed.key (to_canonical keyed verdict)
-let length (t : t) = Tbl.length t

@@ -2,12 +2,12 @@ open Zarith_lite
 open Symbolic
 
 module Cache = Cache
-(** Re-export: the per-worker solve cache ([lib/solver/cache.ml]),
+(** Re-export: the solve cache's canonical keys ([lib/solver/cache.ml]),
     reachable as [Solver.Cache] from outside the library. *)
 
 module Store = Store
-(** Re-export: the lock-free cross-worker solve store
-    ([lib/solver/store.ml]), reachable as [Solver.Store]. *)
+(** Re-export: the lock-free solve store ([lib/solver/store.ml]),
+    reachable as [Solver.Store]. *)
 
 module Breaker = Breaker
 (** Re-export: the per-site circuit breaker ([lib/solver/breaker.ml]),

@@ -10,11 +10,9 @@
     against the input constraints before being handed back. *)
 
 module Cache : sig
-  (** Per-worker memoisation of solver verdicts, keyed on the canonical
-      form of a constraint set. Never shared across domains: each
-      worker's hit/miss sequence depends only on its own queries, which
-      keeps parallel search deterministic. The cross-worker variant is
-      {!Store}. *)
+  (** Canonical keys of the solve cache ({!Store}): a constraint set's
+      canonical form, the verdicts stored under it, and the mappings of
+      those verdicts between a query's variables and the key's. *)
 
   type verdict =
     | Sat of (Symbolic.Linexpr.var * Zarith_lite.Zint.t) list
@@ -35,10 +33,6 @@ module Cache : sig
   (** A canonical key together with the variable renaming that produced
       it, needed to map stored models back to the query's variables. *)
 
-  type t
-
-  val create : unit -> t
-
   val canonical : Symbolic.Constr.t list -> keyed
   (** Canonical key of a conjunction: insensitive to atom order,
       duplicates, scaling, sign and strict/non-strict spelling
@@ -48,34 +42,32 @@ module Cache : sig
       rewrite preserves the solution set, so cached models remain valid
       for any spelling. *)
 
-  val find : t -> keyed -> verdict option
-  (** Stored verdict, with Sat models mapped back to the query's own
+  val to_canonical : keyed -> verdict -> verdict
+  (** A verdict over the query's variables, renamed into the key's. *)
+
+  val of_canonical : keyed -> verdict -> verdict
+  (** A stored verdict, with Sat models mapped back to the query's own
       variables. Model variables that only occurred in vacuously-true
       atoms are omitted (they are unconstrained). *)
-
-  val add : t -> keyed -> verdict -> unit
-  val length : t -> int
-
-  (**/**)
-
-  val to_canonical : keyed -> verdict -> verdict
-  val of_canonical : keyed -> verdict -> verdict
 end
 
 module Store : sig
-  (** Lock-free cross-worker solve store: one instance is shared by all
-      worker domains of a parallel search, replacing the per-worker
-      {!Cache} when shared caching is on. Verdicts are published under
-      {!Cache.canonical} keys; acquiring an unsolved key installs an
-      in-flight claim on that branch of the shared frontier, so workers
-      steal solved branches instead of re-deriving them. Cells move
+  (** Lock-free solve store, the one solve-cache table: a solo search
+      owns a small instance, and all worker domains of a parallel
+      search share one. Verdicts are published under {!Cache.canonical}
+      keys; acquiring an unsolved key installs an in-flight claim on
+      that branch of the shared frontier, so workers steal solved
+      branches instead of re-deriving them. Cells move
       [In_flight -> Done] exactly once (first publisher wins) and are
       never removed. With a single worker the acquire/publish protocol
-      is observationally identical to [Cache.find]/[Cache.add]. *)
+      is a plain memo, so a solo search's hits depend only on its own
+      queries. *)
 
   type t
 
-  val create : ?size_bits:int -> unit -> t
+  val create : workers:int -> t
+  (** An empty store for [workers] searches: 256 buckets for one, 4,096
+      when shared. *)
 
   type outcome =
     | Hit of Cache.verdict * int

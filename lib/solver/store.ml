@@ -1,13 +1,11 @@
-(* Lock-free cross-worker solve store.
-
-   One instance is shared by every worker domain of a parallel search
-   (it replaces the per-worker [Cache] when shared caching is on). Two
-   jobs in one structure:
+(* Lock-free solve store: the one solve-cache table. Every directed
+   search owns or shares one — a solo search gets a small private
+   instance, and every worker domain of a parallel search shares one.
+   Two jobs in one structure:
 
    - a solved-key memo: Sat/Unsat verdicts keyed on [Cache.canonical]
      keys, published by whichever worker solves them first and visible
-     to all — global constraint caching instead of per-worker private
-     tables (Unknown is never published: it reflects resource limits);
+     to all (Unknown is never published: it reflects resource limits);
 
    - frontier-claim slots: acquiring an unsolved key installs an
      [In_flight] marker, so the key doubles as a claim on that branch
@@ -19,9 +17,10 @@
 
    The structure is a fixed array of CAS'd cons-list buckets; cells are
    never removed, and each cell's state only ever moves [In_flight ->
-   Done] (first publisher wins). With a single worker the acquire /
-   publish sequence is observationally identical to [Cache.find] /
-   [Cache.add], which keeps jobs=1 searches byte-identical. *)
+   Done] (first publisher wins). With a single worker, acquire/publish
+   is a plain memo: a miss, then a hit on every later lookup of a
+   Sat/Unsat key, so a solo search's hit sequence is a pure function of
+   its own queries. *)
 
 type state =
   | In_flight of int (* worker id holding the claim *)
@@ -31,8 +30,10 @@ type cell = { c_key : Cache.Key.t; c_state : state Atomic.t }
 
 type t = { buckets : cell list Atomic.t array; mask : int }
 
-let create ?(size_bits = 12) () =
-  let n = 1 lsl size_bits in
+(* A solo store is created per search, and a campaign creates one per
+   slice, so it stays small; a shared one takes every worker's keys. *)
+let create ~workers =
+  let n = if workers > 1 then 4096 else 256 in
   { buckets = Array.init n (fun _ -> Atomic.make []); mask = n - 1 }
 
 let bucket t key = t.buckets.(Cache.Key.hash key land t.mask)

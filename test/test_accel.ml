@@ -1,5 +1,5 @@
 (* Solver acceleration layer: independence slicing of path constraints
-   and the per-worker solve cache. The key invariant throughout: both
+   and the solve store. The key invariant throughout: both
    optimisations are *exact* — verdicts, bug sets and coverage must be
    identical with and without them. *)
 
@@ -64,36 +64,41 @@ let test_canonical_key_normalises () =
     (same_key [ mk [ (0, 1); (1, -1) ] 0 Symbolic.Constr.Ne0 ]
        [ mk [ (1, 1); (0, -1) ] 0 Symbolic.Constr.Ne0 ])
 
-(* Renamed hits must hand back models over the *caller's* variables,
-   not the canonical ones. *)
-let test_cache_renamed_model () =
-  let cache = Solver.Cache.create () in
-  Solver.Cache.add cache (Solver.Cache.canonical [ c_eq 0 10 ])
-    (Solver.Cache.Sat [ (0, zi 10) ]);
-  match Solver.Cache.find cache (Solver.Cache.canonical [ c_eq 7 10 ]) with
-  | Some (Solver.Cache.Sat [ (7, z) ]) ->
-    Alcotest.(check int) "model remapped to x7" 10 (Zint.to_int z)
-  | Some _ -> Alcotest.fail "hit with wrong model shape"
-  | None -> Alcotest.fail "renamed query missed"
+(* ---- solve store ------------------------------------------------------------- *)
 
+(* Renamed hits must hand back models over the *caller's* variables,
+   not the canonical ones — also for the worker that published. *)
+let test_cache_renamed_model () =
+  let st = Solver.Store.create ~workers:1 in
+  Solver.Store.publish st ~worker:0 (Solver.Cache.canonical [ c_eq 0 10 ])
+    (Solver.Cache.Sat [ (0, zi 10) ]);
+  match Solver.Store.acquire st ~worker:0 (Solver.Cache.canonical [ c_eq 7 10 ]) with
+  | Solver.Store.Hit (Solver.Cache.Sat [ (7, z) ], 0) ->
+    Alcotest.(check int) "model remapped to x7" 10 (Zint.to_int z)
+  | Solver.Store.Hit _ -> Alcotest.fail "hit with wrong model shape"
+  | _ -> Alcotest.fail "renamed query missed"
+
+(* A solo store is a plain memo of Sat models and Unsat verdicts. *)
 let test_cache_roundtrip () =
-  let cache = Solver.Cache.create () in
+  let st = Solver.Store.create ~workers:1 in
   let keyed = Solver.Cache.canonical [ c_eq 0 10 ] in
-  Alcotest.(check bool) "miss on empty" true (Solver.Cache.find cache keyed = None);
-  Solver.Cache.add cache keyed (Solver.Cache.Sat [ (0, zi 10) ]);
-  (match Solver.Cache.find cache (Solver.Cache.canonical [ c_eq 0 10 ]) with
-   | Some (Solver.Cache.Sat [ (0, z) ]) -> Alcotest.(check int) "model value" 10 (Zint.to_int z)
+  (match Solver.Store.acquire st ~worker:0 keyed with
+   | Solver.Store.Claimed -> ()
+   | _ -> Alcotest.fail "miss on empty");
+  Solver.Store.publish st ~worker:0 keyed (Solver.Cache.Sat [ (0, zi 10) ]);
+  (match Solver.Store.acquire st ~worker:0 (Solver.Cache.canonical [ c_eq 0 10 ]) with
+   | Solver.Store.Hit (Solver.Cache.Sat [ (0, z) ], 0) ->
+     Alcotest.(check int) "model value" 10 (Zint.to_int z)
    | _ -> Alcotest.fail "expected cached Sat model");
   let ukeyed = Solver.Cache.canonical [ c_eq 0 1; c_eq 0 2 ] in
-  Solver.Cache.add cache ukeyed Solver.Cache.Unsat;
-  Alcotest.(check bool) "unsat cached" true
-    (Solver.Cache.find cache ukeyed = Some Solver.Cache.Unsat);
-  Alcotest.(check int) "two entries" 2 (Solver.Cache.length cache)
-
-(* ---- shared cross-worker store ------------------------------------------------ *)
+  Solver.Store.publish st ~worker:0 ukeyed Solver.Cache.Unsat;
+  (match Solver.Store.acquire st ~worker:0 ukeyed with
+   | Solver.Store.Hit (Solver.Cache.Unsat, 0) -> ()
+   | _ -> Alcotest.fail "unsat cached");
+  Alcotest.(check int) "two entries" 2 (Solver.Store.length st)
 
 let test_shared_store_protocol () =
-  let st = Solver.Store.create () in
+  let st = Solver.Store.create ~workers:3 in
   let k = Solver.Cache.canonical [ c_eq 0 10 ] in
   (match Solver.Store.acquire st ~worker:0 k with
    | Solver.Store.Claimed -> ()
@@ -285,9 +290,8 @@ let test_cache_determinism () =
      | _ -> false)
 
 let test_per_worker_caches () =
-  (* Parallel workers carry private caches: the merged stats sum the
-     per-worker counters, and jobs=1 with caching stays identical to
-     the sequential driver. *)
+  (* The merged stats sum the per-worker counters, and jobs=1 with
+     caching stays identical to the sequential driver. *)
   let src, toplevel = Workloads.Paper_examples.section_2_4 in
   let ast = Minic.Parser.parse_program src in
   let prog = Dart.Driver.prepare ~toplevel ~depth:1 ast in

@@ -353,6 +353,25 @@ let test_list_shapes_symbolic_pointers () =
   let r = Dart.Driver.test_source ~options:opts ~toplevel src in
   expect_bug "list shapes (symbolic pointers)" r
 
+let test_unknown_voids_complete () =
+  (* One query of this search comes back Unknown, and the same
+     solve_path_constraint call then finds a Sat candidate and moves on.
+     The branch it gave up on was never explored, so the search must not
+     end Complete or report all_linear. *)
+  let src =
+    "int acc; void step(char a, char b, char c) { acc = acc + 3*a - 2*b + c; \
+     if (acc > 5*a + 7) { acc = acc - b; } if (2*acc - 3*c < a + b + 11) { acc = acc + c; } \
+     if (a + 2*b - c > acc - 40) { acc = acc - a; } \
+     if (4*a - 6*b + acc == 10 + c) { acc = 0; } }"
+  in
+  let r =
+    Dart.Driver.test_source ~options:(options ~depth:2 ~seed:3 ()) ~toplevel:"step" src
+  in
+  Alcotest.(check bool) "an Unknown occurred" true
+    (Solver.unknown_count r.Dart.Driver.solver_stats > 0);
+  Alcotest.(check bool) "not Complete" true (r.Dart.Driver.verdict <> Dart.Driver.Complete);
+  Alcotest.(check bool) "all_linear voided" false r.Dart.Driver.all_linear
+
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;
     Alcotest.test_case "paper 2.4" `Quick test_section_2_4;
@@ -373,5 +392,6 @@ let suite =
     Alcotest.test_case "directed switch" `Quick test_directed_switch;
     Alcotest.test_case "coverage count consistency" `Quick test_coverage_count_consistency;
     Alcotest.test_case "minimal bug witness replays" `Quick test_bug_witness_minimal_and_replays;
+    Alcotest.test_case "unknown voids complete" `Quick test_unknown_voids_complete;
     Alcotest.test_case "list shapes via restarts" `Slow test_list_shapes_via_restarts;
     Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers ]

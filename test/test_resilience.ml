@@ -410,10 +410,27 @@ let test_checkpoint_roundtrip () =
        | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
        | Error _ -> ()))
 
+let test_checkpoint_v2_rejected () =
+  (* v2 files carried a shared_cache meta field; this build reads v3
+     only and must say so rather than misparse the meta line. *)
+  with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
+      let v3 = Dart.Checkpoint.to_string (Dart.Checkpoint.meta_of_options options) snapshot in
+      let v2 =
+        match String.split_on_char '\n' v3 with
+        | _magic :: meta :: rest ->
+          String.concat "\n" ("dart-checkpoint v2" :: (meta ^ " shared_cache=1") :: rest)
+        | _ -> Alcotest.fail "checkpoint text too short"
+      in
+      match Dart.Checkpoint.of_string v2 with
+      | Ok _ -> Alcotest.fail "v2 checkpoint accepted"
+      | Error e ->
+        Alcotest.(check string) "version message"
+          "unsupported checkpoint version v2 (this build reads v3)" e)
+
 let test_checkpoint_meta_guard () =
   let meta m_seed m_strategy =
     { Dart.Checkpoint.m_seed; m_depth = 1; m_max_runs = 100; m_strategy;
-      m_incremental = true; m_shared_cache = true }
+      m_incremental = true }
   in
   let expected = meta 42 Dart.Strategy.Dfs in
   (match Dart.Checkpoint.check_meta ~expected ~found:(meta 43 Dart.Strategy.Dfs) with
@@ -424,8 +441,8 @@ let test_checkpoint_meta_guard () =
    | Ok () -> Alcotest.fail "strategy mismatch accepted"
    | Error _ -> ());
   (* A snapshot taken under a different acceleration config must be
-     rejected: flipping incremental or the shared store between save
-     and resume would change the counters a resumed report prints. *)
+     rejected: flipping incremental solving between save and resume
+     would change the counters a resumed report prints. *)
   (match
      Dart.Checkpoint.check_meta ~expected
        ~found:{ expected with Dart.Checkpoint.m_incremental = false }
@@ -433,13 +450,6 @@ let test_checkpoint_meta_guard () =
    | Ok () -> Alcotest.fail "incremental mismatch accepted"
    | Error e -> Alcotest.(check bool) "error names incremental" true
                   (Str_contains.contains e "incremental"));
-  (match
-     Dart.Checkpoint.check_meta ~expected
-       ~found:{ expected with Dart.Checkpoint.m_shared_cache = false }
-   with
-   | Ok () -> Alcotest.fail "shared-cache mismatch accepted"
-   | Error e -> Alcotest.(check bool) "error names the shared store" true
-                  (Str_contains.contains e "shared"));
   (* The run budget bounds the trajectory, it does not shape it:
      resuming under a larger budget extends the search. *)
   match
@@ -532,7 +542,7 @@ let test_crash_isolation () =
    | l -> Alcotest.failf "expected exactly one crash record, got %d" (List.length l));
   Alcotest.(check int) "exactly one Worker_crash event" 1 (List.length crash_events);
   Alcotest.(check int) "all four slots reported" 4 (List.length r.Dart.Parallel.workers);
-  (* The survivors (and the respawn, re-running the dead slot's share)
+  (* The survivors (and the respawn, claiming from the pool)
      still explore everything: the crash costs work, not results. *)
   match r.Dart.Parallel.merged.Dart.Driver.verdict with
   | Dart.Driver.Complete -> ()
@@ -540,7 +550,7 @@ let test_crash_isolation () =
 
 let test_crash_without_respawn () =
   (* The respawn crashes too (same slot key, second occurrence): the
-     slot's budget share is lost but the merge still joins the three
+     slot is abandoned but the merge still joins the three
      survivors. *)
   let r, crash_events = crash_run ~jobs:4 ~spec:"worker_crash@2:1,worker_crash@2:2" in
   (match r.Dart.Parallel.crashes with
@@ -601,6 +611,7 @@ let suite =
     Alcotest.test_case "forced overrun: incremental matches fresh" `Quick
       test_forced_unknown_incremental_matches_fresh;
     Alcotest.test_case "checkpoint codec roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint v2 rejected" `Quick test_checkpoint_v2_rejected;
     Alcotest.test_case "checkpoint meta guard" `Quick test_checkpoint_meta_guard;
     Alcotest.test_case "checkpoint file atomicity" `Quick test_checkpoint_file_atomicity;
     Alcotest.test_case "resume reaches same state" `Quick test_resume_reaches_same_state;

@@ -62,7 +62,7 @@ let all_variants =
     T.Branch_taken { fn = "f"; pc = 3; dir = true };
     T.Branch_taken { fn = "__coin"; pc = 0; dir = false };
     T.Solve_query
-      { fn = "g \"quoted\"\\path";
+      { fn = "g \"quoted\"\\path\t\r\n\001";
         pc = 7;
         result = T.R_sat;
         dur_ns = 5L;
@@ -84,6 +84,8 @@ let all_variants =
     T.Round_end { round = 3; active = 7; dur_ns = 1_000_000L } ]
 
 let test_json_roundtrip () =
+  Alcotest.(check string) "escape spelling" {|"a\"\\\n\t\r\u0001"|}
+    (T.json_string "a\"\\\n\t\r\001");
   List.iter
     (fun e ->
       let line = T.event_to_json e in
