@@ -424,9 +424,9 @@ void f(int a, int b, int c) {
 
 (* A multi-path no-bug workload with genuine per-run cost: a deep
    conditional chain whose every run carries an N-deep stack, capped so
-   the run budget (not completeness) ends the search. Budget sharding
-   makes each of J workers do 1/J of the runs, so wall clock should
-   shrink toward 1/min(J, cores). *)
+   the run budget (not completeness) ends the search. The pooled budget
+   makes J workers share the runs, so wall clock should shrink toward
+   1/min(J, cores). *)
 let deep_chain_src n =
   Printf.sprintf
     {|
@@ -442,8 +442,37 @@ int deep(int x) {
 |}
     n
 
+(* An exhausted workload for the work pool: NS with Lowe's fix under
+   the Dolev-Yao intruder has no bug, so DFS walks its whole tree. The
+   workers split the tree, so every job count must merge to exactly the
+   jobs 1 run count (Theorem 1(b) needs each feasible path run once). *)
+let exhausted_ns_runs () =
+  let depth = if !quick then 3 else 4 in
+  let prog =
+    Dart.Driver.prepare ~toplevel:Workloads.Needham_schroeder.dolev_yao_toplevel ~depth
+      (Minic.Parser.parse_program (Workloads.Needham_schroeder.dolev_yao ~fix:`Correct))
+  in
+  let base = Dart.Driver.Options.make ~depth ~max_runs:1_000_000 () in
+  let results =
+    List.map
+      (fun jobs ->
+        let r, t =
+          time_it (fun () -> Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs base) prog)
+        in
+        (jobs, r.Dart.Parallel.merged, t))
+      [ 1; 2; 4 ]
+  in
+  let runs_at_1 =
+    match results with (_, m, _) :: _ -> m.Dart.Driver.runs | [] -> assert false
+  in
+  let all_complete =
+    List.for_all (fun (_, m, _) -> m.Dart.Driver.verdict = Dart.Driver.Complete) results
+  in
+  let same_runs = List.for_all (fun (_, m, _) -> m.Dart.Driver.runs = runs_at_1) results in
+  (depth, results, all_complete, same_runs)
+
 let experiment_jobs_scaling () =
-  header "E12: parallel jobs scaling (domain-sharded run budget)";
+  header "E12: parallel jobs scaling (pooled run budget, one path tree split across workers)";
   Printf.printf "  cores available (Domain.recommended_domain_count): %d\n"
     (Domain.recommended_domain_count ());
   let chain = if !quick then 80 else 150 in
@@ -487,7 +516,17 @@ let experiment_jobs_scaling () =
     ~paper:"n/a (target: jobs=4 >= jobs=2)"
     ~measured:
       (Printf.sprintf "jobs=2 %.2fx, jobs=4 %.2fx, monotone: %b" (speedup 2) (speedup 4)
-         (speedup 4 >= speedup 2))
+         (speedup 4 >= speedup 2));
+  let depth, results, all_complete, same_runs = exhausted_ns_runs () in
+  row ~id:"jobs-divide"
+    ~desc:(Printf.sprintf "NS Lowe-fixed Dolev-Yao depth %d, exhausted, jobs 1/2/4" depth)
+    ~paper:"n/a (Thm 1(b): each feasible path run once)"
+    ~measured:
+      (Printf.sprintf "runs %s, %s; all complete: %b, runs = jobs 1 at jobs 2 and 4: %b"
+         (String.concat " / "
+            (List.map (fun (_, m, _) -> string_of_int m.Dart.Driver.runs) results))
+         (String.concat " / " (List.map (fun (_, _, t) -> Printf.sprintf "%.2fs" t) results))
+         all_complete same_runs)
 
 (* ---- E13: constraint slicing + solve cache ------------------------------------- *)
 
@@ -564,9 +603,10 @@ let experiment_accel_ablation () =
    fleet-wide number instead of a sum of private hoards, and the pooled
    run budget keeps every worker busy until the whole pool drains. Every
    job count must agree with jobs 1 on the bug set — the store is an
-   acceleration, not a search change. *)
+   acceleration, not a search change. The exhausted row shows the store
+   paying off between workers that walk disjoint subtrees. *)
 let experiment_shared_store () =
-  header "E16: shared cross-worker solve store (pooled budget, global hit accounting)";
+  header "E16: shared cross-worker solve store (pooled budget, work pool, global hit accounting)";
   let ac_src, ac_top = Workloads.Paper_examples.ac_controller in
   let prog =
     Dart.Driver.prepare ~toplevel:ac_top ~depth:3 (Minic.Parser.parse_program ac_src)
@@ -593,7 +633,21 @@ let experiment_shared_store () =
           (Printf.sprintf "%d queries, %d hits (%d from peers), %.2fs; same bugs as jobs 1: %b"
              (Solver.queries s) (Solver.cache_hits s) (Solver.shared_hits s) t
              (bug_keys r = reference)))
-    [ 1; 2; 4 ]
+    [ 1; 2; 4 ];
+  let depth, results, all_complete, same_runs = exhausted_ns_runs () in
+  row ~id:"e16-exhausted"
+    ~desc:(Printf.sprintf "NS Lowe-fixed Dolev-Yao depth %d, exhausted, jobs 1/2/4" depth)
+    ~paper:"n/a (our extension; exactness required)"
+    ~measured:
+      (Printf.sprintf "queries %s, peer hits %s; all complete: %b, runs = jobs 1: %b"
+         (String.concat " / "
+            (List.map (fun (_, m, _) -> string_of_int (Solver.queries m.Dart.Driver.solver_stats))
+               results))
+         (String.concat " / "
+            (List.map
+               (fun (_, m, _) -> string_of_int (Solver.shared_hits m.Dart.Driver.solver_stats))
+               results))
+         all_complete same_runs)
 
 (* ---- E17: whole-library campaign (paper section 4.3 as a workflow) ------------- *)
 

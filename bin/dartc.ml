@@ -62,8 +62,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Parallel search workers: shard the run budget across N domains (0 = one per \
-           core). The deduped bug set and verdict match --jobs 1.")
+          "Parallel search workers: N domains (0 = one per core) share the run budget, and \
+           DFS workers split the path tree between them. The deduped bug set and verdict \
+           match --jobs 1.")
 
 let portfolio_arg =
   Arg.(

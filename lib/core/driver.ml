@@ -164,6 +164,24 @@ let rec claim_run pb =
   end
   else claim_run pb
 
+type job =
+  | Root
+  | Branch of {
+      jb_stack : Concolic.branch_record array;
+      jb_pc : Symbolic.Constr.t option array;
+      jb_sites : (string * int) array;
+      jb_im : (int * int * Inputs.kind) list;
+    }
+
+type seat = {
+  seat_pool : job Workpool.t;
+  seat_root : bool;
+  mutable seat_taken : int;
+  mutable seat_donated : int;
+}
+
+let seat ~root pool = { seat_pool = pool; seat_root = root; seat_taken = 0; seat_donated = 0 }
+
 type search_ctx = {
   sc_rng : Dart_util.Prng.t;
   sc_im : Inputs.t;
@@ -175,9 +193,10 @@ type search_ctx = {
   sc_deadline : int64 option;
   sc_should_stop : unit -> bool;
   sc_breaker : Solver.Breaker.t option;
+  sc_seat : seat option;
 }
 
-let make_ctx ?(should_stop = fun () -> false)
+let make_ctx ?seat ?(should_stop = fun () -> false)
     ?(metrics = Telemetry.create_metrics ()) ?deadline ?pool ?store
     ?(incremental = true) ?(use_breaker = true) ?breaker ~seed ~max_runs () =
   { sc_rng = Dart_util.Prng.create seed;
@@ -196,7 +215,8 @@ let make_ctx ?(should_stop = fun () -> false)
          one target share it); otherwise each context gets a fresh one. *)
       (match breaker with
        | Some _ as b -> b
-       | None -> if use_breaker then Some (Solver.Breaker.create ()) else None) }
+       | None -> if use_breaker then Some (Solver.Breaker.create ()) else None);
+    sc_seat = seat }
 
 let deadline_of_options (options : Options.t) =
   Option.map
@@ -416,9 +436,10 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     data
   in
   (* Run boundary: stop on process-wide interrupt (SIGINT/SIGTERM),
-     global time budget, sharded run budget, or external cancellation
-     (another worker found a bug) — in all cases the search drains
-     cleanly and the first cause that fired names the verdict. *)
+     global time budget, run budget (private or pooled), or external
+     cancellation (another worker found a bug) — in all cases the
+     search drains cleanly and the first cause that fired names the
+     verdict. *)
   let budget_left () =
     match !stop with
     | `Interrupt | `Time | `Budget | `Cancel -> false
@@ -457,11 +478,40 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
       end
       else true
   in
-  (* Inner loop: directed search from a fresh random seed point. Returns
-     [`Bug], [`Exhausted] (directed search over) or [`Restart].
-     [prev_stack] is threaded so every boundary can snapshot the state
-     the next run would consume. *)
-  let directed_search init_stack =
+  let seat = ctx.sc_seat in
+  (* A pool member donates the shallowest pending branch of this run to
+     an idle peer, keeping at least one for itself. The job carries the
+     stack up to the branch with everything shallower marked done, so
+     the receiver's depth-first walk stays inside the branch's subtree;
+     marking it done here keeps this worker out of it. *)
+  let donate s ~sites ~stack ~path_constraint =
+    let n = Array.length stack in
+    let rec pending i =
+      if i >= n then n
+      else if (not stack.(i).Concolic.br_done) && path_constraint.(i) <> None then i
+      else pending (i + 1)
+    in
+    let j = pending 0 in
+    if j < n && pending (j + 1) < n then begin
+      let job =
+        Branch
+          { jb_stack =
+              Array.init (j + 1) (fun i ->
+                  if i < j then { (stack.(i)) with Concolic.br_done = true } else stack.(i));
+            jb_pc = Array.sub path_constraint 0 (j + 1);
+            jb_sites = Array.sub sites 0 (j + 1);
+            jb_im = Inputs.to_full_alist im }
+      in
+      stack.(j) <- { (stack.(j)) with Concolic.br_done = true };
+      s.seat_donated <- s.seat_donated + 1;
+      Workpool.donate s.seat_pool job
+    end
+  in
+  (* Inner loop: directed search from a fresh random seed point, or
+     from a donated job's solve. Returns [`Bug], [`Exhausted] (directed
+     search over) or [`Restart]. [prev_stack] is threaded so every
+     boundary can snapshot the state the next run would consume. *)
+  let directed_search start =
     let rec loop prev_stack =
       if not (budget_left ()) then begin
         final_snapshot := Some (take_snapshot ~pending_restart:false ~stack:prev_stack);
@@ -520,6 +570,12 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
           continue_solving data
       end
     and continue_solving data =
+      solve_from ~sites:data.Concolic.cond_sites ~stack:data.Concolic.stack
+        ~path_constraint:data.Concolic.path_constraint
+    and solve_from ~sites ~stack ~path_constraint =
+      (match seat with
+       | Some s when Workpool.hungry s.seat_pool -> donate s ~sites ~stack ~path_constraint
+       | _ -> ());
       let t0 = Telemetry.now () in
       let next =
         Solve_pc.solve
@@ -527,10 +583,9 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
           ?incr:ctx.sc_incr ?breaker:ctx.sc_breaker
           ?deadline_ns:options.Options.budget.Options.solver_deadline_ns ~faultsim:fs
           ~slicing:options.Options.accel.Options.use_slicing ~telemetry:sink
-          ~hist:metrics.Telemetry.solve_hist
-          ~sites:data.Concolic.cond_sites ~strategy:options.Options.search.Options.strategy
-          ~rng ~stats ~im ~stack:data.Concolic.stack
-          ~path_constraint:data.Concolic.path_constraint ()
+          ~hist:metrics.Telemetry.solve_hist ~sites
+          ~strategy:options.Options.search.Options.strategy ~rng ~stats ~im ~stack
+          ~path_constraint ()
       in
       Telemetry.add_phase metrics Telemetry.Solve (Int64.sub (Telemetry.now ()) t0);
       match next with
@@ -539,7 +594,12 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
         if solver_incomplete then all_linear := false;
         `Exhausted
     in
-    loop init_stack
+    match start with
+    | `Run stack -> loop stack
+    | `Solve (jb_stack, jb_pc, jb_sites) ->
+      (* The job's branch is its only candidate: the unchanged Figure 5
+         solve either opens its subtree or finds it infeasible. *)
+      solve_from ~sites:jb_sites ~stack:(Array.copy jb_stack) ~path_constraint:jb_pc
   in
   (* Theorem 1(b)'s completeness argument relies on the depth-first
      discipline: flipping a shallow branch discards the pending work
@@ -562,32 +622,76 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     Option.iter Solver.Breaker.tick ctx.sc_breaker;
     if tracing then Telemetry.emit sink (Telemetry.Restart { restarts = !restarts })
   in
-  let rec outer stack =
-    match directed_search stack with
+  (* Every job this worker took (worker 0 starts holding the root): if
+     the search raises, they all go back to the pool, so a crash costs
+     work, not results. *)
+  let taken = ref (match seat with Some s when s.seat_root -> [ Root ] | _ -> []) in
+  let rec outer start =
+    match directed_search start with
     | `Bug -> ()
     | `Budget -> ()
     | `Restart -> try_restart ()
-    | `Exhausted -> if may_claim_complete () then complete := true else try_restart ()
+    | `Exhausted ->
+      if may_claim_complete () then
+        match seat with
+        | None -> complete := true
+        | Some s -> idle s
+      else try_restart ()
+  (* A pool member whose part of the tree is exhausted: only the
+     terminated pool proves the whole tree was walked. *)
+  and idle s =
+    match Workpool.await s.seat_pool ~poll:budget_left with
+    | Workpool.Job job ->
+      s.seat_taken <- s.seat_taken + 1;
+      taken := job :: !taken;
+      (match job with
+       | Root ->
+         Inputs.clear im;
+         outer (`Run [||])
+       | Branch b ->
+         Inputs.restore im b.jb_im;
+         outer (`Solve (b.jb_stack, b.jb_pc, b.jb_sites)))
+    | Workpool.Terminated -> complete := true
+    | Workpool.Lost -> try_restart ()
+    | Workpool.Stopped -> ()
   and try_restart () =
+    (* Restarts only follow a loss of completeness, which a pool member
+       shares with its peers. *)
+    Option.iter (fun s -> Workpool.lose s.seat_pool) seat;
     if budget_left () then begin
       restart ();
       Inputs.clear im;
-      outer [||]
+      outer (`Run [||])
     end
     else
       (* The budget denied the restart itself: remember that the next
          action on resume is the restart, not a run from this stack. *)
       final_snapshot := Some (take_snapshot ~pending_restart:true ~stack:[||])
   in
-  (match resume with
-   | Some s when s.sn_pending_restart -> try_restart ()
-   | Some s ->
-     (* IM and RNG were restored above; re-run from the checkpointed
-        pending stack exactly as the uninterrupted search would have. *)
-     outer s.sn_stack
-   | None ->
-     Inputs.clear im;
-     outer [||]);
+  let begin_search () =
+    match resume with
+    | Some s when s.sn_pending_restart -> try_restart ()
+    | Some s ->
+      (* IM and RNG were restored above; re-run from the checkpointed
+         pending stack exactly as the uninterrupted search would have. *)
+      outer (`Run s.sn_stack)
+    | None -> (
+      match seat with
+      | Some s when not s.seat_root ->
+        (* Peers start idle; joining is a run boundary. *)
+        if budget_left () then idle s
+      | _ ->
+        Inputs.clear im;
+        outer (`Run [||]))
+  in
+  (match seat with
+   | None -> begin_search ()
+   | Some s -> (
+     match begin_search () with
+     | () -> if not !complete then Workpool.leave s.seat_pool
+     | exception e ->
+       Workpool.abandon s.seat_pool !taken;
+       raise e));
   let verdict =
     match !first_bug with
     | Some bug -> Bug_found bug

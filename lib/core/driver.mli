@@ -209,6 +209,37 @@ and pooled_budget = { pb_pool : int Atomic.t; mutable pb_claimed : int }
 
 val pooled_budget : int Atomic.t -> run_budget
 
+(** A unit of work in a parallel depth-first search: a subtree of the
+    path tree that a busy worker donated to an idle peer through a
+    {!Workpool.t}. *)
+type job =
+  | Root  (** the whole tree, from fresh random inputs *)
+  | Branch of {
+      jb_stack : Concolic.branch_record array;
+          (* stack entries [0..j]; every entry below [j] is marked done,
+             so [j] is the solve's only candidate *)
+      jb_pc : Symbolic.Constr.t option array; (* path constraint [0..j] *)
+      jb_sites : (string * int) array; (* branch sites [0..j] *)
+      jb_im : (int * int * Inputs.kind) list;
+          (* the donor's input vector ({!Inputs.to_full_alist}): it drove
+             the run that reached [j], so it satisfies the prefix *)
+    }
+      (** The subtree under the flipped branch [j]. The receiver
+          restores the inputs and calls the unchanged {!Solve_pc.solve};
+          the donor has marked [j] done in its own stack. *)
+
+(** A worker's place in a {!Workpool.t}: the root member starts the
+    search at the root, the others start idle. The counters are read
+    after the search. *)
+type seat = {
+  seat_pool : job Workpool.t;
+  seat_root : bool;
+  mutable seat_taken : int; (* jobs taken from the pool *)
+  mutable seat_donated : int; (* jobs it donated to peers *)
+}
+
+val seat : root:bool -> job Workpool.t -> seat
+
 type search_ctx = {
   sc_rng : Dart_util.Prng.t; (* private randomness stream *)
   sc_im : Inputs.t; (* private input vector *)
@@ -228,13 +259,17 @@ type search_ctx = {
          for cross-worker cancellation — see {!Parallel}) *)
   sc_breaker : Solver.Breaker.t option;
       (* per-context solver circuit breaker; [None] disables it *)
+  sc_seat : seat option;
+      (* membership of a parallel DFS work pool; [None] for a solo
+         search, which walks its whole tree itself *)
 }
 (** Everything mutable a single directed search touches, made explicit
     so independent searches can run concurrently on separate domains
-    without sharing state (the shared store and pooled budget are the
-    two deliberate, lock-free exceptions). *)
+    without sharing state (the shared store, the pooled budget and the
+    work pool are the deliberate exceptions). *)
 
 val make_ctx :
+  ?seat:seat ->
   ?should_stop:(unit -> bool) ->
   ?metrics:Telemetry.metrics ->
   ?deadline:int64 ->
@@ -257,7 +292,8 @@ val make_ctx :
     [incremental] (default true) controls the push/pop context.
     [use_breaker] (default true) creates a fresh circuit breaker;
     [breaker] overrides it with a caller-owned one (a campaign shares
-    one breaker across all slices of a target). *)
+    one breaker across all slices of a target). [seat] makes the search
+    a member of a DFS work pool (see {!search}). *)
 
 val deadline_of_options : options -> int64 option
 (** The absolute monotonic deadline [now + time_budget_ns], or [None]
@@ -289,6 +325,16 @@ val search :
     over a fresh context; {!Parallel.run} calls it once per worker
     domain. Events flow into [options.telemetry.sink]; with the null
     sink the instrumentation allocates nothing.
+
+    With a [ctx.sc_seat], the search is one member of a work pool that
+    walks one path tree: before each solve it donates its shallowest
+    pending branch when a peer is idle and it holds at least two; when
+    its part of the tree is exhausted it takes queued jobs, and it
+    reports [Complete] only once the whole pool has terminated with no
+    member having lost completeness. A loss sends every member back to
+    the solo meaning: random restarts against the (pooled) budget. If
+    the search raises, every job it took is requeued before the
+    exception propagates.
 
     [resume] restores a {!snapshot} into [ctx] (which must be fresh)
     and continues exactly where it was taken. [on_checkpoint] is called

@@ -1,13 +1,16 @@
-(* Multi-domain directed search (paper §2.6: restarts of the outer
-   loop are independent, hence embarrassingly parallel).  Each worker
-   domain runs a full [Driver.search] over its own [search_ctx] — its
-   own PRNG stream, input vector and solver stats — so the domains
-   share only the immutable program, one cancellation atomic, and the
-   two lock-free accelerators: the solve store and the run pool.
+(* Multi-domain directed search. Each worker domain runs a
+   [Driver.search] over its own [search_ctx] — its own PRNG stream,
+   input vector and solver stats. The DFS workers are members of one
+   [Workpool]: worker 0 starts at the root, the others start idle, and
+   busy members donate pending branches to idle ones, so together they
+   walk the path tree once (paper Fig. 5; Theorem 1(b) needs every
+   feasible path run once, not once per worker). Portfolio workers
+   with another strategy search on their own. The domains share only
+   the immutable program, one cancellation atomic, the work pool, and
+   the two lock-free accelerators: the solve store and the run pool.
    Telemetry is never shared: each worker traces into a private ring
    buffer, replayed into the main sink in worker order at join, so the
-   merged trace is deterministic and the main sink is only ever written
-   from the joining domain. *)
+   main sink is only ever written from the joining domain. *)
 
 module O = Driver.Options
 
@@ -19,11 +22,17 @@ type options = {
 
 let options ?(jobs = 1) ?(portfolio = []) base = { base; jobs; portfolio }
 
+type job_counts = {
+  j_taken : int;
+  j_donated : int;
+}
+
 type worker_report = {
   w_id : int;
   w_seed : int;
   w_strategy : Strategy.t;
   w_report : Driver.report;
+  w_jobs : job_counts option;
 }
 
 type crash = {
@@ -172,18 +181,35 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
     else fun () -> false
   in
   (* With several workers, one lock-free solve store answers every
-     worker's queries and claims frontier branches, and the run budget
-     is a single CAS-claimed pool: a worker that drains its subtree
-     early hands its leftover budget to the others. A single worker
-     keeps [Driver.make_ctx]'s solo store and a fixed budget, which
-     stays byte-identical to [Driver.run]. *)
+     worker's queries, and the run budget is a single CAS-claimed pool:
+     a worker that drains its subtree early hands its leftover budget
+     to the others. A single worker keeps [Driver.make_ctx]'s solo
+     store and a fixed budget, which stays byte-identical to
+     [Driver.run]. *)
   let store = if n > 1 then Some (Solver.Store.create ~workers:n) else None in
   let pool = if n > 1 then Some (Atomic.make t.base.O.budget.O.max_runs) else None in
+  (* Two or more DFS workers split the tree through a work pool; the
+     first of them starts at the root. *)
+  let is_dfs slot = worker_strategy t slot = Strategy.Dfs in
+  let dfs_slots = List.filter is_dfs (List.init n Fun.id) in
+  let workpool =
+    if List.length dfs_slots >= 2 then
+      Some (Workpool.create ~members:(List.length dfs_slots))
+    else None
+  in
   (* A worker body never lets an exception reach [Domain.join]: it
      returns [Error reason] instead, so the supervisor always joins
      every domain, replays the surviving rings and flushes the sink. *)
-  let worker ~slot ~seed sink () =
+  let worker ?(respawn = false) ~slot ~seed sink () =
     let strategy = worker_strategy t slot in
+    let seat =
+      match workpool with
+      | Some wp when is_dfs slot ->
+        (* A respawn rejoins idle: a crashed root requeued the root job. *)
+        if respawn then Workpool.join wp;
+        Some (Driver.seat ~root:(slot = List.hd dfs_slots && not respawn) wp)
+      | _ -> None
+    in
     let should_stop =
       (* Crash injection rides the run-boundary poll: the injected
          exception surfaces mid-search exactly where a real defect in
@@ -195,7 +221,7 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
       else should_stop
     in
     let ctx =
-      Driver.make_ctx ~should_stop ?deadline ?pool
+      Driver.make_ctx ?seat ~should_stop ?deadline ?pool
         ?store:(Option.map (fun st -> (st, slot)) store)
         ~incremental:t.base.O.accel.O.use_incremental
         ~use_breaker:t.base.O.accel.O.use_breaker ~seed
@@ -218,7 +244,16 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
       (* First finder flags the others; they drain at their next run
          boundary (the [should_stop] poll in [Driver.search]). *)
       if stop_on_first_bug && r.Driver.bugs <> [] then Atomic.set cancel true;
-      Ok { w_id = slot; w_seed = seed; w_strategy = strategy; w_report = r }
+      Ok
+        { w_id = slot;
+          w_seed = seed;
+          w_strategy = strategy;
+          w_report = r;
+          w_jobs =
+            Option.map
+              (fun s ->
+                { j_taken = s.Driver.seat_taken; j_donated = s.Driver.seat_donated })
+              seat }
     | exception e -> Error (Printexc.to_string e)
   in
   if n = 1 then begin
@@ -274,7 +309,8 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
     (* Supervision pass: every crashed slot is respawned exactly once,
        with a fresh derived seed and a fresh ring. The respawn claims
        runs from what is left of the shared pool; the crashed attempt's
-       runs died with its domain. *)
+       runs died with its domain, and its jobs went back to the work
+       pool. *)
     let rsinks = Array.make n Telemetry.null in
     let respawns =
       Array.init n (fun i ->
@@ -282,7 +318,8 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
           | Ok _ -> None
           | Error _ ->
             rsinks.(i) <- ring ();
-            Some (Domain.spawn (worker ~slot:i ~seed:seeds.(n + i) rsinks.(i))))
+            Some
+              (Domain.spawn (worker ~respawn:true ~slot:i ~seed:seeds.(n + i) rsinks.(i))))
     in
     let respawns = Array.map (Option.map Domain.join) respawns in
     let t0 = Telemetry.now () in
@@ -326,6 +363,20 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
       primary;
     let workers = List.rev !workers in
     let crashes = List.rev !crashes in
+    (* A job a crashed member requeued after the pool terminated, whose
+       taker then crashed as well, was never walked: the members' own
+       [Complete] claims do not cover it. *)
+    let workers =
+      match workpool with
+      | Some wp when Workpool.stranded wp ->
+        List.map
+          (fun w ->
+            if w.w_report.Driver.verdict = Driver.Complete then
+              { w with w_report = { w.w_report with Driver.verdict = Driver.Budget_exhausted } }
+            else w)
+          workers
+      | _ -> workers
+    in
     let merged =
       match List.map (fun w -> w.w_report) workers with
       | [] -> empty_report ()
@@ -357,7 +408,12 @@ let report_to_string r =
             | Driver.Budget_exhausted -> "budget"
             | Driver.Time_exhausted -> "time"
             | Driver.Interrupted -> "interrupted")
-           w.w_report.Driver.runs w.w_report.Driver.paths_explored))
+           w.w_report.Driver.runs w.w_report.Driver.paths_explored);
+      Option.iter
+        (fun j ->
+          Buffer.add_string buf
+            (Printf.sprintf ", %d jobs taken, %d donated" j.j_taken j.j_donated))
+        w.w_jobs)
     r.workers;
   List.iter
     (fun c ->

@@ -1,27 +1,29 @@
 (** Multi-domain directed search.
 
-    The paper's outer loop (§2.6, Figure 2) restarts the directed
-    search from fresh random seed points whenever incompleteness forces
-    a restart; restarts are independent, hence embarrassingly parallel.
-    [run] spreads the run budget over [jobs] worker domains, each
-    executing an independent {!Driver.search} with its own PRNG stream,
-    input vector and solver stats — optionally with a different
-    {!Strategy.t} drawn from a portfolio — and merges the worker
-    reports. With more than one worker, the workers share one
-    {!Solver.Store} and claim runs from one pooled budget.
+    [run] spreads the search over [jobs] worker domains, each executing
+    a {!Driver.search} with its own PRNG stream, input vector and
+    solver stats — optionally with a different {!Strategy.t} drawn from
+    a portfolio — and merges the worker reports. With more than one
+    worker, the workers share one {!Solver.Store} and claim runs from
+    one pooled budget. Two or more DFS workers also share one
+    {!Workpool.t}: worker 0 starts at the root, the others start idle,
+    and busy workers donate pending branches (path-prefix jobs, as in
+    Cloud9) to idle ones, so the path tree is walked once, not once per
+    worker. Workers of another strategy search on their own.
 
     Determinism contract:
     - [jobs = 1] reproduces {!Driver.run} bit for bit (same seed, same
       budget, no merge pass).
-    - For any [jobs = N], each worker's search is a deterministic
-      function of its seed and of which peer publishes a shared solve
-      first. The merged *set* of deduped bugs, the coverage union and
-      the verdict constructor are reproducible across runs on no-bug
-      workloads;
-      with [stop_on_first_bug] cancellation, late workers may drain at
-      different run counts across executions, but any bug reported is
-      always a real, replayable witness and single-defect workloads
-      yield the same verdict and deduped bug set as [jobs = 1]. *)
+    - For any [jobs = N], which worker walks which subtree depends on
+      scheduling, so per-worker run counts vary between executions.
+      When the DFS workers exhaust the tree, the merged [runs],
+      [paths_explored], [total_steps], coverage and verdict equal
+      [jobs = 1]'s exactly: every feasible path is run once, by some
+      worker. With [stop_on_first_bug] cancellation, late workers may
+      drain at different run counts across executions, but any bug
+      reported is always a real, replayable witness and single-defect
+      workloads yield the same verdict and deduped bug set as
+      [jobs = 1]. *)
 
 type options = {
   base : Driver.options;
@@ -42,11 +44,17 @@ type options = {
 val options : ?jobs:int -> ?portfolio:Strategy.t list -> Driver.options -> options
 (** [options base] defaults to [jobs = 1] and an empty portfolio. *)
 
+type job_counts = {
+  j_taken : int; (* jobs taken from the work pool *)
+  j_donated : int; (* pending branches donated to idle peers *)
+}
+
 type worker_report = {
   w_id : int;
   w_seed : int;
   w_strategy : Strategy.t;
   w_report : Driver.report;
+  w_jobs : job_counts option; (* [None] unless a work-pool member *)
 }
 
 type crash = {
@@ -93,14 +101,18 @@ val run : ?options:options -> Ram.Instr.program -> report
     Crash supervision: a worker whose search raises never takes the
     join down — the failure is recorded as a {!crash} (and a
     [Telemetry.Worker_crash] event), every domain is still joined, the
-    surviving workers' rings are replayed and the sink flushed. Each
-    crashed slot is respawned exactly once with a deterministically
-    derived fresh seed (a lone worker's respawn gets the whole budget
-    again; with several workers it claims from what is left of the
-    pool); if the respawn crashes too, the slot is abandoned and the
-    merge proceeds over the survivors (an all-crashed run merges to an empty
-    [Budget_exhausted] report).
+    surviving workers' rings are replayed and the sink flushed. A
+    crashed work-pool member first requeues every job it took and
+    leaves the pool's idle accounting, so its peers walk its subtrees
+    again instead of waiting for it. Each crashed slot is respawned
+    exactly once with a deterministically derived fresh seed (a lone
+    worker's respawn gets the whole budget again; with several workers
+    it claims from what is left of the pool, and a pool member rejoins
+    the work pool idle); if the respawn crashes too, the slot is
+    abandoned and the merge proceeds over the survivors (an all-crashed
+    run merges to an empty [Budget_exhausted] report).
     @raise Invalid_argument if [jobs < 0]. *)
 
 val report_to_string : report -> string
-(** The merged report followed by a one-line per-worker summary. *)
+(** The merged report followed by a one-line per-worker summary; a
+    work-pool member's line ends with its jobs taken and donated. *)

@@ -173,9 +173,9 @@ let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
       | None -> (run_solver (), false)
       | Some (st, worker) ->
         (* A hit may have been published by any worker sharing the
-           store; a miss doubles as a frontier claim. *)
+           store. *)
         let keyed = Solver.Cache.canonical cs in
-        (match Solver.Store.acquire st ~worker keyed with
+        (match Solver.Store.lookup st keyed with
          | Solver.Store.Hit (v, publisher) ->
            Solver.record_cache_hit stats;
            if publisher <> worker then Solver.record_shared_hit stats;
@@ -183,7 +183,7 @@ let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
              | Solver.Cache.Sat model -> Solver.Sat model
              | Solver.Cache.Unsat -> Solver.Unsat),
             true)
-         | Solver.Store.Claimed | Solver.Store.Busy _ ->
+         | Solver.Store.Miss ->
            Solver.record_cache_miss stats;
            let r = run_solver () in
            (match r with

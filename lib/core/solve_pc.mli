@@ -15,8 +15,7 @@
     - {b solve caching} ([cache], a {!Solver.Store.t} plus this
       worker's id): Sat models and Unsat verdicts are memoised per
       canonical constraint set. Verdicts published by any worker
-      sharing the store answer every worker's queries, and a miss
-      doubles as a claim on that frontier branch.
+      sharing the store answer every worker's queries.
     - {b incremental solving} ([incr]): real solver calls go through a
       {!Solver.Incr} push/pop context that keeps the shared constraint
       prefix asserted and memoises prepared pipeline states; results

@@ -54,14 +54,12 @@ end
 module Store : sig
   (** Lock-free solve store, the one solve-cache table: a solo search
       owns a small instance, and all worker domains of a parallel
-      search share one. Verdicts are published under {!Cache.canonical}
-      keys; acquiring an unsolved key installs an in-flight claim on
-      that branch of the shared frontier, so workers steal solved
-      branches instead of re-deriving them. Cells move
-      [In_flight -> Done] exactly once (first publisher wins) and are
-      never removed. With a single worker the acquire/publish protocol
-      is a plain memo, so a solo search's hits depend only on its own
-      queries. *)
+      search share one. Sat/Unsat verdicts are published under
+      {!Cache.canonical} keys, so any worker's solve answers every
+      worker's later lookup of the same key. Cells are immutable, the
+      first publisher of a key wins, and cells are never removed. With
+      a single worker the store is a plain memo, so a solo search's
+      hits depend only on its own queries. *)
 
   type t
 
@@ -69,26 +67,20 @@ module Store : sig
   (** An empty store for [workers] searches: 256 buckets for one, 4,096
       when shared. *)
 
-  type outcome =
+  type lookup =
     | Hit of Cache.verdict * int
         (** Solved already: verdict mapped to the query's variables,
             plus the publishing worker's id. *)
-    | Claimed  (** We hold the claim slot now: solve, then {!publish}. *)
-    | Busy of int
-        (** Another worker holds the claim; solve locally, never block
-            (the depth-first discipline cannot wait on a peer). *)
+    | Miss  (** Not solved yet: solve, then {!publish}. *)
 
-  val acquire : t -> worker:int -> Cache.keyed -> outcome
+  val lookup : t -> Cache.keyed -> lookup
 
   val publish : t -> worker:int -> Cache.keyed -> Cache.verdict -> unit
-  (** Publish a Sat/Unsat verdict (never call with Unknown — leave the
-      claim in flight so the key stays retriable). *)
+  (** Publish a Sat/Unsat verdict (never call with Unknown, so the key
+      stays a miss and is retried). *)
 
   val length : t -> int
-  (** Total cells (claims + solved). *)
-
-  val solved : t -> int
-  (** Published verdicts only. *)
+  (** Published verdicts. *)
 end
 
 module Breaker = Breaker

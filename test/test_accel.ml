@@ -72,7 +72,7 @@ let test_cache_renamed_model () =
   let st = Solver.Store.create ~workers:1 in
   Solver.Store.publish st ~worker:0 (Solver.Cache.canonical [ c_eq 0 10 ])
     (Solver.Cache.Sat [ (0, zi 10) ]);
-  match Solver.Store.acquire st ~worker:0 (Solver.Cache.canonical [ c_eq 7 10 ]) with
+  match Solver.Store.lookup st (Solver.Cache.canonical [ c_eq 7 10 ]) with
   | Solver.Store.Hit (Solver.Cache.Sat [ (7, z) ], 0) ->
     Alcotest.(check int) "model remapped to x7" 10 (Zint.to_int z)
   | Solver.Store.Hit _ -> Alcotest.fail "hit with wrong model shape"
@@ -82,17 +82,17 @@ let test_cache_renamed_model () =
 let test_cache_roundtrip () =
   let st = Solver.Store.create ~workers:1 in
   let keyed = Solver.Cache.canonical [ c_eq 0 10 ] in
-  (match Solver.Store.acquire st ~worker:0 keyed with
-   | Solver.Store.Claimed -> ()
+  (match Solver.Store.lookup st keyed with
+   | Solver.Store.Miss -> ()
    | _ -> Alcotest.fail "miss on empty");
   Solver.Store.publish st ~worker:0 keyed (Solver.Cache.Sat [ (0, zi 10) ]);
-  (match Solver.Store.acquire st ~worker:0 (Solver.Cache.canonical [ c_eq 0 10 ]) with
+  (match Solver.Store.lookup st (Solver.Cache.canonical [ c_eq 0 10 ]) with
    | Solver.Store.Hit (Solver.Cache.Sat [ (0, z) ], 0) ->
      Alcotest.(check int) "model value" 10 (Zint.to_int z)
    | _ -> Alcotest.fail "expected cached Sat model");
   let ukeyed = Solver.Cache.canonical [ c_eq 0 1; c_eq 0 2 ] in
   Solver.Store.publish st ~worker:0 ukeyed Solver.Cache.Unsat;
-  (match Solver.Store.acquire st ~worker:0 ukeyed with
+  (match Solver.Store.lookup st ukeyed with
    | Solver.Store.Hit (Solver.Cache.Unsat, 0) -> ()
    | _ -> Alcotest.fail "unsat cached");
   Alcotest.(check int) "two entries" 2 (Solver.Store.length st)
@@ -100,28 +100,26 @@ let test_cache_roundtrip () =
 let test_shared_store_protocol () =
   let st = Solver.Store.create ~workers:3 in
   let k = Solver.Cache.canonical [ c_eq 0 10 ] in
-  (match Solver.Store.acquire st ~worker:0 k with
-   | Solver.Store.Claimed -> ()
-   | _ -> Alcotest.fail "first acquire must claim");
-  (match Solver.Store.acquire st ~worker:1 k with
-   | Solver.Store.Busy 0 -> ()
-   | _ -> Alcotest.fail "peer must see Busy with the claimant's id");
-  (* The claimant re-acquiring its own stale claim (a retried Unknown)
-     gets the slot back instead of deadlocking on itself. *)
-  (match Solver.Store.acquire st ~worker:0 k with
-   | Solver.Store.Claimed -> ()
-   | _ -> Alcotest.fail "claimant re-acquires its own claim");
+  (* An unsolved key is a miss for every worker: there is no claim, a
+     peer solves it locally and never waits. *)
+  List.iter
+    (fun _ ->
+      match Solver.Store.lookup st k with
+      | Solver.Store.Miss -> ()
+      | _ -> Alcotest.fail "unsolved key must miss")
+    [ 0; 1 ];
+  Alcotest.(check int) "a miss stores nothing" 0 (Solver.Store.length st);
   Solver.Store.publish st ~worker:0 k (Solver.Cache.Sat [ (0, zi 10) ]);
-  Alcotest.(check int) "one solved cell" 1 (Solver.Store.solved st);
+  Alcotest.(check int) "one solved cell" 1 (Solver.Store.length st);
   (* A renamed spelling of the same query hits, carries the publisher's
      id, and the model comes back over the caller's variables. *)
-  (match Solver.Store.acquire st ~worker:1 (Solver.Cache.canonical [ c_eq 3 10 ]) with
+  (match Solver.Store.lookup st (Solver.Cache.canonical [ c_eq 3 10 ]) with
    | Solver.Store.Hit (Solver.Cache.Sat [ (3, z) ], 0) ->
      Alcotest.(check int) "model remapped" 10 (Zint.to_int z)
    | _ -> Alcotest.fail "expected a renamed hit published by worker 0");
   (* First publisher wins: a late conflicting publish is a no-op. *)
   Solver.Store.publish st ~worker:1 k Solver.Cache.Unsat;
-  (match Solver.Store.acquire st ~worker:2 k with
+  (match Solver.Store.lookup st k with
    | Solver.Store.Hit (Solver.Cache.Sat _, 0) -> ()
    | _ -> Alcotest.fail "first published verdict must stand");
   Alcotest.(check int) "still one cell" 1 (Solver.Store.length st)

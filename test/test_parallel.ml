@@ -1,7 +1,8 @@
 (* The parallel orchestrator: merge-layer algebra on fabricated
    reports, the jobs=1 determinism contract against Driver.run, bug-set
-   agreement at jobs=4, the strategy candidate set, and the
-   Random_search budget boundary. *)
+   agreement at jobs=4, the work pool dividing one path tree, crash
+   requeue, the strategy candidate set, and the Random_search budget
+   boundary. *)
 
 module Strategy = Dart.Strategy
 
@@ -170,11 +171,20 @@ let test_jobs4_same_bug_set () =
       (Workloads.Paper_examples.ac_controller, 2);
       ((Workloads.Sip_parser.vulnerable, Workloads.Sip_parser.toplevel), 1) ]
 
+(* NS with Lowe's fix under the Dolev-Yao intruder: no bug, and depth 3
+   exhausts its tree in a few hundred runs. *)
+let ns_depth3 () =
+  prepare_workload
+    ( Workloads.Needham_schroeder.dolev_yao ~fix:`Correct,
+      Workloads.Needham_schroeder.dolev_yao_toplevel )
+    ~depth:3
+
+let sorted_sites (r : Dart.Driver.report) = List.sort compare r.Dart.Driver.coverage_sites
+
 let test_shared_store_ablation () =
   (* The shared cross-worker store and pooled budget are accelerations,
      not search changes: at jobs=4 the deduped bug set and coverage must
-     match the --no-cache reference (no store at all), and at least some
-     hits should come from peers. *)
+     match the --no-cache reference (no store at all). *)
   let prog = prepare_workload Workloads.Paper_examples.ac_controller ~depth:2 in
   let opts ~use_cache =
     Dart.Driver.Options.make ~depth:2 ~max_runs:2_000 ~stop_on_first_bug:false ~use_cache ()
@@ -190,8 +200,100 @@ let test_shared_store_ablation () =
   Alcotest.(check bool) "same coverage" true
     (List.sort compare shared.Dart.Parallel.merged.Dart.Driver.coverage_sites
     = List.sort compare reference.Dart.Parallel.merged.Dart.Driver.coverage_sites);
+  (* Workers walk disjoint subtrees, so whether they pose a common
+     sliced query depends on the program: on NS they do. *)
+  let ns =
+    Dart.Parallel.run
+      ~options:(Dart.Parallel.options ~jobs:4 (Dart.Driver.Options.make ~depth:3 ()))
+      (ns_depth3 ())
+  in
   Alcotest.(check bool) "peers answer each other" true
-    (Solver.shared_hits shared.Dart.Parallel.merged.Dart.Driver.solver_stats > 0)
+    (Solver.shared_hits ns.Dart.Parallel.merged.Dart.Driver.solver_stats > 0)
+
+let test_parallel_divides_tree () =
+  (* Every feasible path is run once, by some worker: an exhausted
+     search merges to jobs 1's run count and coverage at any job count,
+     whichever worker walked which subtree. *)
+  let prog = ns_depth3 () in
+  let base = Dart.Driver.Options.make ~depth:3 () in
+  let seq = Dart.Driver.run ~options:base prog in
+  Alcotest.(check bool) "jobs 1 complete" true (seq.Dart.Driver.verdict = Dart.Driver.Complete);
+  List.iter
+    (fun jobs ->
+      let r = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs base) prog in
+      let m = r.Dart.Parallel.merged in
+      let tag what = Printf.sprintf "jobs %d: %s" jobs what in
+      Alcotest.(check bool) (tag "complete") true (m.Dart.Driver.verdict = Dart.Driver.Complete);
+      Alcotest.(check int) (tag "runs = jobs 1 runs") seq.Dart.Driver.runs m.Dart.Driver.runs;
+      Alcotest.(check int) (tag "paths = jobs 1 paths") seq.Dart.Driver.paths_explored
+        m.Dart.Driver.paths_explored;
+      Alcotest.(check bool) (tag "coverage = jobs 1 coverage") true
+        (sorted_sites seq = sorted_sites m);
+      let taken, donated =
+        List.fold_left
+          (fun (t, d) w ->
+            match w.Dart.Parallel.w_jobs with
+            | Some j -> (t + j.Dart.Parallel.j_taken, d + j.Dart.Parallel.j_donated)
+            | None -> Alcotest.fail "every DFS worker is a pool member")
+          (0, 0) r.Dart.Parallel.workers
+      in
+      Alcotest.(check int) (tag "every donated job was taken") donated taken)
+    [ 2; 4 ]
+
+let test_crash_holding_job () =
+  (* A library call that raises the first time a domain other than the
+     first caller's runs the program. Only the root worker runs before
+     any donation, so this kills a worker in the first run of a job it
+     took (at jobs 2: worker 1). Its job goes back to the pool and the
+     survivor walks it: the crash costs work, not results. *)
+  let src =
+    {|
+int ping(int x);
+int acc;
+void step(char a, char b, char c) {
+  acc = acc + ping(0);
+  if (a > b) { acc = acc + 1; } else { acc = acc - 1; }
+  if (b > c) { acc = acc + 2; } else { acc = acc - 2; }
+  if (c > a) { acc = acc + 3; } else { acc = acc - 3; }
+  if (a + b > c) { acc = acc + 4; } else { acc = acc - 4; }
+}
+|}
+  in
+  let ping_sig =
+    { Minic.Tast.sig_name = "ping"; sig_ret = Minic.Ctype.Tint; sig_params = [ Minic.Ctype.Tint ] }
+  in
+  let prog =
+    Dart.Driver.prepare ~library_sigs:[ ping_sig ] ~toplevel:"step" ~depth:3
+      (Minic.Parser.parse_program src)
+  in
+  let first_caller = Atomic.make None and fired = Atomic.make false in
+  let ping _ _ =
+    let me = Domain.self () in
+    ignore (Atomic.compare_and_set first_caller None (Some me));
+    if Atomic.get first_caller <> Some me && Atomic.compare_and_set fired false true then
+      failwith "killed while holding a job";
+    0
+  in
+  let base =
+    Dart.Driver.Options.make ~depth:3
+      ~exec:{ Dart.Concolic.default_exec_options with Dart.Concolic.library = [ ("ping", ping) ] }
+      ()
+  in
+  let seq = Dart.Driver.run ~options:base prog in
+  Alcotest.(check bool) "jobs 1 complete" true (seq.Dart.Driver.verdict = Dart.Driver.Complete);
+  Atomic.set first_caller None;
+  let r = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:2 base) prog in
+  (match r.Dart.Parallel.crashes with
+   | [ c ] ->
+     Alcotest.(check int) "worker 1 crashed" 1 c.Dart.Parallel.c_worker;
+     Alcotest.(check bool) "respawned" true c.Dart.Parallel.c_respawned
+   | l -> Alcotest.failf "expected one crash record, got %d" (List.length l));
+  let m = r.Dart.Parallel.merged in
+  Alcotest.(check bool) "merged verdict complete" true
+    (m.Dart.Driver.verdict = Dart.Driver.Complete);
+  Alcotest.(check bool) "jobs 1 coverage" true (sorted_sites seq = sorted_sites m);
+  Alcotest.(check bool) "the requeued subtree was walked again" true
+    (m.Dart.Driver.runs >= seq.Dart.Driver.runs)
 
 let test_portfolio_strategies () =
   let prog = prepare_workload Workloads.Paper_examples.section_2_4 ~depth:1 in
@@ -285,6 +387,8 @@ let suite =
     Alcotest.test_case "jobs=1 = sequential" `Quick test_jobs1_equals_sequential;
     Alcotest.test_case "jobs=4 same bug set" `Quick test_jobs4_same_bug_set;
     Alcotest.test_case "shared store ablation" `Quick test_shared_store_ablation;
+    Alcotest.test_case "parallel divides the tree" `Quick test_parallel_divides_tree;
+    Alcotest.test_case "crash while holding a job" `Quick test_crash_holding_job;
     Alcotest.test_case "portfolio strategies" `Quick test_portfolio_strategies;
     Alcotest.test_case "candidates: dfs" `Quick test_candidates_dfs;
     Alcotest.test_case "candidates: bfs" `Quick test_candidates_bfs;
