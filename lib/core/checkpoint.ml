@@ -67,8 +67,8 @@ let unescape what s =
     (match s.[!i] with
      | '%' ->
        if !i + 2 >= n then bad "truncated %-escape";
-       (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr (code land 0xff))
+       (match Telemetry.hex_value (String.sub s (!i + 1) 2) with
+        | Some code -> Buffer.add_char buf (Char.chr code)
         | None -> bad "bad %-escape");
        i := !i + 2
      | c -> Buffer.add_char buf c);

@@ -20,10 +20,13 @@ let domain_constraints im vars =
       | Some Inputs.Kint | None -> [])
     vars
 
+(* The constraints at depths [0..j-1], outermost first. *)
+let full_prefix pc j = List.filter_map (fun h -> pc.(h)) (List.init j Fun.id)
+
 (* Unrelated-constraint elimination (paper §2.6; the "independent
-   constraint" optimisation of the concolic line): partition
-   [pivot :: prefix] into variable-connected components with a
-   union-find over [Constr.vars], and keep only the pivot's component.
+   constraint" optimisation of the concolic line, KLEE's constraint
+   independence): partition [pivot :: prefix] into variable-connected
+   components over [Constr.vars], and keep only the pivot's component.
 
    Dropping the other components is exact, not an approximation: the
    previous run's inputs satisfy every prefix constraint (they *were*
@@ -32,47 +35,160 @@ let domain_constraints im vars =
    [prefer] completion would reproduce those values anyway. Solving
    only the pivot's component and leaving the untouched inputs at their
    IM values is therefore the same IM + IM' update as solving the whole
-   conjunction (paper Fig. 5). *)
-let slice ~pivot ~prefix =
-  let parent : (Linexpr.var, Linexpr.var) Hashtbl.t = Hashtbl.create 32 in
-  let rec find v =
-    match Hashtbl.find_opt parent v with
-    | None ->
-      Hashtbl.replace parent v v;
-      v
-    | Some p when p = v -> v
-    | Some p ->
-      let r = find p in
-      Hashtbl.replace parent v r;
-      r
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
-  let connect c =
-    match Constr.vars c with
-    | [] -> ()
-    | v :: rest -> List.iter (union v) rest
-  in
-  connect pivot;
-  List.iter connect prefix;
-  match Constr.vars pivot with
-  | [] ->
-    (* A variable-free pivot cannot be forced by any input; keep the
-       full conjunction and let the solver report Unsat. *)
-    (pivot :: prefix, 0)
-  | pv :: _ ->
-    let proot = find pv in
-    let kept, dropped =
-      List.partition
-        (fun c ->
-          match Constr.vars c with
-          | [] -> true
-          | v :: _ -> find v = proot)
-        prefix
+   conjunction (paper Fig. 5).
+
+   One solve call tries candidates that share the path constraint and
+   differ only in how deep their prefix reaches, so the union-find is
+   built once per call and moved between depths: inserting depth [d]
+   unions its variables, and moving back up undoes the writes logged
+   since the mark of the target depth. Union by rank without path
+   compression keeps every write undoable and [find] logarithmic. Each
+   root carries the depths of its component's constraints as a rope, so
+   a union concatenates in O(1). Negation keeps a constraint's
+   variables, so the pivot [negate pc.(j)] joins the same component as
+   [pc.(j)], and the state at depths [0..j] is exactly the union-find
+   over [pivot :: prefix]. *)
+module Slicer = struct
+  type rope =
+    | Nil
+    | Leaf of int
+    | Cat of rope * rope
+
+  let cat a b =
+    match (a, b) with
+    | Nil, r | r, Nil -> r
+    | _ -> Cat (a, b)
+
+  (* Variable [u_var]'s fields before one write. *)
+  type undo = { u_var : int; u_parent : int; u_rank : int; u_rope : rope }
+
+  type t = {
+    pc : Constr.t option array;
+    (* Indexed by input id (ids are dense creation-order indices). *)
+    mutable parent : int array;
+    mutable rank : int array;
+    mutable rope : rope array;
+    mutable log : undo list;
+    mutable cur : int; (* depths [0..cur-1] are inserted *)
+    (* Per depth [d <= cur]: the undo log when [cur = d], the
+       variable-free constrained depths below [d] (descending), and how
+       many depths below [d] carry a constraint. *)
+    log_at : undo list array;
+    free_at : int list array;
+    count_at : int array;
+  }
+
+  let create pc =
+    let n = Array.length pc in
+    { pc;
+      parent = Array.init 64 Fun.id;
+      rank = Array.make 64 0;
+      rope = Array.make 64 Nil;
+      log = [];
+      cur = 0;
+      log_at = Array.make (n + 1) [];
+      free_at = Array.make (n + 1) [];
+      count_at = Array.make (n + 1) 0 }
+
+  let grow t v =
+    let len = Array.length t.parent in
+    if v >= len then begin
+      let len' = max (2 * len) (v + 1) in
+      t.parent <- Array.init len' (fun i -> if i < len then t.parent.(i) else i);
+      t.rank <- Array.init len' (fun i -> if i < len then t.rank.(i) else 0);
+      t.rope <- Array.init len' (fun i -> if i < len then t.rope.(i) else Nil)
+    end
+
+  let rec find t v =
+    let p = t.parent.(v) in
+    if p = v then v else find t p
+
+  let save t v =
+    t.log <-
+      { u_var = v; u_parent = t.parent.(v); u_rank = t.rank.(v); u_rope = t.rope.(v) }
+      :: t.log
+
+  (* Link two distinct roots; the result is the new root. *)
+  let union t a b =
+    let ra = t.rank.(a) and rb = t.rank.(b) in
+    let child, root = if ra < rb then (a, b) else (b, a) in
+    save t child;
+    save t root;
+    t.parent.(child) <- root;
+    if ra = rb then t.rank.(root) <- ra + 1;
+    t.rope.(root) <- cat t.rope.(root) t.rope.(child);
+    root
+
+  let insert t d =
+    let count = t.count_at.(d) and free = t.free_at.(d) in
+    (match t.pc.(d) with
+     | None ->
+       t.count_at.(d + 1) <- count;
+       t.free_at.(d + 1) <- free
+     | Some c ->
+       t.count_at.(d + 1) <- count + 1;
+       (match Constr.vars c with
+        | [] -> t.free_at.(d + 1) <- d :: free
+        | v :: rest ->
+          t.free_at.(d + 1) <- free;
+          grow t v;
+          let root =
+            List.fold_left
+              (fun r w ->
+                grow t w;
+                let r' = find t w in
+                if r' = r then r else union t r r')
+              (find t v) rest
+          in
+          save t root;
+          t.rope.(root) <- cat t.rope.(root) (Leaf d)));
+    t.cur <- d + 1;
+    t.log_at.(d + 1) <- t.log
+
+  let rec undo_to t mark =
+    if t.log != mark then
+      match t.log with
+      | [] -> assert false
+      | u :: rest ->
+        t.parent.(u.u_var) <- u.u_parent;
+        t.rank.(u.u_var) <- u.u_rank;
+        t.rope.(u.u_var) <- u.u_rope;
+        t.log <- rest;
+        undo_to t mark
+
+  (* Move the state to depths [0..j]. *)
+  let seek t j =
+    if t.cur > j + 1 then begin
+      undo_to t t.log_at.(j + 1);
+      t.cur <- j + 1
+    end;
+    for d = t.cur to j do
+      insert t d
+    done
+
+  let prefix t j =
+    let c =
+      match t.pc.(j) with
+      | Some c -> c
+      | None -> invalid_arg "Solve_pc.Slicer.prefix: no constraint at this depth"
     in
-    (pivot :: kept, List.length dropped)
+    match Constr.vars c with
+    | [] ->
+      (* A variable-free pivot cannot be forced by any input; keep the
+         full conjunction and let the solver report Unsat. *)
+      (full_prefix t.pc j, 0)
+    | v :: _ ->
+      seek t j;
+      let rec depths acc = function
+        | Nil -> acc
+        | Leaf d -> if d = j then acc else d :: acc
+        | Cat (a, b) -> depths (depths acc b) a
+      in
+      let kept =
+        List.sort Int.compare (depths t.free_at.(j) t.rope.(find t v))
+      in
+      (List.map (fun d -> Option.get t.pc.(d)) kept, t.count_at.(j) - List.length kept)
+end
 
 let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
     ?(faultsim = Dart_util.Faultsim.off) ?(telemetry = Telemetry.null) ?hist
@@ -107,6 +223,9 @@ let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
          (List.init n Fun.id))
   in
   let solver_incomplete = ref false in
+  (* Built on the first sliced candidate, then moved between the
+     candidates' depths. *)
+  let slicer = lazy (Slicer.create path_constraint) in
   (* One pivot-solve attempt. [j] is the flipped branch (for trace
      attribution), [sliced] how many prefix constraints independence
      slicing already dropped; [cs] is [pivot :: kept @ domains]. *)
@@ -226,16 +345,13 @@ let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
         | Some c -> Constr.negate c
         | None -> assert false
       in
-      let prefix =
-        List.filter_map (fun h -> path_constraint.(h)) (List.init j Fun.id)
-      in
       let kept, sliced =
         if slicing then begin
-          let kept_with_pivot, dropped = slice ~pivot ~prefix in
+          let ((_, dropped) as sliced) = Slicer.prefix (Lazy.force slicer) j in
           Solver.record_sliced stats dropped;
-          (List.tl kept_with_pivot, dropped)
+          sliced
         end
-        else (prefix, 0)
+        else (full_prefix path_constraint j, 0)
       in
       let base_cs = pivot :: kept in
       let vars =

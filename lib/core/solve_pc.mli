@@ -11,7 +11,12 @@
     - {b independence slicing} ([slicing], default on): only the
       pivot's variable-connected component of the constraint prefix is
       sent to the solver; unrelated components stay satisfied by the
-      current IM, preserving the IM + IM' update semantics.
+      current IM, preserving the IM + IM' update semantics. One
+      rollback union-find ({!Slicer}) per call serves every candidate:
+      it moves between candidate depths by inserting or undoing
+      constraints, so DFS's deepest-first candidates cost O(n) per call
+      in total. The kept constraints come out in prefix order, exactly
+      as a fresh union-find over [pivot :: prefix] would keep them.
     - {b solve caching} ([cache], a {!Solver.Store.t} plus this
       worker's id): Sat models and Unsat verdicts are memoised per
       canonical constraint set. Verdicts published by any worker
@@ -64,13 +69,24 @@ val domain_constraints :
     to 0..255 and pointer coins to 0..1; ints carry no extra atoms (the
     solver boxes them to 32 bits itself). *)
 
-val slice :
-  pivot:Symbolic.Constr.t ->
-  prefix:Symbolic.Constr.t list ->
-  Symbolic.Constr.t list * int
-(** [slice ~pivot ~prefix] is [(kept, dropped)]: the pivot's
-    variable-connected component of [pivot :: prefix] (pivot first),
-    and how many prefix constraints were eliminated as unrelated. *)
+(** Independence slicing over one path constraint. Variables are input
+    ids, which are non-negative. *)
+module Slicer : sig
+  type t
+
+  val create : Symbolic.Constr.t option array -> t
+  (** A slicer over the path constraint, which must not change
+      afterwards. *)
+
+  val prefix : t -> int -> Symbolic.Constr.t list * int
+  (** [prefix s j] is [(kept, dropped)] for the pivot [negate pc.(j)]:
+      the constraints at depths [0..j-1] in the pivot's
+      variable-connected component, plus the variable-free ones, in
+      depth order; and how many constrained depths below [j] were
+      eliminated as unrelated. A variable-free pivot keeps the whole
+      prefix and drops none. Calls may come at any depths in any order.
+      @raise Invalid_argument if [pc.(j)] is [None]. *)
+end
 
 val solve :
   ?cache:Solver.Store.t * int ->

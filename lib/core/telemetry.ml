@@ -349,6 +349,21 @@ let event_to_json ev =
 
 exception Bad of string
 
+let hex_value s =
+  if s = "" then None
+  else
+    String.fold_left
+      (fun acc c ->
+        match acc with
+        | None -> None
+        | Some n ->
+          (match c with
+           | '0' .. '9' -> Some ((n * 16) + Char.code c - Char.code '0')
+           | 'a' .. 'f' -> Some ((n * 16) + Char.code c - Char.code 'a' + 10)
+           | 'A' .. 'F' -> Some ((n * 16) + Char.code c - Char.code 'A' + 10)
+           | _ -> None))
+      (Some 0) s
+
 type jval =
   | Jstr of string
   | Jint of int64
@@ -395,7 +410,7 @@ let parse_flat_object s =
              if !pos + 4 > n then raise (Bad "truncated \\u escape");
              let hex = String.sub s !pos 4 in
              pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
+             (match hex_value hex with
               | Some code when code < 256 -> Buffer.add_char buf (Char.chr code)
               | Some _ -> Buffer.add_char buf '?'
               | None -> raise (Bad "bad \\u escape"))

@@ -146,6 +146,11 @@ val add_json_string : Buffer.t -> string -> unit
 val json_string : string -> string
 (** {!add_json_string} into a fresh string. *)
 
+val hex_value : string -> int option
+(** The value of a non-empty string of hex digits ([0-9a-fA-F] only: no
+    sign, prefix or [_] separator), else [None]. Decodes the [\u]
+    escapes of {!parse_flat} and the [%]-escapes of {!Checkpoint}. *)
+
 val event_to_json : event -> string
 (** One flat JSON object, no trailing newline. Schema (the [ev] field
     selects the variant): [run_start], [run_end], [branch], [solve],

@@ -138,7 +138,7 @@ let test_slice_components () =
   let pivot = c_eq 0 1 in
   let chain01 = Symbolic.Constr.make (lin [ (0, 1); (1, -1) ] 0) Symbolic.Constr.Le0 in
   let alone9 = c_le 9 5 in
-  let kept, dropped = Dart.Solve_pc.slice ~pivot ~prefix:[ chain01; alone9 ] in
+  let kept, dropped = Slice_ref.slice ~pivot ~prefix:[ chain01; alone9 ] in
   Alcotest.(check int) "one constraint sliced away" 1 dropped;
   Alcotest.(check int) "pivot + chained kept" 2 (List.length kept);
   Alcotest.(check bool) "pivot kept first" true (Symbolic.Constr.equal (List.hd kept) pivot);
@@ -147,10 +147,71 @@ let test_slice_components () =
   (* Transitive closure: x0-x1, x1-x2 pulls the x2 constraint in. *)
   let chain12 = Symbolic.Constr.make (lin [ (1, 1); (2, -1) ] 0) Symbolic.Constr.Le0 in
   let kept, dropped =
-    Dart.Solve_pc.slice ~pivot ~prefix:[ chain01; chain12; alone9; c_eq 2 7 ]
+    Slice_ref.slice ~pivot ~prefix:[ chain01; chain12; alone9; c_eq 2 7 ]
   in
   Alcotest.(check int) "only x9 dropped" 1 dropped;
   Alcotest.(check int) "closure kept" 4 (List.length kept)
+
+(* Differential: the rollback slicer against a fresh union-find per
+   query, on seeded random path constraints. The arrays mix missing
+   entries, variable-free atoms (including ones whose terms cancel),
+   repeated variables within one atom and variable-free pivots; each is
+   queried at every candidate depth in descending, ascending and random
+   order, so the slicer moves down, up and both ways. *)
+let test_slicer_matches_reference () =
+  let rng = Random.State.make [| 17 |] in
+  let atom () =
+    let terms =
+      List.init (Random.State.int rng 4) (fun _ ->
+          (Random.State.int rng 16, Random.State.int rng 5 - 2))
+    in
+    let rel = Symbolic.Constr.[| Eq0; Ne0; Le0; Lt0 |].(Random.State.int rng 4) in
+    Symbolic.Constr.make (lin terms (Random.State.int rng 7 - 3)) rel
+  in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let k = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(k);
+      a.(k) <- t
+    done;
+    a
+  in
+  let free_pivots = ref 0 and dropping = ref 0 in
+  for case = 1 to 300 do
+    let pc =
+      Array.init (Random.State.int rng 61) (fun _ ->
+          if Random.State.int rng 5 = 0 then None else Some (atom ()))
+    in
+    let candidates =
+      List.filter (fun j -> pc.(j) <> None) (List.init (Array.length pc) Fun.id)
+    in
+    let orders =
+      [ ("descending", List.rev candidates);
+        ("ascending", candidates);
+        ("random", Array.to_list (shuffle (Array.of_list candidates))) ]
+    in
+    List.iter
+      (fun (order, js) ->
+        let slicer = Dart.Solve_pc.Slicer.create pc in
+        List.iter
+          (fun j ->
+            let c = Option.get pc.(j) in
+            let pivot = Symbolic.Constr.negate c in
+            let prefix = List.filter_map (fun h -> pc.(h)) (List.init j Fun.id) in
+            let ref_kept, ref_dropped = Slice_ref.slice ~pivot ~prefix in
+            let kept, dropped = Dart.Solve_pc.Slicer.prefix slicer j in
+            if Symbolic.Constr.vars c = [] then incr free_pivots;
+            if ref_dropped > 0 then incr dropping;
+            let label = Printf.sprintf "case %d, %s, depth %d" case order j in
+            Alcotest.(check int) (label ^ ": dropped") ref_dropped dropped;
+            Alcotest.(check bool) (label ^ ": kept, in order") true
+              (List.equal Symbolic.Constr.equal (List.tl ref_kept) kept))
+          js)
+      orders
+  done;
+  Alcotest.(check bool) "variable-free pivots exercised" true (!free_pivots > 0);
+  Alcotest.(check bool) "constraints sliced away" true (!dropping > 0)
 
 let test_slice_preserves_im () =
   (* Flipping the deepest branch (over x1) must not disturb the
@@ -182,14 +243,14 @@ let test_slice_preserves_im () =
 
 (* ---- end-to-end: ablation combos agree --------------------------------------- *)
 
-let opts ?(depth = 1) ?(max_runs = 20_000) ~use_slicing ~use_cache () =
-  Dart.Driver.Options.make ~depth ~max_runs ~use_slicing ~use_cache ()
+let opts ?(depth = 1) ?(max_runs = 20_000) ?strategy ~use_slicing ~use_cache () =
+  Dart.Driver.Options.make ~depth ~max_runs ?strategy ~use_slicing ~use_cache ()
 
 let combos = [ (true, true); (true, false); (false, true); (false, false) ]
 
-let run_combo ?depth ?max_runs (src, toplevel) (use_slicing, use_cache) =
+let run_combo ?depth ?max_runs ?strategy (src, toplevel) (use_slicing, use_cache) =
   Dart.Driver.test_source
-    ~options:(opts ?depth ?max_runs ~use_slicing ~use_cache ())
+    ~options:(opts ?depth ?max_runs ?strategy ~use_slicing ~use_cache ())
     ~toplevel src
 
 let fingerprint (r : Dart.Driver.report) =
@@ -218,18 +279,27 @@ let test_ablation_equivalence () =
       ("nested", nested, 1);
       ("step3", step3, 3) ]
   in
+  (* BFS and random-branch move the slicer up the path constraint and
+     at random, where DFS only moves it down. They restart rather than
+     finish, so they get a smaller run budget. *)
+  let strategies = Dart.Strategy.[ (Dfs, 20_000); (Bfs, 2_000); (Random_branch, 2_000) ] in
   List.iter
-    (fun (name, case, depth) ->
-      let reference = fingerprint (run_combo ~depth case (false, false)) in
+    (fun (strategy, max_runs) ->
       List.iter
-        (fun combo ->
-          let got = fingerprint (run_combo ~depth case combo) in
-          let sl, ca = combo in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: slicing=%b cache=%b matches baseline" name sl ca)
-            true (got = reference))
-        combos)
-    cases
+        (fun (name, case, depth) ->
+          let run = run_combo ~depth ~max_runs ~strategy case in
+          let reference = fingerprint (run (false, false)) in
+          List.iter
+            (fun combo ->
+              let got = fingerprint (run combo) in
+              let sl, ca = combo in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: slicing=%b cache=%b matches baseline" name
+                   (Dart.Strategy.to_string strategy) sl ca)
+                true (got = reference))
+            combos)
+        cases)
+    strategies
 
 let test_unsat_slicing_complete () =
   (* a == 3 under prefix a == 1 is Unsat; slicing must still prove it
@@ -318,6 +388,7 @@ let suite =
     Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
     Alcotest.test_case "shared store protocol" `Quick test_shared_store_protocol;
     Alcotest.test_case "slice components" `Quick test_slice_components;
+    Alcotest.test_case "slicer matches reference" `Quick test_slicer_matches_reference;
     Alcotest.test_case "slice preserves IM" `Quick test_slice_preserves_im;
     Alcotest.test_case "ablation equivalence" `Quick test_ablation_equivalence;
     Alcotest.test_case "unsat under slicing" `Quick test_unsat_slicing_complete;

@@ -401,6 +401,29 @@ let test_checkpoint_roundtrip () =
       (match Dart.Checkpoint.of_string ("not-a-checkpoint\n" ^ text) with
        | Ok _ -> Alcotest.fail "bad magic accepted"
        | Error _ -> ());
+      (* %-escapes take exactly two hex digits: OCaml's [_] separator,
+         a sign or a short escape must not decode. *)
+      Alcotest.(check string) "escape round-trips" "a b%c\n"
+        (Dart.Checkpoint.unescape "t" (Dart.Checkpoint.escape "a b%c\n"));
+      Alcotest.(check string) "upper-case hex" "\255" (Dart.Checkpoint.unescape "t" "%FF");
+      List.iter
+        (fun tok ->
+          match Dart.Checkpoint.unescape "t" tok with
+          | exception Dart.Checkpoint.Bad _ -> ()
+          | s -> Alcotest.failf "malformed escape %S decoded to %S" tok s)
+        [ "%1_"; "%_1"; "a%+1"; "%-1"; "% 1"; "%g0"; "%2"; "%" ];
+      (match
+         Dart.Checkpoint.of_string
+           (String.concat "\n"
+              (List.map
+                 (fun l ->
+                   match String.split_on_char ' ' l with
+                   | [ "stat"; _; v ] -> "stat %1_ " ^ v
+                   | _ -> l)
+                 (String.split_on_char '\n' text)))
+       with
+       | Ok _ -> Alcotest.fail "checkpoint with a bad %-escape accepted"
+       | Error _ -> ());
       (* Truncation (e.g. a partial write with no trailing [end]) is a
          hard error, never a silently shorter snapshot. *)
       (match

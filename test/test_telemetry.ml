@@ -98,8 +98,18 @@ let test_json_roundtrip () =
 let test_json_rejects_malformed () =
   let bad =
     [ "{oops"; "[]"; "{}"; {|{"ev":"warp_drive"}|}; {|{"ev":"run_start"}|};
-      {|{"ev":"run_start","run":"one"}|}; {|{"ev":"phase","phase":"think","ns":1}|} ]
+      {|{"ev":"run_start","run":"one"}|}; {|{"ev":"phase","phase":"think","ns":1}|};
+      (* \u takes exactly four hex digits: no [_] separator, sign or
+         prefix. *)
+      {|{"ev":"branch","fn":"\u1_2_","pc":1,"dir":true}|};
+      {|{"ev":"branch","fn":"\u_012","pc":1,"dir":true}|};
+      {|{"ev":"branch","fn":"\u+041","pc":1,"dir":true}|};
+      {|{"ev":"branch","fn":"\u00g1","pc":1,"dir":true}|};
+      {|{"ev":"branch","fn":"\u004","pc":1,"dir":true}|} ]
   in
+  (match T.event_of_json {|{"ev":"branch","fn":"\u004A\u004a","pc":1,"dir":true}|} with
+   | Ok (T.Branch_taken { fn; _ }) -> Alcotest.(check string) "hex escapes decode" "JJ" fn
+   | _ -> Alcotest.fail "well-formed \\u escapes rejected");
   List.iter
     (fun line ->
       match T.event_of_json line with
