@@ -63,14 +63,8 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Parallel search workers: N domains (0 = one per core) share the run budget, and \
-           DFS workers split the path tree between them. The deduped bug set and verdict \
-           match --jobs 1.")
-
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:"With --jobs > 1, cycle workers through the dfs/random/bfs strategy portfolio.")
+           DFS workers split the path tree between them. With bfs or random, each worker \
+           searches on its own. The deduped bug set and verdict match --jobs 1.")
 
 let no_cache_arg =
   Arg.(
@@ -239,17 +233,11 @@ let usage_error msg =
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
    new conflicts here, not as ad-hoc if/else chains in the driver. *)
-let validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
+let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
     ~no_incremental ~no_breaker ~time_budget ~solver_timeout ~checkpoint
     ~checkpoint_every ~resume ~faultsim ~status =
   let table =
     [ (jobs < 0, "--jobs must be >= 0");
-      ( portfolio && strategy <> None,
-        (* A portfolio cycles workers through its own strategy list: an
-           explicit --strategy would be silently overridden. *)
-        "--portfolio conflicts with an explicit --strategy" );
-      ( portfolio && (random_mode || jobs = 1),
-        "--portfolio requires a directed search with --jobs > 1 (or 0)" );
       (* Random testing is a single undirected worker with no
          branch-selection: reject flags that would silently be
          ignored. *)
@@ -322,7 +310,7 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigterm handle with Invalid_argument _ | Sys_error _ -> ()
 
 let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_ptrs all_bugs
-    jobs portfolio no_cache no_slicing no_incremental no_breaker no_compile
+    jobs no_cache no_slicing no_incremental no_breaker no_compile
     time_budget solver_timeout checkpoint checkpoint_every resume faultsim faultsim_seed
     trace status metrics_flag show_interface show_driver dump_ram coverage =
   try
@@ -339,7 +327,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
     end
     else begin
       match
-        validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
+        validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
           ~no_incremental ~no_breaker ~time_budget ~solver_timeout
           ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
       with
@@ -393,12 +381,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                     Dart.Telemetry.status_path = status }
                 ~faultsim:fs ()
             in
-            let portfolio =
-              if portfolio then
-                [ Dart.Strategy.Dfs; Dart.Strategy.Random_branch; Dart.Strategy.Bfs ]
-              else []
-            in
-            let session = Dart.Session.create ~jobs ~portfolio ~options () in
+            let session = Dart.Session.create ~jobs ~options () in
             let target = Dart.Target.of_ast ~toplevel ast in
             if random_mode then begin
               match Dart.Engine.run ~mode:`Random ~metrics:prep session target with
@@ -1121,7 +1104,7 @@ let run_term =
   Term.(
     const run_dartc $ file_arg $ toplevel_arg $ depth_arg $ max_runs_arg $ seed_arg
     $ strategy_arg $ random_mode_arg $ symbolic_ptrs_arg $ all_bugs_arg $ jobs_arg
-    $ portfolio_arg $ no_cache_arg $ no_slicing_arg $ no_incremental_arg
+    $ no_cache_arg $ no_slicing_arg $ no_incremental_arg
     $ no_breaker_arg $ no_compile_arg $ time_budget_arg
     $ solver_timeout_arg
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ faultsim_arg

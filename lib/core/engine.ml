@@ -75,10 +75,7 @@ let run ?(mode = `Directed) ?resume ?on_checkpoint ?checkpoint_every ?metrics se
         (Driver.search ?resume ?on_checkpoint ?checkpoint_every ~ctx ~options prog)
     end
     else begin
-      let popts =
-        Parallel.options ~jobs:(Session.jobs session)
-          ~portfolio:(Session.portfolio session) options
-      in
+      let popts = Parallel.options ~jobs:(Session.jobs session) options in
       let r = Parallel.run ~options:popts prog in
       (* Workers never see preparation time: fold it into the merged
          metrics (and the trace) here. *)

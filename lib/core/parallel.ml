@@ -1,13 +1,14 @@
 (* Multi-domain directed search. Each worker domain runs a
    [Driver.search] over its own [search_ctx] — its own PRNG stream,
-   input vector and solver stats. The DFS workers are members of one
+   input vector and solver stats, and every worker runs the one
+   strategy of [base]. Two or more DFS workers are members of one
    [Workpool]: worker 0 starts at the root, the others start idle, and
    busy members donate pending branches to idle ones, so together they
    walk the path tree once (paper Fig. 5; Theorem 1(b) needs every
-   feasible path run once, not once per worker). Portfolio workers
-   with another strategy search on their own. The domains share only
-   the immutable program, one cancellation atomic, the work pool, and
-   the two lock-free accelerators: the solve store and the run pool.
+   feasible path run once, not once per worker). BFS and random-branch
+   workers each search on their own. The domains share only the
+   immutable program, one cancellation atomic, the work pool, and the
+   two lock-free accelerators: the solve store and the run pool.
    Telemetry is never shared: each worker traces into a private ring
    buffer, replayed into the main sink in worker order at join, so the
    main sink is only ever written from the joining domain. *)
@@ -17,10 +18,9 @@ module O = Driver.Options
 type options = {
   base : Driver.options;
   jobs : int;
-  portfolio : Strategy.t list;
 }
 
-let options ?(jobs = 1) ?(portfolio = []) base = { base; jobs; portfolio }
+let options ?(jobs = 1) base = { base; jobs }
 
 type job_counts = {
   j_taken : int;
@@ -30,7 +30,6 @@ type job_counts = {
 type worker_report = {
   w_id : int;
   w_seed : int;
-  w_strategy : Strategy.t;
   w_report : Driver.report;
   w_jobs : job_counts option;
 }
@@ -44,6 +43,7 @@ type crash = {
 
 type report = {
   jobs : int;
+  strategy : Strategy.t;
   merged : Driver.report;
   workers : worker_report list;
   crashes : crash list;
@@ -61,11 +61,6 @@ let worker_seeds ~base_seed n =
   let rng = Dart_util.Prng.create base_seed in
   Array.init n (fun i ->
       if i = 0 then base_seed else Int64.to_int (Dart_util.Prng.next_int64 rng))
-
-let worker_strategy t i =
-  match t.portfolio with
-  | [] -> t.base.O.search.O.strategy
-  | p -> List.nth p (i mod List.length p)
 
 let sum_stats (per_worker : Solver.stats list) =
   let s = Solver.create_stats () in
@@ -188,27 +183,23 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
      [Driver.run]. *)
   let store = if n > 1 then Some (Solver.Store.create ~workers:n) else None in
   let pool = if n > 1 then Some (Atomic.make t.base.O.budget.O.max_runs) else None in
-  (* Two or more DFS workers split the tree through a work pool; the
-     first of them starts at the root. *)
-  let is_dfs slot = worker_strategy t slot = Strategy.Dfs in
-  let dfs_slots = List.filter is_dfs (List.init n Fun.id) in
+  (* Two or more DFS workers split the tree through a work pool; slot
+     0 starts at the root. *)
+  let strategy = t.base.O.search.O.strategy in
   let workpool =
-    if List.length dfs_slots >= 2 then
-      Some (Workpool.create ~members:(List.length dfs_slots))
-    else None
+    if n >= 2 && strategy = Strategy.Dfs then Some (Workpool.create ~members:n) else None
   in
   (* A worker body never lets an exception reach [Domain.join]: it
      returns [Error reason] instead, so the supervisor always joins
      every domain, replays the surviving rings and flushes the sink. *)
   let worker ?(respawn = false) ~slot ~seed sink () =
-    let strategy = worker_strategy t slot in
     let seat =
-      match workpool with
-      | Some wp when is_dfs slot ->
-        (* A respawn rejoins idle: a crashed root requeued the root job. *)
-        if respawn then Workpool.join wp;
-        Some (Driver.seat ~root:(slot = List.hd dfs_slots && not respawn) wp)
-      | _ -> None
+      Option.map
+        (fun wp ->
+          (* A respawn rejoins idle: a crashed root requeued the root job. *)
+          if respawn then Workpool.join wp;
+          Driver.seat ~root:(slot = 0 && not respawn) wp)
+        workpool
     in
     let should_stop =
       (* Crash injection rides the run-boundary poll: the injected
@@ -229,7 +220,6 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
     in
     let options =
       { t.base with
-        O.search = { t.base.O.search with O.strategy };
         O.telemetry =
           { t.base.O.telemetry with
             Telemetry.sink;
@@ -247,7 +237,6 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
       Ok
         { w_id = slot;
           w_seed = seed;
-          w_strategy = strategy;
           w_report = r;
           w_jobs =
             Option.map
@@ -261,7 +250,7 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
        to the search, so report and trace — field order of
        coverage_sites included — are identical to [Driver.run]. *)
     match worker ~slot:0 ~seed:seeds.(0) base_sink () with
-    | Ok w -> { jobs = 1; merged = w.w_report; workers = [ w ]; crashes = [] }
+    | Ok w -> { jobs = 1; strategy; merged = w.w_report; workers = [ w ]; crashes = [] }
     | Error reason ->
       let crash1 =
         { c_worker = 0; c_seed = seeds.(0); c_reason = reason; c_respawned = true }
@@ -272,7 +261,8 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
         Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = 0; seed = seeds.(1) })
       end;
       (match worker ~slot:0 ~seed:seeds.(1) base_sink () with
-       | Ok w -> { jobs = 1; merged = w.w_report; workers = [ w ]; crashes = [ crash1 ] }
+       | Ok w ->
+         { jobs = 1; strategy; merged = w.w_report; workers = [ w ]; crashes = [ crash1 ] }
        | Error reason2 ->
          if tracing then begin
            Telemetry.emit base_sink
@@ -280,6 +270,7 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
            Telemetry.flush base_sink
          end;
          { jobs = 1;
+           strategy;
            merged = empty_report ();
            workers = [];
            crashes =
@@ -389,7 +380,7 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
         (Telemetry.Phase_total { phase = Telemetry.Merge; dur_ns = merge_ns });
       Telemetry.flush base_sink
     end;
-    { jobs = n; merged; workers; crashes }
+    { jobs = n; strategy; merged; workers; crashes }
   end
 
 let report_to_string r =
@@ -400,7 +391,7 @@ let report_to_string r =
     (fun w ->
       Buffer.add_string buf
         (Printf.sprintf "\n  worker %d [%s, seed %d]: %s, %d runs, %d paths" w.w_id
-           (Strategy.to_string w.w_strategy)
+           (Strategy.to_string r.strategy)
            w.w_seed
            (match w.w_report.Driver.verdict with
             | Driver.Bug_found _ -> "bug"
@@ -415,12 +406,21 @@ let report_to_string r =
             (Printf.sprintf ", %d jobs taken, %d donated" j.j_taken j.j_donated))
         w.w_jobs)
     r.workers;
+  (* A lone worker's respawn re-runs the fixed budget; with several
+     workers the budget is one pool, so a respawn claims what is left
+     of it and the runs an abandoned slot claimed are lost. *)
+  let respawned, abandoned =
+    if r.jobs = 1 then
+      ("respawned with a fresh seed, budget re-run", "not respawned, budget share lost")
+    else
+      ( "respawned with a fresh seed, claims what is left of the pooled budget",
+        "not respawned, the runs it claimed are lost" )
+  in
   List.iter
     (fun c ->
       Buffer.add_string buf
-        (Printf.sprintf "\n  worker %d crashed [seed %d]: %s%s" c.c_worker c.c_seed
+        (Printf.sprintf "\n  worker %d crashed [seed %d]: %s; %s" c.c_worker c.c_seed
            c.c_reason
-           (if c.c_respawned then "; respawned with a fresh seed, budget re-run"
-            else "; not respawned, budget share lost")))
+           (if c.c_respawned then respawned else abandoned)))
     r.crashes;
   Buffer.contents buf

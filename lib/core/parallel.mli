@@ -1,15 +1,16 @@
 (** Multi-domain directed search.
 
     [run] spreads the search over [jobs] worker domains, each executing
-    a {!Driver.search} with its own PRNG stream, input vector and
-    solver stats — optionally with a different {!Strategy.t} drawn from
-    a portfolio — and merges the worker reports. With more than one
-    worker, the workers share one {!Solver.Store} and claim runs from
-    one pooled budget. Two or more DFS workers also share one
-    {!Workpool.t}: worker 0 starts at the root, the others start idle,
-    and busy workers donate pending branches (path-prefix jobs, as in
-    Cloud9) to idle ones, so the path tree is walked once, not once per
-    worker. Workers of another strategy search on their own.
+    a {!Driver.search} with the strategy of [base] and its own PRNG
+    stream, input vector and solver stats, and merges the worker
+    reports. With more than one worker, the workers share one
+    {!Solver.Store} and claim runs from one pooled budget. Two or more
+    DFS workers also share one {!Workpool.t}: worker 0 starts at the
+    root, the others start idle, and busy workers donate pending
+    branches (path-prefix jobs, as in Cloud9) to idle ones, so the path
+    tree is walked once, not once per worker. BFS and random-branch
+    workers each search on their own, drawing on the same pooled
+    budget.
 
     Determinism contract:
     - [jobs = 1] reproduces {!Driver.run} bit for bit (same seed, same
@@ -34,15 +35,13 @@ type options = {
           than one worker each domain traces into a private ring of
           [base.telemetry.worker_buffer] events, replayed into the main
           sink in worker order at join (bracketed by [Worker_spawn] /
-          [Worker_drain] events). *)
+          [Worker_drain] events). Every worker runs
+          [base.search.strategy]. *)
   jobs : int; (* 0 = [Domain.recommended_domain_count ()] *)
-  portfolio : Strategy.t list;
-      (** Cycled across workers ([worker i] gets [i mod length]);
-          empty = every worker uses [base.search.strategy]. *)
 }
 
-val options : ?jobs:int -> ?portfolio:Strategy.t list -> Driver.options -> options
-(** [options base] defaults to [jobs = 1] and an empty portfolio. *)
+val options : ?jobs:int -> Driver.options -> options
+(** [options base] defaults to [jobs = 1]. *)
 
 type job_counts = {
   j_taken : int; (* jobs taken from the work pool *)
@@ -52,7 +51,6 @@ type job_counts = {
 type worker_report = {
   w_id : int;
   w_seed : int;
-  w_strategy : Strategy.t;
   w_report : Driver.report;
   w_jobs : job_counts option; (* [None] unless a work-pool member *)
 }
@@ -69,6 +67,7 @@ type crash = {
 
 type report = {
   jobs : int; (* actual worker count after resolving [jobs = 0] *)
+  strategy : Strategy.t; (* the one strategy every worker ran *)
   merged : Driver.report;
   workers : worker_report list;
       (* surviving workers (respawns included), in worker-id order *)
@@ -115,4 +114,7 @@ val run : ?options:options -> Ram.Instr.program -> report
 
 val report_to_string : report -> string
 (** The merged report followed by a one-line per-worker summary; a
-    work-pool member's line ends with its jobs taken and donated. *)
+    work-pool member's line ends with its jobs taken and donated. A
+    crash line says what became of the budget: at [jobs = 1] a respawn
+    re-runs it; with several workers a respawn claims what is left of
+    the pool, and an abandoned slot's claimed runs are lost. *)

@@ -1,7 +1,6 @@
 type t = {
   s_options : Driver.options;
   s_jobs : int;
-  s_portfolio : Strategy.t list;
   s_should_stop : unit -> bool;
   s_cache : (string * string * int, Ram.Instr.program) Hashtbl.t;
       (* (source key, toplevel, depth) -> prepared program *)
@@ -10,12 +9,11 @@ type t = {
   mutable s_hits : int;
 }
 
-let create ?(jobs = 1) ?(portfolio = []) ?(should_stop = fun () -> false)
+let create ?(jobs = 1) ?(should_stop = fun () -> false)
     ?(options = Driver.Options.default) () =
   if jobs < 0 then invalid_arg "Session.create: jobs must be >= 0";
   { s_options = options;
     s_jobs = jobs;
-    s_portfolio = portfolio;
     s_should_stop = should_stop;
     s_cache = Hashtbl.create 64;
     s_lock = Mutex.create ();
@@ -24,7 +22,6 @@ let create ?(jobs = 1) ?(portfolio = []) ?(should_stop = fun () -> false)
 
 let options t = t.s_options
 let jobs t = t.s_jobs
-let portfolio t = t.s_portfolio
 let should_stop t = t.s_should_stop
 
 let locked t f =

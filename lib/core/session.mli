@@ -20,19 +20,17 @@ type t
 
 val create :
   ?jobs:int ->
-  ?portfolio:Strategy.t list ->
   ?should_stop:(unit -> bool) ->
   ?options:Driver.options ->
   unit ->
   t
-(** [jobs] defaults to 1 (sequential); [portfolio] to none;
-    [should_stop] to never (process-wide {!Cancel} is always polled by
-    the search itself); [options] to {!Driver.Options.default}.
+(** [jobs] defaults to 1 (sequential); [should_stop] to never
+    (process-wide {!Cancel} is always polled by the search itself);
+    [options] to {!Driver.Options.default}.
     @raise Invalid_argument if [jobs < 0]. *)
 
 val options : t -> Driver.options
 val jobs : t -> int
-val portfolio : t -> Strategy.t list
 val should_stop : t -> unit -> bool
 
 val prepare : ?metrics:Telemetry.metrics -> t -> Target.t -> Ram.Instr.program

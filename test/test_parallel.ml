@@ -1,8 +1,8 @@
 (* The parallel orchestrator: merge-layer algebra on fabricated
    reports, the jobs=1 determinism contract against Driver.run, bug-set
-   agreement at jobs=4, the work pool dividing one path tree, crash
-   requeue, the strategy candidate set, and the Random_search budget
-   boundary. *)
+   agreement at jobs=4, the work pool dividing one path tree, BFS and
+   random workers on the pooled budget, crash requeue, the strategy
+   candidate set, and the Random_search budget boundary. *)
 
 module Strategy = Dart.Strategy
 
@@ -238,7 +238,7 @@ let test_parallel_divides_tree () =
           (0, 0) r.Dart.Parallel.workers
       in
       Alcotest.(check int) (tag "every donated job was taken") donated taken)
-    [ 2; 4 ]
+    [ 2; 3; 4 ]
 
 let test_crash_holding_job () =
   (* A library call that raises the first time a domain other than the
@@ -295,19 +295,32 @@ void step(char a, char b, char c) {
   Alcotest.(check bool) "the requeued subtree was walked again" true
     (m.Dart.Driver.runs >= seq.Dart.Driver.runs)
 
-let test_portfolio_strategies () =
-  let prog = prepare_workload Workloads.Paper_examples.section_2_4 ~depth:1 in
-  let base = Dart.Driver.Options.make ~max_runs:400 () in
-  let portfolio = [ Dart.Strategy.Dfs; Dart.Strategy.Random_branch; Dart.Strategy.Bfs ] in
-  let r = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:3 ~portfolio base) prog in
-  Alcotest.(check (list string)) "portfolio cycled"
-    [ "dfs"; "random-branch"; "bfs" ]
-    (List.map
-       (fun w -> Dart.Strategy.to_string w.Dart.Parallel.w_strategy)
-       r.Dart.Parallel.workers);
-  (* The DFS worker proves completeness for the whole space. *)
-  Alcotest.(check bool) "merged verdict complete" true
-    (r.Dart.Parallel.merged.Dart.Driver.verdict = Dart.Driver.Complete)
+let test_parallel_non_dfs () =
+  (* BFS and random-branch workers are not pool members: each searches
+     on its own, claiming runs from the pooled budget until it is gone.
+     The budget is spent exactly, and the deduped bug set is jobs 1's. *)
+  let prog = prepare_workload Workloads.Paper_examples.ac_controller ~depth:2 in
+  List.iter
+    (fun strategy ->
+      let base =
+        Dart.Driver.Options.make ~depth:2 ~max_runs:400 ~stop_on_first_bug:false ~strategy ()
+      in
+      let seq = Dart.Driver.run ~options:base prog in
+      List.iter
+        (fun jobs ->
+          let r = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs base) prog in
+          let m = r.Dart.Parallel.merged in
+          let tag what =
+            Printf.sprintf "%s jobs %d: %s" (Strategy.to_string strategy) jobs what
+          in
+          Alcotest.(check int) (tag "workers") jobs (List.length r.Dart.Parallel.workers);
+          Alcotest.(check bool) (tag "no pool member") true
+            (List.for_all (fun w -> w.Dart.Parallel.w_jobs = None) r.Dart.Parallel.workers);
+          Alcotest.(check int) (tag "pooled budget spent exactly") 400 m.Dart.Driver.runs;
+          Alcotest.(check bool) (tag "same deduped bug set as jobs 1") true
+            (bug_keys seq = bug_keys m))
+        [ 2; 3 ])
+    [ Strategy.Bfs; Strategy.Random_branch ]
 
 (* ---- strategy candidate set ------------------------------------------------ *)
 
@@ -389,7 +402,7 @@ let suite =
     Alcotest.test_case "shared store ablation" `Quick test_shared_store_ablation;
     Alcotest.test_case "parallel divides the tree" `Quick test_parallel_divides_tree;
     Alcotest.test_case "crash while holding a job" `Quick test_crash_holding_job;
-    Alcotest.test_case "portfolio strategies" `Quick test_portfolio_strategies;
+    Alcotest.test_case "parallel non-DFS workers" `Quick test_parallel_non_dfs;
     Alcotest.test_case "candidates: dfs" `Quick test_candidates_dfs;
     Alcotest.test_case "candidates: bfs" `Quick test_candidates_bfs;
     Alcotest.test_case "candidates: random" `Quick test_candidates_random;

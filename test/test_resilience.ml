@@ -564,6 +564,9 @@ let test_crash_isolation () =
        (Str_contains.contains c.Dart.Parallel.c_reason "worker_crash")
    | l -> Alcotest.failf "expected exactly one crash record, got %d" (List.length l));
   Alcotest.(check int) "exactly one Worker_crash event" 1 (List.length crash_events);
+  Alcotest.(check bool) "crash line: the respawn claims from the pool" true
+    (Str_contains.contains (Dart.Parallel.report_to_string r)
+       "; respawned with a fresh seed, claims what is left of the pooled budget");
   Alcotest.(check int) "all four slots reported" 4 (List.length r.Dart.Parallel.workers);
   (* The survivors (and the respawn, claiming from the pool)
      still explore everything: the crash costs work, not results. *)
@@ -584,6 +587,14 @@ let test_crash_without_respawn () =
        (c1.Dart.Parallel.c_seed <> c2.Dart.Parallel.c_seed)
    | l -> Alcotest.failf "expected two crash records, got %d" (List.length l));
   Alcotest.(check int) "two Worker_crash events" 2 (List.length crash_events);
+  let text = Dart.Parallel.report_to_string r in
+  Alcotest.(check bool) "crash line: the respawn claims from the pool" true
+    (Str_contains.contains text
+       "; respawned with a fresh seed, claims what is left of the pooled budget");
+  Alcotest.(check bool) "crash line: the abandoned slot's runs are lost" true
+    (Str_contains.contains text "; not respawned, the runs it claimed are lost");
+  Alcotest.(check bool) "no budget share at jobs 4" false
+    (Str_contains.contains text "budget share lost");
   Alcotest.(check int) "three survivors" 3 (List.length r.Dart.Parallel.workers);
   match r.Dart.Parallel.merged.Dart.Driver.verdict with
   | Dart.Driver.Complete -> ()
@@ -595,6 +606,9 @@ let test_crash_single_worker () =
    | [ c ] -> Alcotest.(check bool) "respawned" true c.Dart.Parallel.c_respawned
    | l -> Alcotest.failf "expected one crash record, got %d" (List.length l));
   Alcotest.(check int) "one Worker_crash event" 1 (List.length crash_events);
+  Alcotest.(check bool) "crash line: the fixed budget is re-run" true
+    (Str_contains.contains (Dart.Parallel.report_to_string r)
+       "; respawned with a fresh seed, budget re-run");
   match r.Dart.Parallel.merged.Dart.Driver.verdict with
   | Dart.Driver.Complete -> ()
   | _ -> Alcotest.fail "expected Complete from the respawned worker"
