@@ -217,8 +217,9 @@ let faultsim_arg =
     & info [ "faultsim" ] ~docv:"SPEC"
         ~doc:
           "Deterministic fault injection for resilience testing: comma-separated rules \
-           $(i,point[@key][:nth]) with points solver_deadline, worker_crash and \
-           machine_step_limit (\":?\" draws the occurrence from $(b,--faultsim-seed)).")
+           $(i,point[@key][:nth]) with points solver_deadline, worker_crash (parallel \
+           workers only, so not at $(b,--jobs) 1) and machine_step_limit (\":?\" draws \
+           the occurrence from $(b,--faultsim-seed)).")
 
 let faultsim_seed_arg =
   Arg.(
@@ -229,6 +230,14 @@ let faultsim_seed_arg =
 let usage_error msg =
   Printf.eprintf "dartc: %s\n" msg;
   2
+
+(* Whether a --faultsim spec arms worker_crash, a point that only
+   parallel workers probe. A malformed spec is reported once the plan
+   is built. *)
+let arms_worker_crash spec =
+  match Dart_util.Faultsim.of_spec spec with
+  | Ok fs -> Dart_util.Faultsim.arms fs Dart_util.Faultsim.Worker_crash
+  | Error _ -> false
 
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
@@ -267,6 +276,9 @@ let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
         "--solver-timeout has no effect with --random-testing (no solver)" );
       ( random_mode && faultsim <> None,
         "--faultsim is not supported with --random-testing" );
+      ( jobs = 1 && Option.fold ~none:false ~some:arms_worker_crash faultsim,
+        "--faultsim worker_crash requires --jobs other than 1 (only parallel workers \
+         crash)" );
       (* The status file has one writer: the sequential directed
          search. Parallel workers each run their own search loop, and
          the undirected loop does not snapshot. *)
@@ -353,8 +365,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
             (* Preparation (driver generation, typecheck, lowering) is
                timed into the Lower phase of the same metrics record the
                search will use, so --metrics accounts for the whole
-               pipeline. The Session/Target/Engine API does the rest of
-               the plumbing this driver used to do inline. *)
+               pipeline. *)
             let prep = Dart.Telemetry.create_metrics () in
             let print_metrics m =
               if metrics_flag then begin
@@ -381,20 +392,20 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                     Dart.Telemetry.status_path = status }
                 ~faultsim:fs ()
             in
-            let session = Dart.Session.create ~jobs ~options () in
-            let target = Dart.Target.of_ast ~toplevel ast in
+            let prog = Dart.Driver.prepare ~metrics:prep ~toplevel ~depth ast in
             if random_mode then begin
-              match Dart.Engine.run ~mode:`Random ~metrics:prep session target with
-              | Dart.Engine.Directed_report _ | Dart.Engine.Parallel_report _ ->
-                assert false
-              | Dart.Engine.Random_report report as outcome ->
-                print_endline (Dart.Random_search.report_to_string report);
-                print_metrics prep;
-                if coverage then
-                  print_coverage
-                    (Dart.Session.prepare session target)
-                    report.Dart.Random_search.coverage_sites;
-                Dart.Engine.exit_code outcome
+              let report =
+                Dart.Random_search.run ~seed ~max_runs
+                  ?deadline:(Dart.Driver.deadline_of_options options)
+                  ~exec:options.Dart.Driver.Options.exec ~telemetry:sink ~metrics:prep prog
+              in
+              print_endline (Dart.Random_search.report_to_string report);
+              print_metrics prep;
+              if coverage then print_coverage prog report.Dart.Random_search.coverage_sites;
+              match report.Dart.Random_search.verdict with
+              | `Bug_found _ -> 1
+              | `No_bug -> 0
+              | `Time_exhausted | `Interrupted -> 3
             end
             else begin
               let meta = Dart.Checkpoint.meta_of_options options in
@@ -417,19 +428,33 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                     (fun path snapshot -> Dart.Checkpoint.save ~path ~meta snapshot)
                     checkpoint
                 in
-                let outcome =
-                  Dart.Engine.run ?resume:resume_snapshot ?on_checkpoint
-                    ?checkpoint_every ~metrics:prep session target
-                in
                 let report =
-                  match outcome with
-                  | Dart.Engine.Random_report _ -> assert false
-                  | Dart.Engine.Directed_report report ->
+                  if jobs = 1 then begin
+                    let report =
+                      Dart.Driver.run ?resume:resume_snapshot ?on_checkpoint
+                        ?checkpoint_every ~metrics:prep ~options prog
+                    in
                     print_endline (Dart.Driver.report_to_string report);
                     report
-                  | Dart.Engine.Parallel_report r ->
+                  end
+                  else begin
+                    let r =
+                      Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs options) prog
+                    in
+                    (* Workers never see preparation time: fold it into
+                       the merged metrics (and the trace) here. *)
+                    Dart.Telemetry.add_metrics ~into:r.Dart.Parallel.merged.Dart.Driver.metrics
+                      prep;
+                    if Dart.Telemetry.enabled sink then begin
+                      Dart.Telemetry.emit sink
+                        (Dart.Telemetry.Phase_total
+                           { phase = Dart.Telemetry.Lower;
+                             dur_ns = prep.Dart.Telemetry.lower_ns });
+                      Dart.Telemetry.flush sink
+                    end;
                     print_endline (Dart.Parallel.report_to_string r);
                     r.Dart.Parallel.merged
+                  end
                 in
                 print_metrics report.Dart.Driver.metrics;
                 (* Incremental/shared-store counters ride with --metrics:
@@ -442,10 +467,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                     (Solver.incremental_hits st) (Solver.pops_saved st)
                     (Solver.shared_hits st)
                 end;
-                if coverage then
-                  print_coverage
-                    (Dart.Session.prepare session target)
-                    report.Dart.Driver.coverage_sites;
+                if coverage then print_coverage prog report.Dart.Driver.coverage_sites;
                 List.iter
                   (fun (b : Dart.Driver.bug) ->
                     Printf.printf "  - %s in %s at %s (run %d)\n"
@@ -454,7 +476,10 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                       (Minic.Loc.to_string b.bug_site.Machine.site_loc)
                       b.bug_run)
                   report.Dart.Driver.bugs;
-                Dart.Engine.exit_code outcome
+                match report.Dart.Driver.verdict with
+                | Dart.Driver.Bug_found _ -> 1
+                | Dart.Driver.Complete | Dart.Driver.Budget_exhausted -> 0
+                | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> 3
             end
         end
     end

@@ -66,17 +66,6 @@ let discover (ast : Minic.Ast.program) =
     ast;
   (List.rev !targets, List.rev !skipped)
 
-(* ---- frontier signal ------------------------------------------------------------- *)
-
-let frontier_count sites =
-  let tbl : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fn, pc, dir) ->
-      let taken, fall = Option.value ~default:(false, false) (Hashtbl.find_opt tbl (fn, pc)) in
-      Hashtbl.replace tbl (fn, pc) (taken || dir, fall || not dir))
-    sites;
-  Hashtbl.fold (fun _ (taken, fall) acc -> if taken <> fall then acc + 1 else acc) tbl 0
-
 (* ---- checkpoint codec ------------------------------------------------------------ *)
 
 let magic = "dart-campaign"
@@ -360,6 +349,7 @@ type tstate = {
   mutable st_bugs : Driver.bug list; (* last successful slice's cumulative bugs *)
   mutable st_overruns : int; (* cumulative solver deadline overruns *)
   mutable st_breaker : Solver.Breaker.t option; (* shared across this target's slices *)
+  mutable st_prog : Ram.Instr.program option; (* prepared on the first slice *)
 }
 
 type slice_outcome =
@@ -423,7 +413,8 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
               st_backoff = 0;
               st_bugs = [];
               st_overruns = 0;
-              st_breaker = None })
+              st_breaker = None;
+              st_prog = None })
           targets
       in
       let resumed_count = List.length (List.filter (fun st -> st.st_result <> None) states) in
@@ -437,21 +428,11 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
       in
       let stop () = Cancel.requested () || over_deadline () in
       (* The campaign is the sole writer of the main sink and the status
-         file: slices trace into private per-target rings (tg_sink)
-         replayed at settle, so worker domains never touch either. *)
+         file: slices trace into private per-target rings replayed at
+         settle, so worker domains never touch either. *)
       let msink = options.O.telemetry.Telemetry.sink in
       let tracing = Telemetry.enabled msink in
       let status_path = options.O.telemetry.Telemetry.status_path in
-      let session_options =
-        { options with
-          O.telemetry =
-            { options.O.telemetry with
-              Telemetry.sink = Telemetry.null;
-              status_path = None } }
-      in
-      let session =
-        Session.create ~jobs:1 ~should_stop:over_deadline ~options:session_options ()
-      in
       let cam_metrics = Telemetry.create_metrics () in
       let dropped_events = ref 0 in
       let campaign_start = Telemetry.now () in
@@ -478,11 +459,11 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
           end
           else None
         in
-        let target =
-          Target.make ~max_runs:cap
-            ?sink:(if tracing then Some ring else None)
-            ?breaker ~toplevel:st.st_name
-            (Target.Text { file; text })
+        let slice_options =
+          { options with
+            O.budget = { options.O.budget with O.max_runs = cap };
+            telemetry =
+              { options.O.telemetry with Telemetry.sink = ring; status_path = None } }
         in
         let latest = ref None in
         let t0 = Telemetry.now () in
@@ -496,13 +477,33 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
               Dart_util.Faultsim.is_on fault
               && Dart_util.Faultsim.fire ~key:st.st_index fault Dart_util.Faultsim.Worker_crash
             then Dart_util.Faultsim.inject_crash Dart_util.Faultsim.Worker_crash;
-            match
-              Engine.run ?resume:st.st_snapshot
+            (* Lowering the target's driver lands in its first slice's
+               Lower phase; later slices reuse the program. *)
+            let metrics = Telemetry.create_metrics () in
+            let prog =
+              match st.st_prog with
+              | Some prog -> prog
+              | None ->
+                let prog =
+                  Driver.prepare ~metrics ~toplevel:st.st_name
+                    ~depth:options.O.search.O.depth ast
+                in
+                st.st_prog <- Some prog;
+                prog
+            in
+            let ctx =
+              Driver.make_ctx ~should_stop:over_deadline ~metrics
+                ?deadline:(Driver.deadline_of_options options)
+                ~incremental:options.O.accel.O.use_incremental
+                ~use_breaker:options.O.accel.O.use_breaker ?breaker
+                ~seed:options.O.search.O.seed ~max_runs:cap ()
+            in
+            let r =
+              Driver.search ?resume:st.st_snapshot
                 ~on_checkpoint:(fun sn -> latest := Some sn)
-                session target
-            with
-            | Engine.Directed_report r -> Sliced (r, !latest)
-            | Engine.Random_report _ | Engine.Parallel_report _ -> assert false
+                ~ctx ~options:slice_options prog
+            in
+            Sliced (r, !latest)
           with
           | Minic.Typecheck.Error (loc, msg) ->
             Slice_failed (Printf.sprintf "%s: %s" (Minic.Loc.to_string loc) msg)
@@ -795,7 +796,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             if covered > st.st_covered then st.st_stale <- 0
             else st.st_stale <- st.st_stale + 1;
             st.st_covered <- covered;
-            st.st_frontier <- frontier_count r.Driver.coverage_sites;
+            st.st_frontier <- Coverage.frontier_count r.Driver.coverage_sites;
             let retired = ref None in
             let retire reason =
               retired := Some reason;

@@ -24,9 +24,13 @@
     slices without a new branch direction. Active targets re-enter the
     next round — a budget refill — ordered by
     [options.campaign.priority]: [Frontier_first] ranks them by
-    frontier-site count (sites with exactly one direction exercised)
-    from their latest coverage, so refills flow to the functions where
+    frontier-site count ({!Coverage.frontier_count}: sites with exactly
+    one direction exercised) from their latest coverage, so refills flow to the functions where
     the directed search still has branches to flip.
+
+    The library text is parsed once. Each target is prepared
+    ({!Driver.prepare}: driver generation, typecheck, lowering) on its
+    first slice, and its later slices reuse that program.
 
     Slices resume each other through in-memory {!Driver.snapshot}s:
     target results are a deterministic function of (options, target)
@@ -104,10 +108,6 @@ type report = {
 val discover : Minic.Ast.program -> string list * (string * string) list
 (** [(targets, skipped)]: testable functions and the (name, reason)
     pairs rejected, both in declaration order. *)
-
-val frontier_count : (string * int * bool) list -> int
-(** Sites with exactly one direction in the list — the priority signal
-    {!run} feeds from each slice's coverage. *)
 
 val run :
   ?jobs:int ->

@@ -13,7 +13,8 @@ type t = {
 
 let is_driver_function = Driver_gen.is_driver_function
 
-let compute (prog : Ram.Instr.program) ~covered =
+(* (function, pc) -> (taken seen, fall-through seen) *)
+let directions covered =
   let by_site : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (fn, pc, dir) ->
@@ -23,6 +24,15 @@ let compute (prog : Ram.Instr.program) ~covered =
       Hashtbl.replace by_site (fn, pc)
         (if dir then (true, fallthrough) else (taken, true)))
     covered;
+  by_site
+
+let frontier_count covered =
+  Hashtbl.fold
+    (fun _ (taken, fallthrough) acc -> if taken <> fallthrough then acc + 1 else acc)
+    (directions covered) 0
+
+let compute (prog : Ram.Instr.program) ~covered =
+  let by_site = directions covered in
   let entries =
     Hashtbl.fold
       (fun name (f : Ram.Instr.func) acc ->

@@ -29,6 +29,11 @@ val compute : Ram.Instr.program -> covered:(string * int * bool) list -> t
 (** [covered] is the list of (function, pc, direction) triples a search
     reports. *)
 
+val frontier_count : (string * int * bool) list -> int
+(** Sites with exactly one direction in [covered]: the frontier size
+    {!Driver.search} writes to the status file and {!Campaign.run}
+    orders its refills by. *)
+
 val percent : t -> float
 (** Covered directions over all possible ones, 0..100. *)
 

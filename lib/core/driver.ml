@@ -307,23 +307,6 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
      List.iter (fun b -> Hashtbl.replace bug_sites (bug_key b) ()) s.sn_bugs;
      bugs := List.rev s.sn_bugs;
      first_bug := (match s.sn_bugs with b :: _ -> Some b | [] -> None));
-  (* Frontier size for status snapshots: branch sites (harness sites
-     already excluded from [coverage]) with exactly one direction
-     seen. Only computed when a status file was requested. *)
-  let frontier_size () =
-    let dirs : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun (fn, pc, dir) () ->
-        let taken, fallthrough =
-          Option.value ~default:(false, false) (Hashtbl.find_opt dirs (fn, pc))
-        in
-        Hashtbl.replace dirs (fn, pc)
-          (if dir then (true, fallthrough) else (taken, true)))
-      coverage;
-    Hashtbl.fold
-      (fun _ (taken, fallthrough) acc -> if taken <> fallthrough then acc + 1 else acc)
-      dirs 0
-  in
   let status_write_failed = ref false in
   let write_status ~final path =
     let elapsed = Int64.sub (Telemetry.now ()) search_start in
@@ -344,7 +327,9 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
         st_execs_per_sec = execs_per_sec;
         st_bugs = List.length !bugs;
         st_covered = Hashtbl.length coverage;
-        st_frontier = frontier_size ();
+        st_frontier =
+          Coverage.frontier_count
+            (Hashtbl.fold (fun site () acc -> site :: acc) coverage []);
         st_done = (if final then 1 else 0);
         st_active = (if final then 0 else 1);
         st_remaining = 0;
@@ -731,10 +716,10 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     metrics;
     bugs = List.rev !bugs }
 
-let run ?resume ?on_checkpoint ?checkpoint_every ?(options = Options.default)
+let run ?resume ?on_checkpoint ?checkpoint_every ?metrics ?(options = Options.default)
     (prog : Ram.Instr.program) : report =
   let ctx =
-    make_ctx ?deadline:(deadline_of_options options)
+    make_ctx ?metrics ?deadline:(deadline_of_options options)
       ~incremental:options.Options.accel.Options.use_incremental
       ~use_breaker:options.Options.accel.Options.use_breaker
       ~seed:options.Options.search.Options.seed
@@ -743,20 +728,13 @@ let run ?resume ?on_checkpoint ?checkpoint_every ?(options = Options.default)
   search ?resume ?on_checkpoint ?checkpoint_every ~ctx ~options prog
 
 let test_source ?(options = Options.default) ?(library_sigs = []) ~toplevel src =
-  let ast = Minic.Parser.parse_program src in
   let metrics = Telemetry.create_metrics () in
   let prog =
     prepare ~metrics ~library_sigs ~toplevel
-      ~depth:options.Options.search.Options.depth ast
+      ~depth:options.Options.search.Options.depth
+      (Minic.Parser.parse_program src)
   in
-  let ctx =
-    make_ctx ~metrics ?deadline:(deadline_of_options options)
-      ~incremental:options.Options.accel.Options.use_incremental
-      ~use_breaker:options.Options.accel.Options.use_breaker
-      ~seed:options.Options.search.Options.seed
-      ~max_runs:options.Options.budget.Options.max_runs ()
-  in
-  search ~ctx ~options prog
+  run ~metrics ~options prog
 
 let verdict_to_string = function
   | Bug_found b ->

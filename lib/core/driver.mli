@@ -347,11 +347,14 @@ val run :
   ?resume:snapshot ->
   ?on_checkpoint:(snapshot -> unit) ->
   ?checkpoint_every:int ->
+  ?metrics:Telemetry.metrics ->
   ?options:options ->
   Ram.Instr.program ->
   report
 (** Run DART on a prepared program (fresh context honouring the
-    options' seed, budget and time budget). *)
+    options' seed, budget and time budget). Pass the [metrics] that
+    {!prepare} timed to fold preparation into the report's phase
+    totals (and the trace's). *)
 
 val test_source :
   ?options:options ->

@@ -8,7 +8,7 @@ type report = {
 }
 
 let run ?(seed = 42) ?(max_runs = 10_000) ?deadline ?(exec = Concolic.default_exec_options)
-    ?(telemetry = Telemetry.null) ?metrics prog =
+    ?(telemetry = Telemetry.null) ?(metrics = Telemetry.create_metrics ()) prog =
   let exec = { exec with Concolic.symbolic = false } in
   let rng = Dart_util.Prng.create seed in
   let im = Inputs.create () in
@@ -19,6 +19,10 @@ let run ?(seed = 42) ?(max_runs = 10_000) ?deadline ?(exec = Concolic.default_ex
   let tracing = Telemetry.enabled telemetry in
   let search_start = Telemetry.now () in
   let finish verdict runs =
+    if tracing then begin
+      Telemetry.emit_phase_totals telemetry metrics;
+      Telemetry.flush telemetry
+    end;
     { verdict;
       runs;
       total_steps = !total_steps;
@@ -42,11 +46,8 @@ let run ?(seed = 42) ?(max_runs = 10_000) ?deadline ?(exec = Concolic.default_ex
       let t0 = Telemetry.now () in
       let data = Concolic.run_once ~opts:exec ~rng ~im ~prev_stack:[||] ~entry prog in
       let dur = Int64.sub (Telemetry.now ()) t0 in
-      Option.iter
-        (fun m ->
-          Telemetry.add_phase m Telemetry.Execute dur;
-          Telemetry.Hist.add m.Telemetry.run_hist dur)
-        metrics;
+      Telemetry.add_phase metrics Telemetry.Execute dur;
+      Telemetry.Hist.add metrics.Telemetry.run_hist dur;
       if tracing then
         Telemetry.emit telemetry
           (Telemetry.Run_end

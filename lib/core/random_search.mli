@@ -26,7 +26,10 @@ val run :
     have been prepared with {!Driver.prepare}. When [telemetry] is an
     enabled sink, each run emits [Run_start]/[Run_end] plus a
     [Cover_point] coverage-over-time sample (and [Bug_found] on a
-    fault); [metrics] accumulates Execute-phase wall clock.
+    fault); [metrics] accumulates Execute-phase wall clock. As
+    {!Driver.search} does, the run ends by emitting the phase totals
+    of [metrics] (pass the record {!Driver.prepare} timed to include
+    [Lower]) and flushing the sink.
 
     The same run-boundary stop discipline as {!Driver.search}:
     {!Cancel.request} yields [`Interrupted], an expired [deadline]

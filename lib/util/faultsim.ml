@@ -82,6 +82,13 @@ let chaos ?(seed = 0) rates =
   in
   On { rules = []; chaos; lock = Mutex.create () }
 
+let arms t point =
+  match t with
+  | Off -> false
+  | On { rules; chaos; _ } ->
+    List.exists (fun r -> r.r_point = point) rules
+    || List.exists (fun c -> c.c_point = point) chaos
+
 let fire ?key t point =
   match t with
   | Off -> false

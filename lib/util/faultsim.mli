@@ -67,6 +67,9 @@ val chaos_of_spec : ?seed:int -> string -> (t, string) result
     (so the finest grain is 0.0001). See {!chaos} for the firing
     semantics. *)
 
+val arms : t -> point -> bool
+(** Whether some rule of the plan targets [point]. *)
+
 val fire : ?key:int -> t -> point -> bool
 (** Record one occurrence of [point] (with optional [key]) and report
     whether an armed rule fires now. A rule that has already fired

@@ -1,15 +1,11 @@
-(* Campaign mode and the Target/Session/Engine API underneath it:
-   discovery (harness helpers and non-scalar signatures excluded),
-   per-target determinism across jobs and priority policies, checkpoint
-   codec round-trips, resume equivalence, the session's preparation
-   cache, and Engine's byte-level agreement with the plumbing it
-   replaced. Small generated libraries keep every test deterministic
-   and fast. *)
+(* Campaign mode: discovery (harness helpers and non-scalar signatures
+   excluded), per-target determinism across jobs and priority policies,
+   source locations carried from the campaign's one parse into every
+   target's report, checkpoint codec round-trips, resume equivalence,
+   and fault tolerance. Small generated libraries keep every test
+   deterministic and fast. *)
 
 module Campaign = Dart.Campaign
-module Engine = Dart.Engine
-module Session = Dart.Session
-module Target = Dart.Target
 module O = Dart.Driver.Options
 
 (* A tiny deterministic "library": one guarded getter (no bug to find),
@@ -75,17 +71,6 @@ let test_zero_targets () =
     Alcotest.(check bool) "error names the cause" true
       (Str_contains.contains msg "no testable targets")
   | Ok _ -> Alcotest.fail "expected zero-target campaign to error"
-
-(* ---- frontier signal ------------------------------------------------------- *)
-
-let test_frontier_count () =
-  Alcotest.(check int) "empty" 0 (Campaign.frontier_count []);
-  Alcotest.(check int) "one direction = frontier" 1
-    (Campaign.frontier_count [ ("f", 0, true) ]);
-  Alcotest.(check int) "both directions = full" 0
-    (Campaign.frontier_count [ ("f", 0, true); ("f", 0, false) ]);
-  Alcotest.(check int) "duplicates don't double-count" 1
-    (Campaign.frontier_count [ ("f", 0, true); ("f", 0, true); ("g", 1, true); ("g", 1, false) ])
 
 (* ---- campaign results ------------------------------------------------------ *)
 
@@ -227,87 +212,23 @@ let test_aggregate_sites () =
   Alcotest.(check bool) "no harness sites" true
     (List.for_all (fun (fn, _, _) -> not (Dart.Driver_gen.is_harness_site fn)) sites)
 
-(* ---- Target/Session/Engine ------------------------------------------------- *)
-
-let test_target_keys () =
-  let a = Target.of_text ~toplevel:"f" "int f(int x) { return x; }" in
-  let b = Target.of_text ~toplevel:"g" "int f(int x) { return x; }" in
-  let c = Target.of_text ~toplevel:"f" "int f(int y) { return y; }" in
-  Alcotest.(check string) "same source, same key" a.Target.tg_key b.Target.tg_key;
-  Alcotest.(check bool) "different source, different key" true
-    (a.Target.tg_key <> c.Target.tg_key)
-
-let test_session_prepare_cache () =
-  let session = Session.create () in
-  let t1 = Target.of_text ~toplevel:"get_status" lib_src in
-  let t2 = Target.of_text ~toplevel:"get_len" lib_src in
-  let p1 = Session.prepare session t1 in
-  let p1' = Session.prepare session t1 in
-  let _p2 = Session.prepare session t2 in
-  Alcotest.(check bool) "hit returns the same program" true (p1 == p1');
-  Alcotest.(check int) "two distinct preparations" 2 (Session.prepared session);
-  Alcotest.(check int) "one cache hit" 1 (Session.prepare_hits session)
-
-let test_session_rejects_negative_jobs () =
-  Alcotest.check_raises "jobs < 0"
-    (Invalid_argument "Session.create: jobs must be >= 0") (fun () ->
-      ignore (Session.create ~jobs:(-1) ()))
-
-let test_engine_matches_driver_run () =
-  let src = "void f(int x, int y) { if (x == 3) { if (y == 9) { abort(); } } }" in
-  let options = O.make ~seed:5 ~max_runs:200 () in
-  let direct =
-    Dart.Driver.run ~options
-      (Dart.Driver.prepare ~toplevel:"f" ~depth:1 (Minic.Parser.parse_program src))
+(* The library is parsed once, with the caller's file name: every
+   target prepared from that one AST reports its bug sites in that
+   file. *)
+let test_locations_keep_file_name () =
+  let src =
+    "int ok(int x) { return x + 1; }\n\
+     int f(int x) { if (x == 5) { abort(); } return x; }\n"
   in
-  let session = Session.create ~options () in
-  match Engine.run session (Target.of_text ~toplevel:"f" src) with
-  | Engine.Directed_report r ->
-    Alcotest.(check string) "identical report text"
-      (Dart.Driver.report_to_string direct)
-      (Dart.Driver.report_to_string r);
-    Alcotest.(check int) "exit code 1" 1 (Engine.exit_code (Engine.Directed_report r))
-  | _ -> Alcotest.fail "expected a directed report"
-
-let test_engine_parallel_and_random () =
-  let src = "void f(int x) { if (x == 41) { abort(); } }" in
-  let options = O.make ~seed:5 ~max_runs:200 () in
-  let session = Session.create ~jobs:2 ~options () in
-  let target = Target.of_text ~toplevel:"f" src in
-  (match Engine.run session target with
-   | Engine.Parallel_report r ->
-     Alcotest.(check int) "two workers" 2 r.Dart.Parallel.jobs
-   | _ -> Alcotest.fail "expected a parallel report");
-  let seq = Session.create ~options () in
-  match Engine.run ~mode:`Random seq target with
-  | Engine.Random_report r ->
-    Alcotest.(check bool) "random search ran" true (r.Dart.Random_search.runs > 0)
-  | _ -> Alcotest.fail "expected a random report"
-
-let test_engine_rejects_checkpoint_misuse () =
-  let target = Target.of_text ~toplevel:"f" "int f(int x) { return x; }" in
-  let parallel = Session.create ~jobs:2 () in
-  Alcotest.check_raises "checkpointing needs jobs = 1"
-    (Invalid_argument "Engine.run: checkpoint/resume require a sequential session (jobs = 1)")
-    (fun () -> ignore (Engine.run ~on_checkpoint:(fun _ -> ()) parallel target));
-  let seq = Session.create () in
-  Alcotest.check_raises "checkpointing is directed-only"
-    (Invalid_argument "Engine.run: checkpoint/resume describe a directed search")
-    (fun () -> ignore (Engine.run ~mode:`Random ~on_checkpoint:(fun _ -> ()) seq target))
-
-let test_effective_options () =
-  let session = Session.create ~options:(O.make ~max_runs:500 ()) () in
-  let plain = Target.of_text ~toplevel:"f" "int f(int x) { return x; }" in
-  let overridden =
-    Target.make ~max_runs:7 ~time_budget_ns:123L ~toplevel:"f"
-      (Target.Text { file = None; text = "int f(int x) { return x; }" })
-  in
-  Alcotest.(check int) "base budget" 500
-    (Engine.effective_options session plain).O.budget.O.max_runs;
-  let eff = Engine.effective_options session overridden in
-  Alcotest.(check int) "target overrides max_runs" 7 eff.O.budget.O.max_runs;
-  Alcotest.(check bool) "target overrides time budget" true
-    (eff.O.budget.O.time_budget_ns = Some 123L)
+  match Campaign.run ~file:"lib.mc" ~options:(opts ()) src with
+  | Error msg -> Alcotest.failf "campaign failed: %s" msg
+  | Ok r -> (
+    match r.Campaign.cam_crashes with
+    | [ (target, b) ] ->
+      Alcotest.(check string) "crash attributed to f" "f" target;
+      Alcotest.(check string) "site keeps the file name" "lib.mc"
+        b.Dart.Driver.bug_site.Machine.site_loc.Minic.Loc.file
+    | l -> Alcotest.failf "expected one crash, got %d" (List.length l))
 
 let test_osip_campaign_smoke () =
   (* The checked-in example's generator, at a smaller n: the campaign
@@ -800,13 +721,12 @@ let suite =
     Alcotest.test_case "discover: harness helpers excluded" `Quick
       test_discover_excludes_harness;
     Alcotest.test_case "zero targets is an error" `Quick test_zero_targets;
-    Alcotest.test_case "frontier counting" `Quick test_frontier_count;
     Alcotest.test_case "campaign outcomes on a mixed library" `Quick
       test_campaign_outcomes;
-    Alcotest.test_case "jobs 1 and jobs 4 agree byte-for-byte" `Quick
-      test_jobs_determinism;
     Alcotest.test_case "priority policy never changes results" `Quick
       test_priority_is_result_neutral;
+    Alcotest.test_case "jobs 1 and jobs 4 agree byte-for-byte" `Quick
+      test_jobs_determinism;
     Alcotest.test_case "slice size never changes the crash set" `Quick
       test_slicing_is_result_neutral_for_crashes;
     Alcotest.test_case "trace structure is jobs-invariant" `Quick
@@ -823,18 +743,8 @@ let suite =
       test_resume_equivalence;
     Alcotest.test_case "aggregate sites: sorted, distinct, program-only" `Quick
       test_aggregate_sites;
-    Alcotest.test_case "target keys track source identity" `Quick test_target_keys;
-    Alcotest.test_case "session caches preparations" `Quick test_session_prepare_cache;
-    Alcotest.test_case "session rejects negative jobs" `Quick
-      test_session_rejects_negative_jobs;
-    Alcotest.test_case "engine reproduces Driver.run" `Quick
-      test_engine_matches_driver_run;
-    Alcotest.test_case "engine parallel and random modes" `Quick
-      test_engine_parallel_and_random;
-    Alcotest.test_case "engine rejects checkpoint misuse" `Quick
-      test_engine_rejects_checkpoint_misuse;
-    Alcotest.test_case "target overrides effective options" `Quick
-      test_effective_options;
+    Alcotest.test_case "locations keep the file name" `Quick
+      test_locations_keep_file_name;
     Alcotest.test_case "osip simulacrum: detection matches ground truth" `Quick
       test_osip_campaign_smoke;
     Alcotest.test_case "quarantine after consecutive faults" `Quick test_quarantine;

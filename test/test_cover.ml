@@ -245,6 +245,17 @@ let test_random_search_timeline () =
        (Printf.sprintf "coverage: %d branch directions"
           r.Dart.Random_search.branches_covered))
 
+(* ---- Coverage.frontier_count ---------------------------------------------------- *)
+
+let test_frontier_count () =
+  let count = Dart.Coverage.frontier_count in
+  Alcotest.(check int) "empty" 0 (count []);
+  Alcotest.(check int) "one direction = frontier" 1 (count [ ("f", 0, true) ]);
+  Alcotest.(check int) "both directions = full" 0
+    (count [ ("f", 0, true); ("f", 0, false) ]);
+  Alcotest.(check int) "duplicates don't double-count" 1
+    (count [ ("f", 0, true); ("f", 0, true); ("g", 1, true); ("g", 1, false) ])
+
 (* ---- Coverage.to_string sizes its columns from the data -------------------------- *)
 
 let test_coverage_width () =
@@ -297,4 +308,5 @@ let suite =
     Alcotest.test_case "lcov parser rejects malformed" `Quick test_lcov_parser_rejects;
     Alcotest.test_case "trace timeline replay" `Quick test_trace_timeline_replay;
     Alcotest.test_case "random search timeline" `Quick test_random_search_timeline;
-    Alcotest.test_case "coverage column width" `Quick test_coverage_width ]
+    Alcotest.test_case "coverage column width" `Quick test_coverage_width;
+    Alcotest.test_case "frontier counting" `Quick test_frontier_count ]

@@ -55,6 +55,9 @@ let test_faultsim_spec () =
   (match Faultsim.of_spec "solver_deadline:2,worker_crash@1" with
    | Error e -> Alcotest.failf "spec rejected: %s" e
    | Ok fs ->
+     Alcotest.(check bool) "arms its points" true
+       (Faultsim.arms fs Faultsim.Worker_crash
+       && not (Faultsim.arms fs Faultsim.Io_error));
      Alcotest.(check bool) "first occurrence misses" false
        (Faultsim.fire fs Faultsim.Solver_deadline);
      Alcotest.(check bool) "second fires" true (Faultsim.fire fs Faultsim.Solver_deadline);
@@ -613,6 +616,34 @@ let test_crash_single_worker () =
   | Dart.Driver.Complete -> ()
   | _ -> Alcotest.fail "expected Complete from the respawned worker"
 
+(* dartc's sequential search is no parallel worker and never probes
+   worker_crash: a plan arming it at --jobs 1 would be silently
+   ignored, so the CLI refuses it as a usage error that names --jobs. *)
+let test_dartc_worker_crash_needs_jobs () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe" in
+  let src = Filename.temp_file "dart_wc" ".mc" in
+  let err = Filename.temp_file "dart_wc" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ src; err ])
+    (fun () ->
+      Dart_util.Fileio.write_atomic src (fst abort_src);
+      let dartc args =
+        let out = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+        let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let argv = Array.of_list (exe :: src :: "--toplevel" :: snd abort_src :: args) in
+        let pid = Unix.create_process exe argv Unix.stdin out errfd in
+        Unix.close out;
+        Unix.close errfd;
+        let _, status = Unix.waitpid [] pid in
+        (status, Dart_util.Fileio.read_all err)
+      in
+      let status, msg = dartc [ "--faultsim"; "worker_crash@0" ] in
+      Alcotest.(check bool) "jobs 1: usage error" true (status = Unix.WEXITED 2);
+      Alcotest.(check bool) "message names --jobs" true (Str_contains.contains msg "--jobs");
+      let status, _ = dartc [ "--faultsim"; "worker_crash@0"; "--jobs"; "2" ] in
+      Alcotest.(check bool) "jobs 2: the crash is injected and the bug still found" true
+        (status = Unix.WEXITED 1))
+
 (* ---- telemetry codec for the new events ------------------------------------ *)
 
 let test_new_event_codec () =
@@ -656,4 +687,6 @@ let suite =
     Alcotest.test_case "crash isolation at jobs=4" `Quick test_crash_isolation;
     Alcotest.test_case "crash without respawn" `Quick test_crash_without_respawn;
     Alcotest.test_case "crash at jobs=1" `Quick test_crash_single_worker;
+    Alcotest.test_case "dartc: worker_crash needs --jobs" `Quick
+      test_dartc_worker_crash_needs_jobs;
     Alcotest.test_case "new event json codec" `Quick test_new_event_codec ]
