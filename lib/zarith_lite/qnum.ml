@@ -3,6 +3,7 @@ type t = { num : Zint.t; den : Zint.t }
 let make num den =
   if Zint.is_zero den then raise Division_by_zero;
   if Zint.is_zero num then { num = Zint.zero; den = Zint.one }
+  else if Zint.is_one den then { num; den }
   else begin
     let g = Zint.gcd num den in
     let num = Zint.div num g and den = Zint.div den g in
@@ -24,8 +25,13 @@ let den q = q.den
 let neg q = { q with num = Zint.neg q.num }
 let abs q = { q with num = Zint.abs q.num }
 
+(* Integer operands, the common case in the simplex, skip the
+   cross-multiplication and the gcd. *)
+let both_integers a b = Zint.is_one a.den && Zint.is_one b.den
+
 let add a b =
-  make (Zint.add (Zint.mul a.num b.den) (Zint.mul b.num a.den)) (Zint.mul a.den b.den)
+  if both_integers a b then of_zint (Zint.add a.num b.num)
+  else make (Zint.add (Zint.mul a.num b.den) (Zint.mul b.num a.den)) (Zint.mul a.den b.den)
 
 let sub a b = add a (neg b)
 let mul a b = make (Zint.mul a.num b.num) (Zint.mul a.den b.den)
@@ -33,7 +39,9 @@ let div a b = make (Zint.mul a.num b.den) (Zint.mul a.den b.num)
 let inv a = make a.den a.num
 
 let sign q = Zint.sign q.num
-let compare a b = Zint.compare (Zint.mul a.num b.den) (Zint.mul b.num a.den)
+let compare a b =
+  if both_integers a b then Zint.compare a.num b.num
+  else Zint.compare (Zint.mul a.num b.den) (Zint.mul b.num a.den)
 let equal a b = compare a b = 0
 let is_zero q = Zint.is_zero q.num
 let min a b = if compare a b <= 0 then a else b

@@ -1,19 +1,27 @@
-(* Sign-magnitude bignums in base 2^15 (little-endian limb array).
+(* Arbitrary-precision integers with a native fast path.
 
-   The base is small enough that a limb product (30 bits) plus carries
-   never approaches the native-int range, so schoolbook multiplication
-   needs no special carry handling. Invariants: [sign] is -1, 0 or 1;
-   [sign = 0] iff [mag] is empty; the top limb of [mag] is non-zero. *)
+   A value that fits a native [int] other than [min_int] is [Small n];
+   every other value is [Big] with a sign-magnitude limb array. Each
+   integer has exactly one representation, so polymorphic equality and
+   hashing agree with [equal]. [Small] excludes [min_int] so that [neg]
+   and [abs] of a [Small] never overflow.
+
+   Every operation on [Small] operands works on native ints and checks
+   for overflow; on overflow, or with a [Big] operand, it falls back to
+   the limb code below and normalizes the result back to [Small] when
+   it fits (the technique of Zarith, Miné & Leroy). *)
+
+(* ---- limbs ---------------------------------------------------------------
+
+   Magnitudes are little-endian arrays of base-2^15 limbs. The base is
+   small enough that a limb product (30 bits) plus carries never
+   approaches the native-int range, so schoolbook multiplication needs
+   no special carry handling. The top limb is non-zero; zero is the
+   empty array. *)
 
 let base_bits = 15
 let base = 1 lsl base_bits
 let base_mask = base - 1
-
-type t = { sign : int; mag : int array }
-
-let zero = { sign = 0; mag = [||] }
-
-(* ---- magnitude helpers -------------------------------------------------- *)
 
 let mag_is_zero m = Array.length m = 0
 
@@ -126,9 +134,8 @@ let shl_limbs m k =
 
 (* Long division of magnitudes: returns (quotient, remainder).
    Quotient digits are found by binary search, which keeps the code
-   simple and obviously correct; operand sizes in this project are
-   small (solver coefficients), so the extra log(base) factor is
-   irrelevant. *)
+   simple and obviously correct; only operands beyond the native range
+   get here. *)
 let divmod_mag a b =
   if mag_is_zero b then raise Division_by_zero;
   if cmp_mag a b < 0 then ([||], a)
@@ -151,70 +158,151 @@ let divmod_mag a b =
     (trim q, !rem)
   end
 
+(* ---- representation ------------------------------------------------------ *)
+
+type t =
+  | Small of int (* never [min_int] *)
+  | Big of { sign : int; mag : int array } (* [sign] is -1 or 1; never fits [Small] *)
+
+let zero = Small 0
+let one = Small 1
+let two = Small 2
+let minus_one = Small (-1)
+
+(* [min_int] is the one native int that is [Big]: its magnitude 2^62
+   is the fifth limb's value 4. *)
+let big_min_int = Big { sign = -1; mag = [| 0; 0; 0; 0; 4 |] }
+
+let of_int n = if n = min_int then big_min_int else Small n
+
+(* The canonical value of [sign * mag]: [Small] whenever the magnitude
+   is below 2^62, i.e. at most four limbs or a fifth limb below 4. *)
+let norm sign mag =
+  let l = Array.length mag in
+  if l = 0 then zero
+  else if l < 5 || (l = 5 && mag.(4) < 4) then begin
+    let v = ref 0 in
+    for i = l - 1 downto 0 do
+      v := (!v lsl base_bits) lor mag.(i)
+    done;
+    Small (if sign < 0 then - !v else !v)
+  end
+  else Big { sign; mag }
+
+let sign_of_int n = if n > 0 then 1 else if n < 0 then -1 else 0
+
+(* Sign and limbs of any value, for the slow paths. *)
+let sign_mag = function
+  | Small n -> (sign_of_int n, mag_of_abs_int (Stdlib.abs n))
+  | Big { sign; mag } -> (sign, mag)
+
 (* ---- signed interface ---------------------------------------------------- *)
 
-let make sign mag = if mag_is_zero mag then zero else { sign; mag }
+let sign = function Small n -> sign_of_int n | Big { sign; _ } -> sign
+let is_zero = function Small 0 -> true | _ -> false
+let is_one = function Small 1 -> true | _ -> false
 
-let of_int v =
-  if v = 0 then zero
-  else if v > 0 then { sign = 1; mag = mag_of_abs_int v }
-  else if v = min_int then
-    (* [-min_int] overflows; build from halves. *)
-    let half = { sign = -1; mag = mag_of_abs_int (-(min_int / 2)) } in
-    let twice = { sign = -1; mag = add_mag half.mag half.mag } in
-    twice
-  else { sign = -1; mag = mag_of_abs_int (-v) }
+let neg = function
+  | Small n -> Small (-n)
+  | Big { sign; mag } -> Big { sign = -sign; mag }
 
-let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
-
-let sign z = z.sign
-let is_zero z = z.sign = 0
-let neg z = make (-z.sign) z.mag
-let abs z = make (abs z.sign) z.mag
+let abs = function
+  | Small n -> Small (Stdlib.abs n)
+  | Big { sign = 1; _ } as z -> z
+  | Big { mag; _ } -> Big { sign = 1; mag }
 
 let compare a b =
-  if a.sign <> b.sign then compare a.sign b.sign
-  else if a.sign >= 0 then cmp_mag a.mag b.mag
-  else cmp_mag b.mag a.mag
+  match (a, b) with
+  | Small x, Small y -> Int.compare x y
+  | Small _, Big { sign; _ } -> -sign
+  | Big { sign; _ }, Small _ -> sign
+  | Big x, Big y ->
+    if x.sign <> y.sign then Int.compare x.sign y.sign
+    else if x.sign > 0 then cmp_mag x.mag y.mag
+    else cmp_mag y.mag x.mag
 
-let equal a b = compare a b = 0
-let is_one z = equal z one
+let equal a b =
+  match (a, b) with
+  | Small x, Small y -> x = y
+  | Big _, Big _ -> compare a b = 0
+  | _ -> false
+
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
-let hash z =
-  Array.fold_left (fun acc d -> (acc * 31) + d) (z.sign + 7) z.mag
+(* A fold over the limbs, least significant first, seeded with the
+   sign. The [Small] case walks the limbs of the native int. *)
+let hash = function
+  | Small n ->
+    let acc = ref (sign_of_int n + 7) and v = ref (Stdlib.abs n) in
+    while !v <> 0 do
+      acc := (!acc * 31) + (!v land base_mask);
+      v := !v lsr base_bits
+    done;
+    !acc
+  | Big { sign; mag } -> Array.fold_left (fun acc d -> (acc * 31) + d) (sign + 7) mag
 
-let add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  else if a.sign = b.sign then make a.sign (add_mag a.mag b.mag)
+let add_slow a b =
+  let sa, ma = sign_mag a and sb, mb = sign_mag b in
+  if sa = 0 then b
+  else if sb = 0 then a
+  else if sa = sb then norm sa (add_mag ma mb)
   else begin
-    let c = cmp_mag a.mag b.mag in
-    if c = 0 then zero
-    else if c > 0 then make a.sign (sub_mag a.mag b.mag)
-    else make b.sign (sub_mag b.mag a.mag)
+    let c = cmp_mag ma mb in
+    if c = 0 then zero else if c > 0 then norm sa (sub_mag ma mb) else norm sb (sub_mag mb ma)
   end
 
-let sub a b = add a (neg b)
+(* A native sum overflowed iff both operands' signs differ from the
+   result's. *)
+let add a b =
+  match (a, b) with
+  | Small x, Small y ->
+    let s = x + y in
+    if (x lxor s) land (y lxor s) >= 0 && s <> min_int then Small s else add_slow a b
+  | _ -> add_slow a b
+
+let sub a b =
+  match (a, b) with
+  | Small x, Small y ->
+    let s = x - y in
+    if (x lxor y) land (x lxor s) >= 0 && s <> min_int then Small s else add_slow a (neg b)
+  | _ -> add_slow a (neg b)
+
 let succ a = add a one
 let pred a = sub a one
 
+let mul_slow a b =
+  let sa, ma = sign_mag a and sb, mb = sign_mag b in
+  if sa = 0 || sb = 0 then zero else norm (sa * sb) (mul_mag ma mb)
+
+(* Operands below 2^31 in magnitude cannot overflow; otherwise the
+   wrapped product is exact iff dividing it back gives the other
+   operand ([min_int] is never an operand). *)
 let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
-  else make (a.sign * b.sign) (mul_mag a.mag b.mag)
+  match (a, b) with
+  | Small x, Small y ->
+    let p = x * y in
+    if Stdlib.abs x lor Stdlib.abs y < 0x8000_0000 then Small p
+    else if x = 0 then zero
+    else if p / x = y && p <> min_int then Small p
+    else mul_slow a b
+  | _ -> mul_slow a b
 
+let div_rem_slow a b =
+  let sa, ma = sign_mag a and sb, mb = sign_mag b in
+  let qm, rm = divmod_mag ma mb in
+  (norm (sa * sb) qm, norm sa rm)
+
+(* A [Small] dividend is smaller in magnitude than any [Big] divisor. *)
 let div_rem a b =
-  if b.sign = 0 then raise Division_by_zero;
-  let qm, rm = divmod_mag a.mag b.mag in
-  let q = make (a.sign * b.sign) qm in
-  let r = make a.sign rm in
-  (q, r)
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> (Small (x / y), Small (x mod y))
+  | Small _, Big _ -> (zero, a)
+  | Big _, _ -> div_rem_slow a b
 
-let div a b = fst (div_rem a b)
-let rem a b = snd (div_rem a b)
+let div a b = match (a, b) with Small x, Small y when y <> 0 -> Small (x / y) | _ -> fst (div_rem a b)
+let rem a b = match (a, b) with Small x, Small y when y <> 0 -> Small (x mod y) | _ -> snd (div_rem a b)
 
 let fdiv a b =
   let q, r = div_rem a b in
@@ -224,7 +312,12 @@ let cdiv a b =
   let q, r = div_rem a b in
   if is_zero r || sign r <> sign b then q else succ q
 
-let rec gcd a b = if is_zero b then abs a else gcd b (rem a b)
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+let rec gcd a b =
+  match (a, b) with
+  | Small x, Small y -> Small (gcd_int (Stdlib.abs x) (Stdlib.abs y))
+  | _ -> if is_zero b then abs a else gcd b (rem a b)
 
 let lcm a b =
   if is_zero a || is_zero b then zero
@@ -242,21 +335,11 @@ let pow b n =
   in
   go one b n
 
-let fits_int z =
-  (* Conservative: up to 4 limbs is at most 60 bits, always fits. *)
-  let l = Array.length z.mag in
-  if l <= 4 then true
-  else begin
-    let lo = of_int Stdlib.min_int and hi = of_int Stdlib.max_int in
-    compare lo z <= 0 && compare z hi <= 0
-  end
+let to_int_opt = function
+  | Small n -> Some n
+  | z -> if equal z big_min_int then Some min_int else None
 
-let to_int_opt z =
-  if not (fits_int z) then None
-  else begin
-    let v = Array.fold_right (fun d acc -> (acc lsl base_bits) lor d) z.mag 0 in
-    Some (if z.sign < 0 then -v else v)
-  end
+let fits_int z = Option.is_some (to_int_opt z)
 
 let to_int z =
   match to_int_opt z with
@@ -282,11 +365,11 @@ let of_string s =
   done;
   if neg_sign then neg !acc else !acc
 
-let to_string z =
-  if is_zero z then "0"
-  else begin
+let to_string = function
+  | Small n -> string_of_int n
+  | Big { sign; _ } as z ->
     let chunk = of_int 10000 in
-    let buf = Buffer.create 16 in
+    let buf = Buffer.create 24 in
     let rec go m acc =
       if is_zero m then acc
       else begin
@@ -295,13 +378,12 @@ let to_string z =
       end
     in
     let chunks = go (abs z) [] in
-    if z.sign < 0 then Buffer.add_char buf '-';
+    if sign < 0 then Buffer.add_char buf '-';
     (match chunks with
      | [] -> assert false
      | first :: rest ->
        Buffer.add_string buf (string_of_int first);
        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%04d" c)) rest);
     Buffer.contents buf
-  end
 
 let pp fmt z = Format.pp_print_string fmt (to_string z)

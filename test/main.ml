@@ -2,6 +2,7 @@ let () =
   Alcotest.run "dart"
     [ ("zint", Test_zint.suite);
       ("qnum", Test_qnum.suite);
+      ("zint diff", Diff_zint.suite);
       ("util", Test_util.suite);
       ("frontend", Test_frontend.suite);
       ("lower", Test_lower.suite);

@@ -372,6 +372,47 @@ let test_unknown_voids_complete () =
   Alcotest.(check bool) "not Complete" true (r.Dart.Driver.verdict <> Dart.Driver.Complete);
   Alcotest.(check bool) "all_linear voided" false r.Dart.Driver.all_linear
 
+let test_solver_mix () =
+  (* The solver-heavy search of the perf benchmark: an accumulator
+     couples every guard to all earlier inputs, so nearly every
+     negation is a fresh simplex query. Pins the solver's models: a
+     change in any answer moves these counts. *)
+  let src = In_channel.with_open_bin "../examples/solver_mix.mc" In_channel.input_all in
+  let r =
+    Dart.Driver.test_source
+      ~options:(Dart.Driver.Options.make ~depth:2 ~seed:7 ~stop_on_first_bug:false ())
+      ~toplevel:"step" src
+  in
+  let st = r.Dart.Driver.solver_stats in
+  Alcotest.(check (list int)) "runs, branch directions" [ 94; 8 ]
+    [ r.Dart.Driver.runs; r.Dart.Driver.branches_covered ];
+  Alcotest.(check (list int)) "queries, sat, unsat, unknown, fast-path, simplex"
+    [ 102; 93; 9; 0; 2; 100 ]
+    [ Solver.queries st; Solver.sat_count st; Solver.unsat_count st; Solver.unknown_count st;
+      Solver.fast_path st; Solver.simplex_queries st ];
+  match r.Dart.Driver.bugs with
+  | [ b ] ->
+    Alcotest.(check bool) "abort" true (b.Dart.Driver.bug_fault = Machine.Abort);
+    Alcotest.(check int) "line" 7 b.Dart.Driver.bug_site.Machine.site_loc.Minic.Loc.line;
+    Alcotest.(check int) "run" 2 b.Dart.Driver.bug_run;
+    let prog =
+      Dart.Driver.prepare ~toplevel:"step" ~depth:2 (Minic.Parser.parse_program src)
+    in
+    let im = Dart.Inputs.create () in
+    List.iter (fun (id, v) -> Dart.Inputs.set im ~id v) b.Dart.Driver.bug_inputs;
+    let data =
+      Dart.Concolic.run_once ~opts:Dart.Concolic.default_exec_options
+        ~rng:(Dart_util.Prng.create 0) ~im ~prev_stack:[||]
+        ~entry:Dart.Driver_gen.wrapper_name prog
+    in
+    (match data.Dart.Concolic.outcome with
+     | Dart.Concolic.Run_fault (fault, site) ->
+       Alcotest.(check bool) "replay: same fault" true (fault = b.Dart.Driver.bug_fault);
+       Alcotest.(check int) "replay: same pc" b.Dart.Driver.bug_site.Machine.site_pc
+         site.Machine.site_pc
+     | _ -> Alcotest.fail "witness did not replay the fault")
+  | bugs -> Alcotest.failf "expected one bug, got %d" (List.length bugs)
+
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;
     Alcotest.test_case "paper 2.4" `Quick test_section_2_4;
@@ -393,5 +434,6 @@ let suite =
     Alcotest.test_case "coverage count consistency" `Quick test_coverage_count_consistency;
     Alcotest.test_case "minimal bug witness replays" `Quick test_bug_witness_minimal_and_replays;
     Alcotest.test_case "unknown voids complete" `Quick test_unknown_voids_complete;
+    Alcotest.test_case "solver mix" `Quick test_solver_mix;
     Alcotest.test_case "list shapes via restarts" `Slow test_list_shapes_via_restarts;
     Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers ]

@@ -83,6 +83,35 @@ let test_pow () =
     (Invalid_argument "Zint.pow: negative exponent") (fun () ->
       ignore (Zint.pow Zint.two (-1)))
 
+(* The native-int edge: results just beyond max_int/min_int print
+   exactly and do not fit; 2^62 negated is min_int and fits. The
+   expected values are the limb-only implementation's. *)
+let test_native_boundary () =
+  let p62 = "4611686018427387904" in
+  let check_big name expect z =
+    Alcotest.(check string) name expect (Zint.to_string z);
+    Alcotest.(check bool) (name ^ " does not fit") false (Zint.fits_int z);
+    Alcotest.(check (option int)) (name ^ " to_int_opt") None (Zint.to_int_opt z)
+  in
+  let zmin = Zint.of_int min_int in
+  check_big "succ max_int" p62 (Zint.succ (Zint.of_int max_int));
+  check_big "pred min_int" "-4611686018427387905" (Zint.pred zmin);
+  check_big "neg min_int" p62 (Zint.neg zmin);
+  check_big "min_int * -1" p62 (Zint.mul zmin Zint.minus_one);
+  check_big "min_int / -1" p62 (Zint.div zmin Zint.minus_one);
+  check_big "gcd min_int 0" p62 (Zint.gcd zmin Zint.zero);
+  let m = Zint.neg (Zint.pow Zint.two 62) in
+  Alcotest.(check bool) "-(2^62) fits" true (Zint.fits_int m);
+  Alcotest.(check int) "-(2^62) is min_int" min_int (Zint.to_int m);
+  check_z "min_int rem 2^32" Zint.zero (Zint.rem zmin (Zint.pow Zint.two 32))
+
+(* [Linexpr.hash], and through it the solve store's buckets, is built
+   on these values. *)
+let test_hash_values () =
+  List.iter
+    (fun (v, h) -> Alcotest.(check int) (Printf.sprintf "hash %d" v) h (Zint.hash (Zint.of_int v)))
+    [ (0, 7); (1, 249); (-1, 187); (1 lsl 15, 7689) ]
+
 (* ---- properties ----------------------------------------------------------- *)
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
@@ -134,5 +163,7 @@ let suite =
     Alcotest.test_case "min_int" `Quick test_min_int;
     Alcotest.test_case "division" `Quick test_division;
     Alcotest.test_case "gcd/lcm" `Quick test_gcd_lcm;
-    Alcotest.test_case "pow" `Quick test_pow ]
+    Alcotest.test_case "pow" `Quick test_pow;
+    Alcotest.test_case "native-int boundary" `Quick test_native_boundary;
+    Alcotest.test_case "hash values" `Quick test_hash_values ]
   @ properties
