@@ -70,41 +70,10 @@ let no_cache_arg =
   Arg.(
     value & flag
     & info [ "no-cache" ]
-        ~doc:"Ablation: disable the solve cache (every query hits the solver).")
-
-let no_incremental_arg =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
         ~doc:
-          "Ablation: disable push/pop incremental solving (every query rebuilds the solver \
-           pipeline from scratch). Results are identical; only solve time changes.")
-
-let no_slicing_arg =
-  Arg.(
-    value & flag
-    & info [ "no-slicing" ]
-        ~doc:
-          "Ablation: disable independence slicing (send the whole constraint prefix to the \
-           solver instead of the flipped branch's dependency closure).")
-
-let no_breaker_arg =
-  Arg.(
-    value & flag
-    & info [ "no-breaker" ]
-        ~doc:
-          "Ablation: disable the solver circuit breaker (every query reaches the solver \
-           even at a site that keeps overrunning its $(b,--solver-timeout) deadline). \
-           Reports are byte-identical on healthy workloads; only behavior under sustained \
-           solver timeouts changes.")
-
-let no_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compile" ]
-        ~doc:
-          "Ablation: execute RAM code on the tree-walking interpreter instead of the \
-           compiled closure engine. Reports are byte-identical; only throughput changes.")
+          "Disable the solve cache (every query hits the solver). With it, a search \
+           resumed from $(b,--checkpoint) repeats the uninterrupted run exactly: a warm \
+           cache may hand back a different, equally valid model after a restart.")
 
 let random_mode_arg =
   Arg.(
@@ -207,8 +176,9 @@ let resume_arg =
     & info [ "resume" ] ~docv:"FILE"
         ~doc:
           "Resume a search from a checkpoint written by $(b,--checkpoint). The seed, \
-           depth, strategy and run budget must match the checkpointed search; the resumed \
-           search continues the exact run sequence of the uninterrupted one.")
+           depth and strategy must match the checkpointed search; the run budget may \
+           grow. With $(b,--no-cache) the resumed search continues the exact run \
+           sequence of the uninterrupted one.")
 
 let faultsim_arg =
   Arg.(
@@ -242,9 +212,8 @@ let arms_worker_crash spec =
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
    new conflicts here, not as ad-hoc if/else chains in the driver. *)
-let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
-    ~no_incremental ~no_breaker ~time_budget ~solver_timeout ~checkpoint
-    ~checkpoint_every ~resume ~faultsim ~status =
+let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~time_budget
+    ~solver_timeout ~checkpoint ~checkpoint_every ~resume ~faultsim ~status =
   let table =
     [ (jobs < 0, "--jobs must be >= 0");
       (* Random testing is a single undirected worker with no
@@ -253,11 +222,7 @@ let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
       (random_mode && strategy <> None, "--strategy has no effect with --random-testing");
       (random_mode && all_bugs, "--all-bugs is not supported with --random-testing");
       (random_mode && jobs <> 1, "--jobs is not supported with --random-testing");
-      ( random_mode && (no_cache || no_slicing),
-        "--no-cache/--no-slicing have no effect with --random-testing" );
-      (random_mode && no_incremental, "--no-incremental has no effect with --random-testing");
-      ( random_mode && no_breaker,
-        "--no-breaker has no effect with --random-testing (no solver)" );
+      (random_mode && no_cache, "--no-cache has no effect with --random-testing");
       ( (match time_budget with Some s -> s <= 0.0 | None -> false),
         "--time-budget must be positive" );
       ( (match solver_timeout with Some ms -> ms <= 0.0 | None -> false),
@@ -322,9 +287,8 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigterm handle with Invalid_argument _ | Sys_error _ -> ()
 
 let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_ptrs all_bugs
-    jobs no_cache no_slicing no_incremental no_breaker no_compile
-    time_budget solver_timeout checkpoint checkpoint_every resume faultsim faultsim_seed
-    trace status metrics_flag show_interface show_driver dump_ram coverage =
+    jobs no_cache time_budget solver_timeout checkpoint checkpoint_every resume faultsim
+    faultsim_seed trace status metrics_flag show_interface show_driver dump_ram coverage =
   try
     let src = Dart_util.Fileio.read_all file in
     let ast = Minic.Parser.parse_program ~file src in
@@ -339,9 +303,8 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
     end
     else begin
       match
-        validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
-          ~no_incremental ~no_breaker ~time_budget ~solver_timeout
-          ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
+        validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~time_budget
+          ~solver_timeout ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
       with
       | Some msg -> usage_error msg
       | None ->
@@ -379,14 +342,11 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
               Dart.Driver.Options.make ~seed ~depth ~max_runs
                 ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
                 ~stop_on_first_bug:(not all_bugs) ~use_cache:(not no_cache)
-                ~use_slicing:(not no_slicing) ~use_incremental:(not no_incremental)
-                ~use_breaker:(not no_breaker)
                 ?time_budget_ns:(Option.map ns_of_seconds time_budget)
                 ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
                 ~exec:
                   { Dart.Concolic.default_exec_options with
-                    symbolic_pointers = symbolic_ptrs;
-                    compile = not no_compile }
+                    symbolic_pointers = symbolic_ptrs }
                 ~telemetry:
                   { (Dart.Telemetry.with_sink sink) with
                     Dart.Telemetry.status_path = status }
@@ -408,24 +368,20 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
               | `Time_exhausted | `Interrupted -> 3
             end
             else begin
-              let meta = Dart.Checkpoint.meta_of_options options in
               let resume_snapshot =
                 match resume with
                 | None -> Ok None
                 | Some path ->
-                  (match Dart.Checkpoint.load ~path with
+                  (match Dart.Checkpoint.load ~path ~options with
                    | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
-                   | Ok (found, snap) ->
-                     (match Dart.Checkpoint.check_meta ~expected:meta ~found with
-                      | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
-                      | Ok () -> Ok (Some snap)))
+                   | Ok snap -> Ok (Some snap))
               in
               match resume_snapshot with
               | Error msg -> usage_error msg
               | Ok resume_snapshot ->
                 let on_checkpoint =
                   Option.map
-                    (fun path snapshot -> Dart.Checkpoint.save ~path ~meta snapshot)
+                    (fun path snapshot -> Dart.Checkpoint.save ~path ~options snapshot)
                     checkpoint
                 in
                 let report =
@@ -458,8 +414,8 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                 in
                 print_metrics report.Dart.Driver.metrics;
                 (* Incremental/shared-store counters ride with --metrics:
-                   the plain report stays byte-identical across the
-                   --no-incremental ablation. *)
+                   the plain report stays byte-identical whether or not
+                   incremental solving ([accel.use_incremental]) is on. *)
                 if metrics_flag then begin
                   let st = report.Dart.Driver.solver_stats in
                   Printf.printf
@@ -825,14 +781,6 @@ let chaos_seed_arg =
     & info [ "chaos-seed" ] ~docv:"N"
         ~doc:"Seed for the $(b,--chaos) fault draws (default 0).")
 
-let no_breaker_campaign_arg =
-  Arg.(
-    value & flag
-    & info [ "no-breaker" ]
-        ~doc:
-          "Ablation: disable the per-target solver circuit breaker (every query reaches \
-           the solver even at a site that keeps overrunning its deadline).")
-
 let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
     ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
     ~json ~lcov ~html ~trace ~status =
@@ -881,7 +829,7 @@ let retire_tag = function
 
 let run_campaign file jobs seed depth max_runs per_function_runs retire_after retry_limit
     priority all_bugs time_budget solver_timeout json lcov html checkpoint resume
-    resume_salvage chaos chaos_seed no_breaker trace status list_only =
+    resume_salvage chaos chaos_seed trace status list_only =
   try
     let src = Dart_util.Fileio.read_all file in
     match
@@ -914,7 +862,6 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
         let options =
           Dart.Driver.Options.make ~seed ~depth ~max_runs ~per_function_runs
             ~retire_after ~retry_limit ~priority ~stop_on_first_bug:(not all_bugs)
-            ~use_breaker:(not no_breaker)
             ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
             ~telemetry:
               { (Dart.Telemetry.with_sink sink) with
@@ -1023,7 +970,7 @@ let campaign_cmd =
       $ priority_arg $ all_bugs_arg $ time_budget_arg $ solver_timeout_arg
       $ campaign_json_arg $ campaign_lcov_arg $ campaign_html_arg
       $ campaign_checkpoint_arg $ campaign_resume_arg $ campaign_resume_salvage_arg
-      $ chaos_arg $ chaos_seed_arg $ no_breaker_campaign_arg $ trace_arg $ status_arg
+      $ chaos_arg $ chaos_seed_arg $ trace_arg $ status_arg
       $ campaign_list_arg)
 
 (* ---- watch / profile ------------------------------------------------------------- *)
@@ -1129,9 +1076,7 @@ let run_term =
   Term.(
     const run_dartc $ file_arg $ toplevel_arg $ depth_arg $ max_runs_arg $ seed_arg
     $ strategy_arg $ random_mode_arg $ symbolic_ptrs_arg $ all_bugs_arg $ jobs_arg
-    $ no_cache_arg $ no_slicing_arg $ no_incremental_arg
-    $ no_breaker_arg $ no_compile_arg $ time_budget_arg
-    $ solver_timeout_arg
+    $ no_cache_arg $ time_budget_arg $ solver_timeout_arg
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ faultsim_arg
     $ faultsim_seed_arg $ trace_arg $ status_arg $ metrics_arg $ show_interface_arg
     $ show_driver_arg $ dump_ram_arg $ coverage_arg)

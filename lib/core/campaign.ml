@@ -68,9 +68,6 @@ let discover (ast : Minic.Ast.program) =
 
 (* ---- checkpoint codec ------------------------------------------------------------ *)
 
-let magic = "dart-campaign"
-let version = 2
-
 let retire_tag = function
   | Bug -> "bug"
   | Complete -> "complete"
@@ -95,11 +92,11 @@ let meta_line ~(options : Driver.options) ~library =
     (C.bool_tag (not options.O.budget.O.stop_on_first_bug))
     (Digest.to_hex (Digest.string library))
 
-(* One target = one block of lines followed by a "crc" trailer over the
-   block's exact bytes, so a truncated or bit-flipped record is
-   detectable on its own and everything before it stays loadable (the
-   salvage path below). A quarantined target carries its reason as a
-   trailing escaped token — {!Checkpoint.escape} makes it space-free. *)
+(* One finished target = one record block of the checkpoint framing
+   ({!Checkpoint.frame} adds its crc trailer), so a damaged target never
+   costs the ones before it under salvage. A quarantined target carries
+   its reason as a trailing escaped token — {!Checkpoint.escape} makes
+   it space-free. *)
 let target_block tr =
   let buf = Buffer.create 256 in
   let line fmt =
@@ -124,179 +121,49 @@ let target_block tr =
   Buffer.contents buf
 
 let to_string ~options ~library report =
-  let buf = Buffer.create 4096 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  line "%s v%d" magic version;
-  line "%s" (meta_line ~options ~library);
-  line "finished %d" (List.length report.cam_results);
-  List.iter
-    (fun tr ->
-      let block = target_block tr in
-      Buffer.add_string buf block;
-      line "crc %s" (Dart_util.Crc32.to_hex (Dart_util.Crc32.string block)))
-    report.cam_results;
-  line "end";
-  Buffer.contents buf
+  C.frame C.Campaign ~meta:(meta_line ~options ~library)
+    (List.map target_block report.cam_results)
 
-(* Shared parser. In strict mode any defect rejects the whole file; in
-   salvage mode a defect inside the target blocks keeps the records
-   already parsed (the longest valid prefix — every block is
-   CRC-verified, so a truncated or corrupted record never survives).
-   Header defects reject the file in both modes: there is nothing to
-   salvage without a trusted meta line. *)
-let parse ~salvage text =
-  let r = C.reader text in
+let decode_target r =
   let next = C.next r and tokens = C.tokens and int_tok = C.int_tok in
-  let parse_block () =
-    (* The block's raw bytes are rebuilt from the lines read for the CRC
-       check ([to_string] never emits empty lines, so the rebuild is
-       byte-exact). *)
-    C.mark r;
-    let tr_name, tr_index, tr_runs, tr_slices, tr_retired, tr_overruns, tr_bopens =
-      match tokens (next "target") with
-      | "target" :: name :: index :: runs :: slices :: tag :: overruns :: bopens :: rest ->
-        let retired =
-          match (tag, rest) with
-          | "bug", [] -> Bug
-          | "complete", [] -> Complete
-          | "saturated", [] -> Saturated
-          | "capped", [] -> Budget_capped
-          | "quarantined", [ reason ] -> Quarantined (C.unescape "target" reason)
-          | _ -> raise (C.Bad (Printf.sprintf "unknown retire reason %S" tag))
-        in
-        ( C.unescape "target" name,
-          int_tok "target" index,
-          int_tok "target" runs,
-          int_tok "target" slices,
-          retired,
-          int_tok "target" overruns,
-          int_tok "target" bopens )
-      | _ -> raise (C.Bad "expected \"target\" record")
-    in
-    let n_cov = C.expect_counted r "cover" in
-    let tr_coverage =
-      List.init n_cov (fun _ -> C.cover_of_tokens "c" (tokens (next "c")))
-    in
-    let n_bugs = C.expect_counted r "bugs" in
-    let tr_bugs = List.init n_bugs (fun _ -> C.bug_of_tokens (tokens (next "bug"))) in
-    (* The CRC trailer is outside the checksummed bytes. *)
-    let block = C.since_mark r in
-    (match tokens (next "crc") with
-     | [ "crc"; hex ] ->
-       (match Dart_util.Crc32.of_hex hex with
-        | None -> raise (C.Bad (Printf.sprintf "bad crc %S" hex))
-        | Some expected ->
-          if Dart_util.Crc32.string block <> expected then
-            raise
-              (C.Bad
-                 (Printf.sprintf "checksum mismatch in record for %s (corrupted checkpoint)"
-                    tr_name)))
-     | _ -> raise (C.Bad "expected \"crc\" record"));
-    { tr_name; tr_index; tr_runs; tr_slices; tr_retired; tr_coverage; tr_bugs;
-      tr_overruns; tr_bopens }
+  let tr_name, tr_index, tr_runs, tr_slices, tr_retired, tr_overruns, tr_bopens =
+    match tokens (next "target") with
+    | "target" :: name :: index :: runs :: slices :: tag :: overruns :: bopens :: rest ->
+      let retired =
+        match (tag, rest) with
+        | "bug", [] -> Bug
+        | "complete", [] -> Complete
+        | "saturated", [] -> Saturated
+        | "capped", [] -> Budget_capped
+        | "quarantined", [ reason ] -> Quarantined (C.unescape "target" reason)
+        | _ -> raise (C.Bad (Printf.sprintf "unknown retire reason %S" tag))
+      in
+      ( C.unescape "target" name,
+        int_tok "target" index,
+        int_tok "target" runs,
+        int_tok "target" slices,
+        retired,
+        int_tok "target" overruns,
+        int_tok "target" bopens )
+    | _ -> raise (C.Bad "expected \"target\" record")
   in
-  try
-    (match tokens (next "magic") with
-     | [ m; v ] when m = magic ->
-       if v <> Printf.sprintf "v%d" version then
-         raise
-           (C.Bad
-              (Printf.sprintf "unsupported campaign checkpoint version %s (this build reads v%d)"
-                 v version))
-     | m :: _ when m = "dart-checkpoint" ->
-       raise
-         (C.Bad "this is a single-shot search checkpoint; resume it with plain `dartc --resume`")
-     | _ -> raise (C.Bad "not a dart campaign checkpoint file"));
-    let meta = next "meta" in
-    if not (String.length meta >= 5 && String.sub meta 0 5 = "meta ") then
-      raise (C.Bad "expected \"meta\" record");
-    let n_finished = C.expect_counted r "finished" in
-    let results, defect =
-      if salvage then begin
-        let acc = ref [] in
-        let defect = ref None in
-        (try
-           for _ = 1 to n_finished do
-             acc := parse_block () :: !acc
-           done;
-           match tokens (next "end") with
-           | [ "end" ] -> ()
-           | _ -> raise (C.Bad "expected \"end\" record")
-         with C.Bad msg -> defect := Some msg);
-        (List.rev !acc, !defect)
-      end
-      else begin
-        let results = List.init n_finished (fun _ -> parse_block ()) in
-        (match tokens (next "end") with
-         | [ "end" ] -> ()
-         | _ -> raise (C.Bad "expected \"end\" record"));
-        (results, None)
-      end
-    in
-    Ok (meta, n_finished, results, defect)
-  with C.Bad msg -> Error msg
+  let n_cov = C.expect_counted r "cover" in
+  let tr_coverage = List.init n_cov (fun _ -> C.cover_of_tokens "c" (tokens (next "c"))) in
+  let n_bugs = C.expect_counted r "bugs" in
+  let tr_bugs = List.init n_bugs (fun _ -> C.bug_of_tokens (tokens (next "bug"))) in
+  { tr_name; tr_index; tr_runs; tr_slices; tr_retired; tr_coverage; tr_bugs;
+    tr_overruns; tr_bopens }
 
 let of_string text =
-  match parse ~salvage:false text with
-  | Ok (meta, _, results, _) -> Ok (meta, results)
+  match C.parse ~salvage:false C.Campaign decode_target text with
+  | Ok p -> Ok (p.C.meta, p.C.records)
   | Error _ as e -> e
 
 let save ?fault ~path ~options ~library report =
   Dart_util.Fileio.write_atomic ?fault path (to_string ~options ~library report)
 
-let check_meta ~options ~library found_meta =
-  let expected = meta_line ~options ~library in
-  if found_meta <> expected then
-    Error
-      (Printf.sprintf
-         "checkpoint was taken under a different campaign configuration\n\
-         \  expected: %s\n\
-         \  found:    %s" expected found_meta)
-  else Ok ()
-
 let load ?salvage ~path ~options ~library () =
-  match Dart_util.Fileio.read_all path with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-    match salvage with
-    | None -> (
-      match of_string text with
-      | Error msg -> Error msg
-      | Ok (found_meta, results) ->
-        (match check_meta ~options ~library found_meta with
-         | Error _ as e -> e
-         | Ok () -> Ok results))
-    | Some warn -> (
-      (* Salvage mode: corruption degrades to the longest valid prefix
-         (CRC-verified per record) plus a warning; an unreadable header
-         degrades to an empty restore. A configuration mismatch is NOT
-         corruption and still refuses — silently dropping a healthy
-         checkpoint of a different campaign would destroy real work. *)
-      match parse ~salvage:true text with
-      | Error msg ->
-        warn
-          (Printf.sprintf
-             "checkpoint unusable (%s); salvaged 0 records, restarting from scratch" msg);
-        Ok []
-      | Ok (found_meta, n_finished, results, defect) ->
-        (match check_meta ~options ~library found_meta with
-         | Error _ as e -> e
-         | Ok () ->
-           (match defect with
-            | None -> ()
-            | Some msg ->
-              warn
-                (Printf.sprintf
-                   "checkpoint damaged (%s); salvaged %d of %d finished targets, the rest \
-                    will be re-run"
-                   msg (List.length results) n_finished));
-           Ok results)))
+  C.load_framed ?salvage C.Campaign ~meta:(meta_line ~options ~library) decode_target ~path
 
 (* ---- aggregation ----------------------------------------------------------------- *)
 

@@ -48,10 +48,10 @@
 
     {2 Checkpoint/resume}
 
-    A campaign checkpoint ([dart-campaign v2], same line discipline and
-    %-escaping as {!Checkpoint}, plus a CRC-32 trailer per record block)
-    records the campaign meta and the finished targets with their
-    results. Resuming re-runs unfinished targets from scratch; because
+    A campaign checkpoint ([dart-campaign v3], in the {!Checkpoint}
+    framing: a meta line, then one CRC-checked record block per
+    finished target) records the campaign meta and the finished targets
+    with their results. Resuming re-runs unfinished targets from scratch; because
     per-target results are deterministic, the resumed campaign's
     aggregate report equals the uninterrupted one's. Self-healing: with
     salvage enabled a damaged checkpoint restores its longest valid
@@ -203,8 +203,9 @@ val load :
   unit ->
   (target_result list, string) result
 (** Parse and validate a checkpoint against the current campaign
-    configuration; [Error] names the first mismatch (including "this is
-    a single-shot checkpoint — resume it with plain [dartc --resume]").
+    configuration ({!Checkpoint.load_framed}); [Error] names the first
+    meta key that differs, or the command that resumes a single-run
+    checkpoint.
 
     With [salvage], corruption (CRC mismatch, truncation, unparseable
     content) no longer errors: the longest valid record prefix is
@@ -223,6 +224,4 @@ val to_string : options:Driver.options -> library:string -> report -> string
 val of_string : string -> (string * target_result list, string) result
 (** The codec itself, exposed for tests: [of_string] returns the raw
     meta line and the finished-target results; [load] adds the meta
-    equality check. Each record block carries a CRC-32 trailer line
-    ([crc <8 hex digits>] over the block's raw bytes); [of_string]
-    rejects any mismatch, salvage recovers the prefix before it. *)
+    check. *)

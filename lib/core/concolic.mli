@@ -50,7 +50,8 @@ type exec_options = {
   symbolic : bool; (* false = plain random testing execution *)
   compile : bool;
       (* true (default) = run the machine's compiled closure engine;
-         false = tree-walking interpreter (ablation, [--no-compile]) *)
+         false = tree-walking interpreter (an ablation for tests and
+         benchmarks; reports are byte-identical either way) *)
 }
 
 val default_exec_options : exec_options

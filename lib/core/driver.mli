@@ -28,6 +28,11 @@ module Options : sig
     strategy : Strategy.t;
   }
 
+  (** Acceleration switches, all on by default and all result-exact on
+      healthy workloads. Turning one off is an ablation that tests and
+      benchmarks set here; [dartc] has a flag only for [use_cache]
+      ([--no-cache]), which makes a resumed search repeat the
+      uninterrupted one exactly. *)
   type accel = {
     use_slicing : bool; (* independence slicing of path constraints (default on) *)
     use_cache : bool;

@@ -260,7 +260,7 @@ let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
        when it returns Unknown *because the deadline overran*; the
        structural Unknowns of solver incompleteness never trip the
        breaker, which keeps default output byte-identical to
-       --no-breaker on nonlinear workloads. *)
+       a breaker-less run on nonlinear workloads. *)
     let run_solver () =
       match breaker with
       | None -> run_solver ()

@@ -15,8 +15,8 @@
    Structural Unknowns (e.g. nonlinear constraints rejected without a
    deadline overrun) never trip the breaker: they are cheap and their
    pattern is not time-dependent, and keeping them out is what makes the
-   default run byte-identical to --no-breaker on solver-incomplete
-   workloads.
+   default run byte-identical to one without a breaker on
+   solver-incomplete workloads.
 
    Not thread-safe: each search context owns its breaker. Parallel
    workers each get their own, like their stats. *)

@@ -9,8 +9,9 @@
     closes the breaker or re-opens it for another cooldown.
 
     Structural (non-overrun) Unknowns never trip the breaker, which
-    keeps default output byte-identical to the [--no-breaker] ablation
-    on workloads the solver is merely incomplete for.
+    keeps default output byte-identical to the ablation without a
+    breaker ([Driver.Options.accel.use_breaker = false]) on workloads
+    the solver is merely incomplete for.
 
     Not thread-safe: one breaker per search context. *)
 

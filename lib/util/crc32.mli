@@ -1,6 +1,7 @@
 (** CRC-32 (IEEE 802.3 polynomial), as used by zlib and PNG.
 
-    Backs the per-record checksums in the campaign checkpoint codec. *)
+    Backs the per-record checksums of the checkpoint framing
+    ([Dart.Checkpoint]), single-run and campaign alike. *)
 
 val string : string -> int32
 (** [string s] is the CRC-32 of [s]. *)

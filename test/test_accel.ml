@@ -299,7 +299,34 @@ let test_ablation_equivalence () =
                 true (got = reference))
             combos)
         cases)
-    strategies
+    strategies;
+  (* Results agree, so only the counters tell "ablated" from "switch
+     ignored": on ac_controller at depth 3 the default run slices
+     constraints away under every strategy and reuses push/pop levels,
+     the ablated runs do neither. *)
+  let ac = Example_programs.read "ac_controller.mc" in
+  let stats ?strategy ?use_slicing ?use_incremental () =
+    let options = Dart.Driver.Options.make ~depth:3 ?strategy ?use_slicing ?use_incremental () in
+    (Dart.Driver.test_source ~options ~toplevel:"ac_controller" ac).Dart.Driver.solver_stats
+  in
+  List.iter
+    (fun (strategy, _) ->
+      let name = Dart.Strategy.to_string strategy in
+      Alcotest.(check bool) (name ^ ": default slices constraints away") true
+        (Solver.constraints_sliced_away (stats ~strategy ()) > 0);
+      Alcotest.(check int) (name ^ ": use_slicing:false slices none") 0
+        (Solver.constraints_sliced_away (stats ~strategy ~use_slicing:false ())))
+    strategies;
+  Alcotest.(check bool) "default saves pops" true (Solver.pops_saved (stats ()) > 0);
+  Alcotest.(check int) "use_incremental:false saves none" 0
+    (Solver.pops_saved (stats ~use_incremental:false ()));
+  (* Incremental solving is result-exact: whole reports, every bug kept. *)
+  List.iter
+    (fun ((file, _, _) as program) ->
+      Alcotest.(check string) (file ^ " all bugs: incremental off, same report")
+        (Example_programs.report program)
+        (Example_programs.report ~use_incremental:false program))
+    Example_programs.identity_programs
 
 let test_unsat_slicing_complete () =
   (* a == 3 under prefix a == 1 is Unsat; slicing must still prove it

@@ -150,10 +150,33 @@ let test_codec_roundtrip () =
     let again = { r with Campaign.cam_results = results } in
     Alcotest.(check string) "results identical after round-trip"
       (Campaign.to_string ~options ~library:lib_src r)
-      (Campaign.to_string ~options ~library:lib_src again)
+      (Campaign.to_string ~options ~library:lib_src again);
+    (* A record after [end] is not part of the checkpoint: the strict
+       parse refuses it rather than restoring a target that was never
+       checksummed. *)
+    match Campaign.of_string (text ^ "target gated 2 1 1 bug 0 0\nend\n") with
+    | Ok _ -> Alcotest.fail "record after end accepted"
+    | Error msg ->
+      Alcotest.(check bool) "names the line after end" true
+        (Str_contains.contains msg "after \"end\"")
 
 let test_codec_rejects_single_shot () =
-  match Campaign.of_string "dart-checkpoint v2\nend\n" with
+  (* A real single-run checkpoint: the final snapshot of a search cut
+     short by its run budget. *)
+  let prog =
+    Dart.Driver.prepare ~toplevel:"gated" ~depth:1 (Minic.Parser.parse_program lib_src)
+  in
+  let options = O.make ~seed:7 ~max_runs:2 ~stop_on_first_bug:false () in
+  let snap = ref None in
+  ignore (Dart.Driver.run ~on_checkpoint:(fun s -> snap := Some s) ~options prog);
+  let text =
+    match !snap with
+    | Some s -> Dart.Checkpoint.to_string ~meta:(Dart.Checkpoint.meta_line options) s
+    | None -> Alcotest.fail "no snapshot taken"
+  in
+  Alcotest.(check bool) "a valid single-run checkpoint" true
+    (Result.is_ok (Dart.Checkpoint.of_string text));
+  match Campaign.of_string text with
   | Ok _ -> Alcotest.fail "single-shot checkpoint accepted"
   | Error msg ->
     Alcotest.(check bool) "points at plain --resume" true
@@ -175,8 +198,8 @@ let test_checkpoint_meta_guard () =
       match Campaign.load ~path ~options:(opts ~seed:8 ()) ~library:lib_src () with
       | Ok _ -> Alcotest.fail "seed mismatch accepted"
       | Error msg ->
-        Alcotest.(check bool) "mismatch is explained" true
-          (Str_contains.contains msg "different campaign configuration"))
+        Alcotest.(check string) "mismatch names the key, both values"
+          "checkpoint was taken with seed=7, not seed=8" msg)
 
 let test_resume_equivalence () =
   let options = opts () in
@@ -593,7 +616,14 @@ let test_salvage_recovers_longest_prefix () =
           | Ok _ -> Alcotest.failf "strict parse accepted a %d-line truncation" i
           | Error _ -> ()
         end
-      done)
+      done;
+      (* Salvage reads up to [end] and ignores whatever follows it. *)
+      match load_salvaged (full ^ "target gated 2 1 1 bug 0 0\nend\n") with
+      | Ok results, warnings ->
+        Alcotest.(check (list string)) "lines after end ignored" all
+          (List.map (fun tr -> tr.Campaign.tr_name) results);
+        Alcotest.(check (list string)) "and not reported" [] warnings
+      | Error msg, _ -> Alcotest.failf "salvage refused lines after end: %s" msg)
 
 (* A bit-flip inside a record: the CRC catches what structural parsing
    would let through, and salvage keeps everything before the damage. *)
@@ -656,8 +686,8 @@ let test_salvage_detects_corruption () =
       with
       | Ok _ -> Alcotest.fail "salvage ignored a configuration mismatch"
       | Error msg ->
-        Alcotest.(check bool) "mismatch still explained" true
-          (Str_contains.contains msg "different campaign configuration"))
+        Alcotest.(check bool) "mismatch still names the key" true
+          (Str_contains.contains msg "seed=7"))
 
 (* SIGTERM mid-write: the checkpoint on disk is always the old or the
    new complete file, never a torn one — the write-then-rename pair the

@@ -70,7 +70,16 @@ let test_report_identity () =
   let src, toplevel = Workloads.Paper_examples.ac_controller in
   report_identity ~name:"ac_controller" ~depth:2 ~toplevel src;
   report_identity ~name:"oSIP parser" ~toplevel:Workloads.Osip_sim.parser_toplevel
-    Workloads.Osip_sim.parser_vulnerable
+    Workloads.Osip_sim.parser_vulnerable;
+  (* Full searches that keep every bug, at dartc's default budget. *)
+  List.iter
+    (fun ((file, _, _) as program) ->
+      let report compile =
+        Example_programs.report
+          ~exec:{ Dart.Concolic.default_exec_options with compile } program
+      in
+      Alcotest.(check string) (file ^ " all bugs: report bytes") (report false) (report true))
+    Example_programs.identity_programs
 
 (* A constant division by zero folds to a raising closure, not a
    compile-time crash: the fault fires only if the statement is
@@ -119,7 +128,7 @@ let test_cache_and_flag () =
   Alcotest.(check bool) "default is compiled" true
     (Machine.is_compiled m1 && Machine.is_compiled m2);
   let m3 = Machine.load ~compile:false prog in
-  Alcotest.(check bool) "--no-compile loads interpreter" false (Machine.is_compiled m3);
+  Alcotest.(check bool) "~compile:false loads the interpreter" false (Machine.is_compiled m3);
   (* A structurally equal but physically distinct program compiles on
      its own cache entry; behaviour stays put. *)
   let prog' = Ram.Lower.lower_source "void f(int x) { if (x > 0) { } }" in

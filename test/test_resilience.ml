@@ -11,17 +11,9 @@ let prepare ?(depth = 1) (src, toplevel) =
 
 (* A bugless workload with enough branches (and enough restarts, from
    its prediction failures under depth > 1) that a few hundred runs
-   exercise the full run-boundary machinery without terminating. *)
-let churn_src =
-  ( "int acc;\n\
-     void step(int a, int b, int c) {\n\
-    \  if (a > b) { acc = acc + 1; } else { acc = acc - 1; }\n\
-    \  if (b > c) { acc = acc + 2; } else { acc = acc - 2; }\n\
-    \  if (c > a) { acc = acc + 3; } else { acc = acc - 3; }\n\
-    \  if (a + b > c) { acc = acc + 4; } else { acc = acc - 4; }\n\
-    \  if (b + c > a) { acc = acc + 5; } else { acc = acc - 5; }\n\
-     }",
-    "step" )
+   exercise the full run-boundary machinery without terminating. CI's
+   interrupt/resume leg runs the same file. *)
+let churn_src = (Example_programs.read "churn.mc", "step")
 
 let abort_src = ("void f(int x) { if (x == 5) abort(); }", "f")
 
@@ -249,7 +241,13 @@ let test_no_breaker_identity_when_healthy () =
   Alcotest.(check bool) "the healthy run did solve" true
     (Solver.queries on.Dart.Driver.solver_stats > 0);
   Alcotest.(check int) "and never opened" 0
-    (Solver.breaker_opens on.Dart.Driver.solver_stats)
+    (Solver.breaker_opens on.Dart.Driver.solver_stats);
+  List.iter
+    (fun ((file, _, _) as program) ->
+      Alcotest.(check string) (file ^ " all bugs: reports byte-identical")
+        (Example_programs.report ~use_breaker:false program)
+        (Example_programs.report program))
+    Example_programs.identity_programs
 
 (* ---- deadlines and interrupts ---------------------------------------------- *)
 
@@ -387,23 +385,44 @@ let with_snapshot f =
 
 let test_checkpoint_roundtrip () =
   with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
-      let meta = Dart.Checkpoint.meta_of_options options in
+      let meta = Dart.Checkpoint.meta_line options in
       let roundtrip s =
-        match Dart.Checkpoint.of_string (Dart.Checkpoint.to_string meta s) with
+        match Dart.Checkpoint.of_string (Dart.Checkpoint.to_string ~meta s) with
         | Error e -> Alcotest.failf "roundtrip failed: %s" e
         | Ok (m, s') ->
-          Alcotest.(check bool) "meta survives" true (m = meta);
+          Alcotest.(check string) "meta survives" meta m;
           Alcotest.(check bool) "snapshot survives" true (s = s')
       in
       roundtrip snapshot;
       roundtrip { snapshot with Dart.Driver.sn_pending_restart = true };
-      let text = Dart.Checkpoint.to_string meta snapshot in
+      let text = Dart.Checkpoint.to_string ~meta snapshot in
       (match Dart.Checkpoint.of_string "" with
        | Ok _ -> Alcotest.fail "empty checkpoint accepted"
        | Error _ -> ());
       (match Dart.Checkpoint.of_string ("not-a-checkpoint\n" ^ text) with
        | Ok _ -> Alcotest.fail "bad magic accepted"
        | Error _ -> ());
+      (* A campaign checkpoint handed to the single-run codec points at
+         the command that resumes it. *)
+      let cam_options = Dart.Driver.Options.make ~seed:7 ~max_runs:50 ~per_function_runs:25 () in
+      (match Dart.Campaign.run ~options:cam_options (fst abort_src) with
+       | Error e -> Alcotest.failf "campaign failed: %s" e
+       | Ok report ->
+         (match
+            Dart.Checkpoint.of_string
+              (Dart.Campaign.to_string ~options:cam_options ~library:(fst abort_src) report)
+          with
+          | Ok _ -> Alcotest.fail "campaign checkpoint accepted"
+          | Error e ->
+            Alcotest.(check bool) "points at dartc campaign --resume" true
+              (Str_contains.contains e "dartc campaign --resume")));
+      (* Records after [end] are not part of the checkpoint: the strict
+         parse refuses them instead of resuming from the rest. *)
+      (match Dart.Checkpoint.of_string (text ^ "input 99 5 int\nend\n") with
+       | Ok _ -> Alcotest.fail "records after end accepted"
+       | Error e ->
+         Alcotest.(check bool) "names the line after end" true
+           (Str_contains.contains e "after \"end\""));
       (* %-escapes take exactly two hex digits: OCaml's [_] separator,
          a sign or a short escape must not decode. *)
       Alcotest.(check string) "escape round-trips" "a b%c\n"
@@ -429,76 +448,112 @@ let test_checkpoint_roundtrip () =
        | Error _ -> ());
       (* Truncation (e.g. a partial write with no trailing [end]) is a
          hard error, never a silently shorter snapshot. *)
-      (match
-         Dart.Checkpoint.of_string (String.concat "\n" (List.filteri (fun i _ -> i < 5)
-           (String.split_on_char '\n' text)))
-       with
-       | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
-       | Error _ -> ()))
+      match
+        Dart.Checkpoint.of_string (String.concat "\n" (List.filteri (fun i _ -> i < 5)
+          (String.split_on_char '\n' text)))
+      with
+      | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
+      | Error _ -> ())
+
+(* The snapshot block carries a CRC: every single-digit change to the
+   PRNG state or to an input value — each still a well-formed record
+   that would resume a different search — reads as corruption. *)
+let test_checkpoint_corruption_detected () =
+  with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
+      let text = Dart.Checkpoint.to_string ~meta:(Dart.Checkpoint.meta_line options) snapshot in
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let line_starting p =
+        let n = String.length p in
+        let rec find i =
+          if String.length lines.(i) >= n && String.sub lines.(i) 0 n = p then i
+          else find (i + 1)
+        in
+        find 0
+      in
+      let flips = ref 0 in
+      List.iter
+        (fun at ->
+          let target = lines.(at) in
+          String.iteri
+            (fun i c ->
+              if c >= '0' && c <= '9' then begin
+                let flipped = Bytes.of_string target in
+                Bytes.set flipped i (if c = '9' then '0' else Char.chr (Char.code c + 1));
+                let corrupted = Array.copy lines in
+                corrupted.(at) <- Bytes.to_string flipped;
+                incr flips;
+                match Dart.Checkpoint.of_string (String.concat "\n" (Array.to_list corrupted)) with
+                | Ok _ -> Alcotest.failf "flipped digit %d of %S accepted" i target
+                | Error e ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "flip %d of %S names the checksum" i target)
+                    true (Str_contains.contains e "checksum mismatch")
+              end)
+            target)
+        [ line_starting "rng "; line_starting "input " ];
+      Alcotest.(check bool) "digits were flipped" true (!flips > 10))
 
 let test_checkpoint_v2_rejected () =
-  (* v2 files carried a shared_cache meta field; this build reads v3
-     only and must say so rather than misparse the meta line. *)
+  (* Older versions carried other meta fields and no record checksums;
+     this build reads v4 only and must say so rather than misparse. *)
   with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
-      let v3 = Dart.Checkpoint.to_string (Dart.Checkpoint.meta_of_options options) snapshot in
-      let v2 =
-        match String.split_on_char '\n' v3 with
-        | _magic :: meta :: rest ->
-          String.concat "\n" ("dart-checkpoint v2" :: (meta ^ " shared_cache=1") :: rest)
-        | _ -> Alcotest.fail "checkpoint text too short"
-      in
-      match Dart.Checkpoint.of_string v2 with
-      | Ok _ -> Alcotest.fail "v2 checkpoint accepted"
-      | Error e ->
-        Alcotest.(check string) "version message"
-          "unsupported checkpoint version v2 (this build reads v3)" e)
+      let v4 = Dart.Checkpoint.to_string ~meta:(Dart.Checkpoint.meta_line options) snapshot in
+      List.iter
+        (fun old ->
+          let text =
+            match String.split_on_char '\n' v4 with
+            | _magic :: rest -> String.concat "\n" (("dart-checkpoint " ^ old) :: rest)
+            | [] -> Alcotest.fail "checkpoint text too short"
+          in
+          match Dart.Checkpoint.of_string text with
+          | Ok _ -> Alcotest.failf "%s checkpoint accepted" old
+          | Error e ->
+            Alcotest.(check string) "version message"
+              (Printf.sprintf "unsupported checkpoint version %s (this build reads v4)" old)
+              e)
+        [ "v2"; "v3" ])
 
 let test_checkpoint_meta_guard () =
-  let meta m_seed m_strategy =
-    { Dart.Checkpoint.m_seed; m_depth = 1; m_max_runs = 100; m_strategy;
-      m_incremental = true }
+  let meta ?(max_runs = 100) ?(use_incremental = true) seed strategy =
+    Dart.Checkpoint.meta_line
+      (Dart.Driver.Options.make ~seed ~depth:1 ~max_runs ~strategy ~use_incremental ())
   in
   let expected = meta 42 Dart.Strategy.Dfs in
-  (match Dart.Checkpoint.check_meta ~expected ~found:(meta 43 Dart.Strategy.Dfs) with
+  let check = Dart.Checkpoint.check_meta ~expected in
+  (match check ~found:(meta 43 Dart.Strategy.Dfs) with
    | Ok () -> Alcotest.fail "seed mismatch accepted"
-   | Error e -> Alcotest.(check bool) "error names the seed" true
-                  (Str_contains.contains e "--seed"));
-  (match Dart.Checkpoint.check_meta ~expected ~found:(meta 42 Dart.Strategy.Bfs) with
+   | Error e ->
+     Alcotest.(check string) "error names the seed, both values"
+       "checkpoint was taken with seed=43, not seed=42" e);
+  (match check ~found:(meta 42 Dart.Strategy.Bfs) with
    | Ok () -> Alcotest.fail "strategy mismatch accepted"
-   | Error _ -> ());
+   | Error e -> Alcotest.(check bool) "error names the strategy" true
+                  (Str_contains.contains e "strategy=bfs"));
   (* A snapshot taken under a different acceleration config must be
      rejected: flipping incremental solving between save and resume
      would change the counters a resumed report prints. *)
-  (match
-     Dart.Checkpoint.check_meta ~expected
-       ~found:{ expected with Dart.Checkpoint.m_incremental = false }
-   with
+  (match check ~found:(meta ~use_incremental:false 42 Dart.Strategy.Dfs) with
    | Ok () -> Alcotest.fail "incremental mismatch accepted"
    | Error e -> Alcotest.(check bool) "error names incremental" true
                   (Str_contains.contains e "incremental"));
   (* The run budget bounds the trajectory, it does not shape it:
      resuming under a larger budget extends the search. *)
-  match
-    Dart.Checkpoint.check_meta ~expected
-      ~found:{ expected with Dart.Checkpoint.m_max_runs = 10 }
-  with
+  match check ~found:(meta ~max_runs:10 42 Dart.Strategy.Dfs) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "budget difference rejected: %s" e
 
 let test_checkpoint_file_atomicity () =
   with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
-      let meta = Dart.Checkpoint.meta_of_options options in
       let path = Filename.temp_file "dart_ck" ".dart" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
         (fun () ->
-          Dart.Checkpoint.save ~path ~meta snapshot;
+          Dart.Checkpoint.save ~path ~options snapshot;
           Alcotest.(check bool) "no temp file left behind" false
             (Sys.file_exists (path ^ ".tmp"));
-          match Dart.Checkpoint.load ~path with
+          match Dart.Checkpoint.load ~path ~options with
           | Error e -> Alcotest.failf "load failed: %s" e
-          | Ok (m, s) ->
-            Alcotest.(check bool) "file roundtrip" true (m = meta && s = snapshot)))
+          | Ok s -> Alcotest.(check bool) "file roundtrip" true (s = snapshot)))
 
 (* ---- resume determinism ---------------------------------------------------- *)
 
@@ -525,8 +580,8 @@ let test_resume_reaches_same_state () =
 
 let test_resume_through_serialization () =
   with_snapshot (fun ~options ~prog ~full ~snapshot ->
-      let meta = Dart.Checkpoint.meta_of_options options in
-      match Dart.Checkpoint.of_string (Dart.Checkpoint.to_string meta snapshot) with
+      let meta = Dart.Checkpoint.meta_line options in
+      match Dart.Checkpoint.of_string (Dart.Checkpoint.to_string ~meta snapshot) with
       | Error e -> Alcotest.failf "codec failed: %s" e
       | Ok (_, s) ->
         let resumed = Dart.Driver.run ~resume:s ~options prog in
@@ -679,6 +734,8 @@ let suite =
     Alcotest.test_case "forced overrun: incremental matches fresh" `Quick
       test_forced_unknown_incremental_matches_fresh;
     Alcotest.test_case "checkpoint codec roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint corruption detected" `Quick
+      test_checkpoint_corruption_detected;
     Alcotest.test_case "checkpoint v2 rejected" `Quick test_checkpoint_v2_rejected;
     Alcotest.test_case "checkpoint meta guard" `Quick test_checkpoint_meta_guard;
     Alcotest.test_case "checkpoint file atomicity" `Quick test_checkpoint_file_atomicity;
