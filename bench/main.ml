@@ -779,16 +779,16 @@ let experiment_observability () =
          (Dart.Telemetry.ns_to_string (Dart.Telemetry.Hist.p50 m.Dart.Telemetry.run_hist))
          (Dart.Telemetry.ns_to_string (Dart.Telemetry.Hist.p99 m.Dart.Telemetry.run_hist))
          (Dart.Telemetry.Hist.count m.Dart.Telemetry.run_hist));
-  let p = Dart.Profile.of_events (Dart.Telemetry.events ring) in
+  let p = Dart.Telemetry.summarize (Dart.Telemetry.events ring) in
   row ~id:"e18-profile" ~desc:"post-hoc attribution over the recorded ring"
     ~paper:"n/a (our extension)"
     ~measured:
-      (match p.Dart.Profile.p_sites with
+      (match p.Dart.Telemetry.sites with
        | [] -> "no solver sites in trace"
-       | s :: _ ->
-         Printf.sprintf "hottest solver site %s:%d — %d queries, %s total"
-           s.Dart.Profile.sp_fn s.Dart.Profile.sp_pc s.Dart.Profile.sp_queries
-           (Dart.Telemetry.ns_to_string s.Dart.Profile.sp_total_ns))
+       | ((fn, pc), a) :: _ ->
+         Printf.sprintf "hottest solver site %s:%d — %d queries, %s total" fn pc
+           a.Dart.Telemetry.s_count
+           (Dart.Telemetry.ns_to_string a.Dart.Telemetry.s_ns))
 
 (* ---- E19: chaos soak (graceful degradation under injected faults) -------------- *)
 
@@ -908,7 +908,9 @@ let experiment_coverage_trajectory () =
     in
     let ctx = Dart.Driver.make_ctx ~seed:42 ~max_runs () in
     let r, s = time_it (fun () -> Dart.Driver.search ~ctx ~options prog) in
-    let points = Dart.Telemetry.timeline (Dart.Telemetry.events sink) in
+    let points =
+      (Dart.Telemetry.summarize (Dart.Telemetry.events sink)).Dart.Telemetry.timeline
+    in
     row ~id:(id ^ "-directed")
       ~desc:(desc ^ ", directed")
       ~paper:"coverage grows with directed flips"
@@ -917,7 +919,9 @@ let experiment_coverage_trajectory () =
     let rr, s =
       time_it (fun () -> Dart.Random_search.run ~seed:42 ~max_runs ~telemetry:sink prog)
     in
-    let points = Dart.Telemetry.timeline (Dart.Telemetry.events sink) in
+    let points =
+      (Dart.Telemetry.summarize (Dart.Telemetry.events sink)).Dart.Telemetry.timeline
+    in
     row ~id:(id ^ "-random")
       ~desc:(desc ^ ", random testing")
       ~paper:"plateaus below directed"

@@ -576,20 +576,13 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
     let src = Dart_util.Fileio.read_all file in
     let ast = Minic.Parser.parse_program ~file src in
     let prog = Dart.Driver.prepare ~toplevel ~depth ast in
-    let events, covered =
+    let summary, covered =
       match from_trace with
       | Some trace ->
         (* A recorded trace carries both the per-site directions (from
            Branch_taken, user sites only) and the cover-point curve. *)
-        let events = read_trace_events trace in
-        let summary = Dart.Telemetry.summarize events in
-        let covered =
-          List.concat_map
-            (fun ((fn, pc), (taken, fall)) ->
-              (if taken then [ (fn, pc, true) ] else [])
-              @ if fall then [ (fn, pc, false) ] else [])
-            summary.Dart.Telemetry.site_dirs
-        in
+        let summary = Dart.Telemetry.summarize (read_trace_events trace) in
+        let covered = summary.Dart.Telemetry.covered in
         (* Random-testing traces run uninstrumented: they carry the
            Cover_point curve but no per-site Branch_taken events, so
            site classification would be vacuously "unreached". *)
@@ -597,7 +590,7 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
           prerr_endline
             "dartc cover: warning: trace has no per-site branch events (recorded with \
              --random-testing?); only --timeline reflects its coverage";
-        (events, covered)
+        (summary, covered)
       | None ->
         install_signal_handlers ();
         let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
@@ -607,7 +600,8 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
         in
         let ctx = Dart.Driver.make_ctx ~seed ~max_runs () in
         let report = Dart.Driver.search ~ctx ~options prog in
-        (Dart.Telemetry.events sink, report.Dart.Driver.coverage_sites)
+        ( Dart.Telemetry.summarize (Dart.Telemetry.events sink),
+          report.Dart.Driver.coverage_sites )
     in
     let t = Dart.Cover_report.compute prog ~covered in
     let explicit_output = annotate || timeline || lcov_out <> None || html_out <> None in
@@ -630,7 +624,7 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
           (fun () -> output_string oc (Dart.Cover_report.to_html t ~source:src ~title));
         Printf.eprintf "dartc cover: wrote %s\n" path)
       html_out;
-    if timeline then print_timeline (Dart.Telemetry.summarize events);
+    if timeline then print_timeline summary;
     0
   with
   | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
@@ -818,15 +812,6 @@ let write_file_with_note ?fault ~what path content =
 
 exception Chaos_oracle_violation
 
-(* Retire constructor → the short tag shared by the trace codec, the
-   status schema and the heatmap CSS classes. *)
-let retire_tag = function
-  | Dart.Campaign.Bug -> "bug"
-  | Dart.Campaign.Complete -> "complete"
-  | Dart.Campaign.Saturated -> "saturated"
-  | Dart.Campaign.Budget_capped -> "capped"
-  | Dart.Campaign.Quarantined _ -> "quarantined"
-
 let run_campaign file jobs seed depth max_runs per_function_runs retire_after retry_limit
     priority all_bugs time_budget solver_timeout json lcov html checkpoint resume
     resume_salvage chaos chaos_seed trace status list_only =
@@ -931,7 +916,7 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
                            with
                            | Some r ->
                              ( name,
-                               retire_tag r.Dart.Campaign.tr_retired,
+                               Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
                                ns,
                                r.Dart.Campaign.tr_runs,
                                r.Dart.Campaign.tr_overruns )
@@ -1045,8 +1030,8 @@ let run_profile file top =
   try
     if top <= 0 then usage_error "--top must be positive"
     else begin
-      let events = read_trace_events file in
-      print_string (Dart.Profile.to_string ~top (Dart.Profile.of_events events));
+      print_string
+        (Dart.Profile.to_string ~top (Dart.Telemetry.summarize (read_trace_events file)));
       0
     end
   with
@@ -1112,28 +1097,17 @@ let eval ?argv cmd =
   let code = Cmd.eval' ?argv cmd in
   exit (if code = Cmd.Exit.cli_error then 2 else code)
 
+let subcommands =
+  [ ("campaign", campaign_cmd);
+    ("trace-stats", trace_stats_cmd);
+    ("cover", cover_cmd);
+    ("watch", watch_cmd);
+    ("profile", profile_cmd) ]
+
 let () =
   let argv = Sys.argv in
-  if Array.length argv > 1 && argv.(1) = "campaign" then
-    eval
-      ~argv:
-        (Array.append [| "dartc campaign" |] (Array.sub argv 2 (Array.length argv - 2)))
-      campaign_cmd
-  else if Array.length argv > 1 && argv.(1) = "trace-stats" then
-    eval
-      ~argv:
-        (Array.append [| "dartc trace-stats" |] (Array.sub argv 2 (Array.length argv - 2)))
-      trace_stats_cmd
-  else if Array.length argv > 1 && argv.(1) = "cover" then
-    eval
-      ~argv:(Array.append [| "dartc cover" |] (Array.sub argv 2 (Array.length argv - 2)))
-      cover_cmd
-  else if Array.length argv > 1 && argv.(1) = "watch" then
-    eval
-      ~argv:(Array.append [| "dartc watch" |] (Array.sub argv 2 (Array.length argv - 2)))
-      watch_cmd
-  else if Array.length argv > 1 && argv.(1) = "profile" then
-    eval
-      ~argv:(Array.append [| "dartc profile" |] (Array.sub argv 2 (Array.length argv - 2)))
-      profile_cmd
-  else eval run_cmd
+  match if Array.length argv > 1 then List.assoc_opt argv.(1) subcommands else None with
+  | Some cmd ->
+    let rest = Array.sub argv 2 (Array.length argv - 2) in
+    eval ~argv:(Array.append [| "dartc " ^ argv.(1) |] rest) cmd
+  | None -> eval run_cmd

@@ -224,13 +224,6 @@ type slice_outcome =
   | Slice_failed of string (* front-end rejection: permanent, target dropped *)
   | Slice_faulted of string (* escaped exception: retried, then quarantined *)
 
-let verdict_tag = function
-  | Driver.Bug_found _ -> "bug"
-  | Driver.Complete -> "complete"
-  | Driver.Budget_exhausted -> "budget"
-  | Driver.Time_exhausted -> "time"
-  | Driver.Interrupted -> "interrupted"
-
 let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpoint
     ?resume ?(salvage = false) ?file ?(progress = fun _ -> ()) text =
   if jobs < 0 then invalid_arg "Campaign.run: jobs must be >= 0";
@@ -299,10 +292,8 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
          settle, so worker domains never touch either. *)
       let msink = options.O.telemetry.Telemetry.sink in
       let tracing = Telemetry.enabled msink in
-      let status_path = options.O.telemetry.Telemetry.status_path in
       let cam_metrics = Telemetry.create_metrics () in
       let dropped_events = ref 0 in
-      let campaign_start = Telemetry.now () in
       let per_slice = max 1 options.O.campaign.O.per_function_runs in
       let cap_total = options.O.budget.O.max_runs in
       let fault = options.O.fault in
@@ -435,12 +426,17 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
          checkpoint that cannot be written (disk full, permissions,
          injected io_error) degrades to a one-time warning while the
          search carries on. *)
-      let status_write_failed = ref false in
       let checkpoint_write_failed = ref false in
+      let status =
+        Option.map
+          (Status.publisher ~fault ~warn:progress ~mode:Status.Campaign
+             ~budget_ns:time_budget_ns ~max_runs:(cap_total * List.length states)
+             ~restored_runs:(List.fold_left (fun acc tr -> acc + tr.tr_runs) 0 restored))
+          options.O.telemetry.Telemetry.status_path
+      in
       let write_status ~final () =
         Option.iter
-          (fun path ->
-            let elapsed = Int64.sub (Telemetry.now ()) campaign_start in
+          (fun p ->
             let total = List.length states in
             let done_ = List.length (List.filter (fun st -> st.st_result <> None) states) in
             let act = if final then 0 else List.length (active ()) in
@@ -476,34 +472,10 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                 (List.filter_map (fun st -> st.st_result) states
                 |> List.sort (fun a b -> compare a.tr_index b.tr_index))
             in
-            let h = cam_metrics.Telemetry.solve_hist in
-            try
-              Status.write ~fault ~path
-                { Status.st_mode = Status.Campaign;
-                st_elapsed_ns = elapsed;
-                st_budget_ns = time_budget_ns;
-                st_runs = total_runs;
-                st_max_runs = cap_total * total;
-                st_execs_per_sec =
-                  (if Int64.compare elapsed 0L <= 0 then 0
-                   else
-                     int_of_float
-                       (float_of_int total_runs /. (Int64.to_float elapsed /. 1e9)));
-                st_bugs = List.length bugs;
-                st_covered = covered;
-                st_frontier = frontier;
-                st_done = done_;
-                st_active = act;
-                st_remaining = total - done_ - act;
-                st_round = !round;
-                st_solve_p50_ns = Telemetry.Hist.p50 h;
-                st_solve_p99_ns = Telemetry.Hist.p99 h }
-            with Sys_error msg ->
-              if not !status_write_failed then begin
-                status_write_failed := true;
-                progress (Printf.sprintf "warning: status write failed: %s" msg)
-              end)
-          status_path
+            Status.publish p ~runs:total_runs ~bugs:(List.length bugs) ~covered ~frontier
+              ~done_ ~active:act ~remaining:(total - done_ - act) ~round:!round
+              cam_metrics.Telemetry.solve_hist)
+          status
       in
       progress
         (Printf.sprintf "campaign: %d targets (%d skipped), %d restored from checkpoint, jobs=%d"
@@ -721,7 +693,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                 (Telemetry.Slice_end
                    { target = st.st_name;
                      round = !round;
-                     outcome = verdict_tag r.Driver.verdict;
+                     outcome = Driver.verdict_tag r.Driver.verdict;
                      runs = r.Driver.runs - prev_runs;
                      dur_ns = dur });
               Option.iter

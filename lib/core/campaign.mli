@@ -68,6 +68,12 @@ type retire =
          fault's description. The target keeps the runs, coverage and
          bugs its successful slices earned. *)
 
+val retire_tag : retire -> string
+(** The short tag shared by the checkpoint codec, [Target_retired]
+    trace events, the JSON report and the heatmap CSS classes:
+    ["bug"], ["complete"], ["saturated"], ["capped"] or
+    ["quarantined"]. *)
+
 type target_result = {
   tr_name : string;
   tr_index : int; (* declaration order, 0-based *)

@@ -11,6 +11,11 @@ type run_outcome =
   | Run_prediction_failure
   | Run_halted
 
+let outcome_to_string = function
+  | Run_fault _ -> "fault"
+  | Run_prediction_failure -> "prediction_failure"
+  | Run_halted -> "halted"
+
 type run_data = {
   outcome : run_outcome;
   stack : branch_record array;

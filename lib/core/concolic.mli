@@ -18,6 +18,10 @@ type run_outcome =
   | Run_prediction_failure (* forcing_ok went to 0; restart *)
   | Run_halted (* normal termination *)
 
+val outcome_to_string : run_outcome -> string
+(** The short tag of a [Run_end] trace event: ["fault"],
+    ["prediction_failure"] or ["halted"]. *)
+
 type run_data = {
   outcome : run_outcome;
   stack : branch_record array; (* every conditional executed, in order *)

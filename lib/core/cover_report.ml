@@ -5,7 +5,7 @@
    that its totals are the [Coverage.compute] totals — the reports
    are views of the same data, never a recount. *)
 
-type status =
+type status = Coverage.status =
   | Full
   | Taken_only
   | Fall_only
@@ -23,22 +23,8 @@ type t = {
   coverage : Coverage.t;
 }
 
-let status_of_dirs = function
-  | true, true -> Full
-  | true, false -> Taken_only
-  | false, true -> Fall_only
-  | false, false -> Unreached
-
 let compute (prog : Ram.Instr.program) ~covered =
-  let by_site : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fn, pc, dir) ->
-      let taken, fallthrough =
-        Option.value ~default:(false, false) (Hashtbl.find_opt by_site (fn, pc))
-      in
-      Hashtbl.replace by_site (fn, pc)
-        (if dir then (true, fallthrough) else (taken, true)))
-    covered;
+  let dirs = Coverage.directions covered in
   let sites =
     Hashtbl.fold
       (fun name (f : Ram.Instr.func) acc ->
@@ -53,12 +39,11 @@ let compute (prog : Ram.Instr.program) ~covered =
                   if pc < Array.length f.Ram.Instr.locs then f.Ram.Instr.locs.(pc)
                   else Minic.Loc.dummy
                 in
-                let dirs =
-                  Option.value ~default:(false, false)
-                    (Hashtbl.find_opt by_site (name, pc))
-                in
                 acc :=
-                  { cs_fn = name; cs_pc = pc; cs_loc = loc; cs_status = status_of_dirs dirs }
+                  { cs_fn = name;
+                    cs_pc = pc;
+                    cs_loc = loc;
+                    cs_status = Coverage.status dirs (name, pc) }
                   :: !acc
               | _ -> ())
             f.Ram.Instr.code;
@@ -74,8 +59,7 @@ let compute (prog : Ram.Instr.program) ~covered =
   in
   { sites; coverage = Coverage.compute prog ~covered }
 
-let frontier t =
-  List.filter (fun s -> s.cs_status = Taken_only || s.cs_status = Fall_only) t.sites
+let frontier t = List.filter (fun s -> Coverage.is_frontier s.cs_status) t.sites
 
 let unreached t = List.filter (fun s -> s.cs_status = Unreached) t.sites
 

@@ -24,7 +24,7 @@
     force — while an {e unreached} site has never executed at all:
     getting there needs a new path prefix, not just one more flip. *)
 
-type status =
+type status = Coverage.status =
   | Full (* both directions exercised *)
   | Taken_only (* fall-through direction missing: frontier *)
   | Fall_only (* taken direction missing: frontier *)
@@ -52,7 +52,7 @@ val compute : Ram.Instr.program -> covered:(string * int * bool) list -> t
     {!Coverage.compute}. *)
 
 val frontier : t -> site list
-(** Sites with exactly one direction exercised, in site order. *)
+(** {!Coverage.is_frontier} sites, in site order. *)
 
 val unreached : t -> site list
 

@@ -13,9 +13,18 @@ type t = {
 
 let is_driver_function = Driver_gen.is_driver_function
 
-(* (function, pc) -> (taken seen, fall-through seen) *)
-let directions covered =
-  let by_site : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
+type status =
+  | Full
+  | Taken_only
+  | Fall_only
+  | Unreached
+
+(* (function, pc) -> (taken seen, fall-through seen): the one
+   direction table every coverage view reads. *)
+type directions = (string * int, bool * bool) Hashtbl.t
+
+let directions covered : directions =
+  let by_site = Hashtbl.create 64 in
   List.iter
     (fun (fn, pc, dir) ->
       let taken, fallthrough =
@@ -26,33 +35,50 @@ let directions covered =
     covered;
   by_site
 
+let status_of_dirs = function
+  | true, true -> Full
+  | true, false -> Taken_only
+  | false, true -> Fall_only
+  | false, false -> Unreached
+
+let status (dirs : directions) site =
+  status_of_dirs (Option.value ~default:(false, false) (Hashtbl.find_opt dirs site))
+
+let is_frontier = function
+  | Taken_only | Fall_only -> true
+  | Full | Unreached -> false
+
+let sites (dirs : directions) =
+  Hashtbl.fold (fun site d acc -> (site, status_of_dirs d) :: acc) dirs []
+  |> List.sort compare
+
 let frontier_count covered =
   Hashtbl.fold
-    (fun _ (taken, fallthrough) acc -> if taken <> fallthrough then acc + 1 else acc)
+    (fun _ d acc -> if is_frontier (status_of_dirs d) then acc + 1 else acc)
     (directions covered) 0
 
 let compute (prog : Ram.Instr.program) ~covered =
-  let by_site = directions covered in
+  let dirs = directions covered in
   let entries =
     Hashtbl.fold
       (fun name (f : Ram.Instr.func) acc ->
         if is_driver_function name then acc
         else begin
-          let sites = ref 0 and dirs = ref 0 and full = ref 0 in
+          let sites = ref 0 and ndirs = ref 0 and full = ref 0 in
           Array.iteri
             (fun pc instr ->
               match instr with
               | Ram.Instr.Iif _ ->
                 incr sites;
-                (match Hashtbl.find_opt by_site (name, pc) with
-                 | Some (true, true) ->
-                   dirs := !dirs + 2;
+                (match status dirs (name, pc) with
+                 | Full ->
+                   ndirs := !ndirs + 2;
                    incr full
-                 | Some (true, false) | Some (false, true) -> incr dirs
-                 | Some (false, false) | None -> ())
+                 | Taken_only | Fall_only -> incr ndirs
+                 | Unreached -> ())
               | _ -> ())
             f.Ram.Instr.code;
-          { cov_fn = name; cov_sites = !sites; cov_directions = !dirs; cov_full = !full }
+          { cov_fn = name; cov_sites = !sites; cov_directions = !ndirs; cov_full = !full }
           :: acc
         end)
       prog.Ram.Instr.funcs []

@@ -25,12 +25,39 @@ val is_driver_function : string -> bool
     sites are excluded from every coverage number — both here and in
     {!Driver.report.branches_covered} — so the two stay consistent. *)
 
+(** {1 Per-site directions} *)
+
+type status =
+  | Full (* both directions exercised *)
+  | Taken_only (* fall-through direction missing: frontier *)
+  | Fall_only (* taken direction missing: frontier *)
+  | Unreached (* site never executed *)
+
+type directions
+(** Which directions of each (function, pc) site ran: the one direction
+    table behind {!compute}, {!Cover_report} and
+    {!Telemetry.frontier_sites}. *)
+
+val directions : (string * int * bool) list -> directions
+(** Built from the (function, pc, direction) triples a search reports
+    ({!Driver.report.coverage_sites}, {!Telemetry.summary.covered}). *)
+
+val status : directions -> string * int -> status
+(** [Unreached] for a site the table has never seen. *)
+
+val is_frontier : status -> bool
+(** Exactly one direction seen: the site sits on an executed path, so
+    the directed search can still try to force the other one. *)
+
+val sites : directions -> ((string * int) * status) list
+(** Every site the table has seen, sorted by (function, pc). *)
+
 val compute : Ram.Instr.program -> covered:(string * int * bool) list -> t
 (** [covered] is the list of (function, pc, direction) triples a search
     reports. *)
 
 val frontier_count : (string * int * bool) list -> int
-(** Sites with exactly one direction in [covered]: the frontier size
+(** {!is_frontier} sites in [covered]: the frontier size
     {!Driver.search} writes to the status file and {!Campaign.run}
     orders its refills by. *)
 

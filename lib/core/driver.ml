@@ -233,11 +233,6 @@ let prepare ?metrics ?(library_sigs = []) ~toplevel ~depth (ast : Minic.Ast.prog
   | None -> lower ()
   | Some m -> Telemetry.timed m Telemetry.Lower lower
 
-let outcome_to_string = function
-  | Concolic.Run_fault _ -> "fault"
-  | Concolic.Run_prediction_failure -> "prediction_failure"
-  | Concolic.Run_halted -> "halted"
-
 let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : options)
     (prog : Ram.Instr.program) : report =
   let rng = ctx.sc_rng in
@@ -247,7 +242,6 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
   let sink = options.Options.telemetry.Telemetry.sink in
   let fs = options.Options.fault in
   let tracing = Telemetry.enabled sink in
-  let status_path = options.Options.telemetry.Telemetry.status_path in
   let status_every = max 1 options.Options.telemetry.Telemetry.status_every in
   let search_start = Telemetry.now () in
   let coverage : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -307,40 +301,21 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
      List.iter (fun b -> Hashtbl.replace bug_sites (bug_key b) ()) s.sn_bugs;
      bugs := List.rev s.sn_bugs;
      first_bug := (match s.sn_bugs with b :: _ -> Some b | [] -> None));
-  let status_write_failed = ref false in
-  let write_status ~final path =
-    let elapsed = Int64.sub (Telemetry.now ()) search_start in
-    let execs_per_sec =
-      if Int64.compare elapsed 0L <= 0 then 0
-      else int_of_float (float_of_int !runs /. (Int64.to_float elapsed /. 1e9))
-    in
-    let h = metrics.Telemetry.solve_hist in
-    (* Status is observability output: a full disk or revoked permission
-       must degrade to a warning, never abort the search. Warn once. *)
-    try
-      Status.write ~fault:fs ~path
-      { Status.st_mode = Status.Run;
-        st_elapsed_ns = elapsed;
-        st_budget_ns = options.Options.budget.Options.time_budget_ns;
-        st_runs = !runs;
-        st_max_runs = options.Options.budget.Options.max_runs;
-        st_execs_per_sec = execs_per_sec;
-        st_bugs = List.length !bugs;
-        st_covered = Hashtbl.length coverage;
-        st_frontier =
-          Coverage.frontier_count
-            (Hashtbl.fold (fun site () acc -> site :: acc) coverage []);
-        st_done = (if final then 1 else 0);
-        st_active = (if final then 0 else 1);
-        st_remaining = 0;
-        st_round = 0;
-        st_solve_p50_ns = Telemetry.Hist.p50 h;
-        st_solve_p99_ns = Telemetry.Hist.p99 h }
-    with Sys_error msg ->
-      if not !status_write_failed then begin
-        status_write_failed := true;
-        Printf.eprintf "dart: warning: status write failed: %s\n%!" msg
-      end
+  let status =
+    Option.map
+      (Status.publisher ~fault:fs
+         ~warn:(fun msg -> Printf.eprintf "dart: %s\n%!" msg)
+         ~mode:Status.Run ~budget_ns:options.Options.budget.Options.time_budget_ns
+         ~max_runs:options.Options.budget.Options.max_runs
+         ~restored_runs:(match resume with Some s -> s.sn_runs | None -> 0))
+      options.Options.telemetry.Telemetry.status_path
+  in
+  let write_status ~final p =
+    Status.publish p ~runs:!runs ~bugs:(List.length !bugs) ~covered:(Hashtbl.length coverage)
+      ~frontier:
+        (Coverage.frontier_count (Hashtbl.fold (fun site () acc -> site :: acc) coverage []))
+      ~done_:(if final then 1 else 0) ~active:(if final then 0 else 1) ~remaining:0 ~round:0
+      metrics.Telemetry.solve_hist
   in
   let record_run (data : Concolic.run_data) =
     incr runs;
@@ -363,8 +338,8 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
            { run = !runs;
              covered = Hashtbl.length coverage;
              elapsed_ns = Int64.sub (Telemetry.now ()) search_start });
-    match status_path with
-    | Some path when !runs mod status_every = 0 -> write_status ~final:false path
+    match status with
+    | Some p when !runs mod status_every = 0 -> write_status ~final:false p
     | _ -> ()
   in
   let record_bug fault site (data : Concolic.run_data) =
@@ -414,7 +389,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
       Telemetry.emit sink
         (Telemetry.Run_end
            { run = !runs + 1;
-             outcome = outcome_to_string data.Concolic.outcome;
+             outcome = Concolic.outcome_to_string data.Concolic.outcome;
              steps = data.Concolic.steps;
              dur_ns = dur })
     end;
@@ -701,7 +676,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     Telemetry.emit_phase_totals sink metrics;
     Telemetry.flush sink
   end;
-  Option.iter (fun path -> write_status ~final:true path) status_path;
+  Option.iter (write_status ~final:true) status;
   { verdict;
     runs = !runs;
     restarts = !restarts;
@@ -735,6 +710,13 @@ let test_source ?(options = Options.default) ?(library_sigs = []) ~toplevel src 
       (Minic.Parser.parse_program src)
   in
   run ~metrics ~options prog
+
+let verdict_tag = function
+  | Bug_found _ -> "bug"
+  | Complete -> "complete"
+  | Budget_exhausted -> "budget"
+  | Time_exhausted -> "time"
+  | Interrupted -> "interrupted"
 
 let verdict_to_string = function
   | Bug_found b ->

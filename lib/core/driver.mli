@@ -370,6 +370,11 @@ val test_source :
 (** Parse MiniC source, prepare it with [options.search.depth], and
     run. Preparation time lands in the report's [Lower] phase. *)
 
+val verdict_tag : verdict -> string
+(** The short verdict tag of per-worker report lines and campaign
+    [Slice_end] events: ["bug"], ["complete"], ["budget"], ["time"] or
+    ["interrupted"]. *)
+
 val report_to_string : report -> string
 (** Byte-stable end-of-run summary (phase metrics are deliberately
     excluded: print them with {!Telemetry.metrics_to_string}). *)

@@ -16,11 +16,10 @@ val arg_fn_name : int -> string
 
 val is_driver_function : string -> bool
 (** Whether [name] is part of the synthesized test driver (the
-    [__dart_*] wrapper and argument functions). The single source of
-    truth for the predicate {!Coverage.is_driver_function} re-exports,
-    {!Telemetry.summarize} uses to split trace branch counts, and
-    {!Campaign} discovery uses to keep harness helpers out of the
-    target list. *)
+    [__dart_*] wrapper and argument functions). {!Coverage} re-exports
+    it to keep driver functions out of {!Coverage.compute} and
+    {!Cover_report}; {!is_harness_site} extends it with the coin
+    site. *)
 
 val coin_site : string
 (** The synthetic function name ["__coin"] that {!Concolic} attributes
@@ -30,8 +29,10 @@ val coin_site : string
 val is_harness_site : string -> bool
 (** [is_driver_function name || name = coin_site]: every branch site
     the harness itself introduces, as opposed to the program under
-    test. Coverage accounting, telemetry summaries and campaign target
-    discovery all route through this one predicate. *)
+    test. The search's coverage sets ({!Driver.search},
+    {!Random_search}), the branch counts of {!Telemetry.summarize} and
+    campaign target discovery and aggregate coverage all route through
+    this one predicate. *)
 
 exception No_toplevel of string
 

@@ -393,12 +393,7 @@ let report_to_string r =
         (Printf.sprintf "\n  worker %d [%s, seed %d]: %s, %d runs, %d paths" w.w_id
            (Strategy.to_string r.strategy)
            w.w_seed
-           (match w.w_report.Driver.verdict with
-            | Driver.Bug_found _ -> "bug"
-            | Driver.Complete -> "complete"
-            | Driver.Budget_exhausted -> "budget"
-            | Driver.Time_exhausted -> "time"
-            | Driver.Interrupted -> "interrupted")
+           (Driver.verdict_tag w.w_report.Driver.verdict)
            w.w_report.Driver.runs w.w_report.Driver.paths_explored);
       Option.iter
         (fun j ->

@@ -1,124 +1,8 @@
-(* Post-hoc time attribution over a recorded trace ([dartc profile]).
-   Everything here is a pure function of the event list, so the output
-   is deterministic for a deterministic trace — the histograms are
-   rebuilt from per-event durations rather than wall clock. *)
-
-type site_prof = {
-  sp_fn : string;
-  sp_pc : int;
-  sp_queries : int;
-  sp_total_ns : int64;
-  sp_mean_ns : int64;
-}
-
-type target_prof = {
-  tp_name : string;
-  tp_slices : int;
-  tp_runs : int;
-  tp_total_ns : int64;
-  tp_retired : string option; (* retire reason, None if never retired *)
-}
-
-type t = {
-  p_events : int;
-  p_phase_ns : (Telemetry.phase * int64) list; (* summed Phase_total *)
-  p_run_hist : Telemetry.Hist.t; (* from Run_end durations *)
-  p_solve_hist : Telemetry.Hist.t; (* from Solve_query durations *)
-  p_sites : site_prof list; (* by total solver time, descending *)
-  p_targets : target_prof list; (* campaign slices, by total time, descending *)
-  p_rounds : int; (* Round_end events *)
-}
-
-let of_events evs =
-  let phase_tbl : (Telemetry.phase, int64) Hashtbl.t = Hashtbl.create 4 in
-  let run_hist = Telemetry.Hist.create () in
-  let solve_hist = Telemetry.Hist.create () in
-  let site_tbl : (string * int, int * int64) Hashtbl.t = Hashtbl.create 64 in
-  let target_tbl : (string, int * int * int64 * string option) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  (* Preserve first-seen order of targets so ties sort stably. *)
-  let target_order = ref [] in
-  let rounds = ref 0 in
-  let count = ref 0 in
-  List.iter
-    (fun ev ->
-      incr count;
-      match ev with
-      | Telemetry.Phase_total { phase; dur_ns } ->
-        let prev = Option.value ~default:0L (Hashtbl.find_opt phase_tbl phase) in
-        Hashtbl.replace phase_tbl phase (Int64.add prev dur_ns)
-      | Telemetry.Run_end { dur_ns; _ } -> Telemetry.Hist.add run_hist dur_ns
-      | Telemetry.Solve_query { fn; pc; dur_ns; _ } ->
-        Telemetry.Hist.add solve_hist dur_ns;
-        let n, ns =
-          Option.value ~default:(0, 0L) (Hashtbl.find_opt site_tbl (fn, pc))
-        in
-        Hashtbl.replace site_tbl (fn, pc) (n + 1, Int64.add ns dur_ns)
-      | Telemetry.Slice_end { target; runs; dur_ns; _ } ->
-        if not (Hashtbl.mem target_tbl target) then target_order := target :: !target_order;
-        let slices, truns, tns, retired =
-          Option.value ~default:(0, 0, 0L, None) (Hashtbl.find_opt target_tbl target)
-        in
-        Hashtbl.replace target_tbl target
-          (slices + 1, truns + runs, Int64.add tns dur_ns, retired)
-      | Telemetry.Target_retired { target; reason } ->
-        if not (Hashtbl.mem target_tbl target) then target_order := target :: !target_order;
-        let slices, truns, tns, _ =
-          Option.value ~default:(0, 0, 0L, None) (Hashtbl.find_opt target_tbl target)
-        in
-        Hashtbl.replace target_tbl target (slices, truns, tns, Some reason)
-      | Telemetry.Round_end _ -> incr rounds
-      | _ -> ())
-    evs;
-  let phase_ns =
-    List.map
-      (fun p -> (p, Option.value ~default:0L (Hashtbl.find_opt phase_tbl p)))
-      Telemetry.phases
-  in
-  let sites =
-    Hashtbl.fold
-      (fun (fn, pc) (n, ns) acc ->
-        { sp_fn = fn;
-          sp_pc = pc;
-          sp_queries = n;
-          sp_total_ns = ns;
-          sp_mean_ns = (if n = 0 then 0L else Int64.div ns (Int64.of_int n)) }
-        :: acc)
-      site_tbl []
-    |> List.sort (fun a b ->
-           match Int64.compare b.sp_total_ns a.sp_total_ns with
-           | 0 -> compare (a.sp_fn, a.sp_pc) (b.sp_fn, b.sp_pc)
-           | c -> c)
-  in
-  let order = List.rev !target_order in
-  let index_of name =
-    let rec go i = function
-      | [] -> max_int
-      | x :: _ when x = name -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 order
-  in
-  let targets =
-    Hashtbl.fold
-      (fun name (slices, runs, ns, retired) acc ->
-        { tp_name = name; tp_slices = slices; tp_runs = runs; tp_total_ns = ns;
-          tp_retired = retired }
-        :: acc)
-      target_tbl []
-    |> List.sort (fun a b ->
-           match Int64.compare b.tp_total_ns a.tp_total_ns with
-           | 0 -> compare (index_of a.tp_name) (index_of b.tp_name)
-           | c -> c)
-  in
-  { p_events = !count;
-    p_phase_ns = phase_ns;
-    p_run_hist = run_hist;
-    p_solve_hist = solve_hist;
-    p_sites = sites;
-    p_targets = targets;
-    p_rounds = !rounds }
+(* Post-hoc time attribution over a recorded trace ([dartc profile]):
+   a rendering of [Telemetry.summarize], which already carries every
+   figure shown here, so the output is deterministic for a
+   deterministic trace — the histograms are rebuilt from per-event
+   durations rather than wall clock. *)
 
 let pct part total =
   if Int64.compare total 0L > 0 then
@@ -149,10 +33,10 @@ let hist_dump buf name h =
       (Telemetry.Hist.buckets h)
   end
 
-let to_string ?(top = 10) p =
+let to_string ?(top = 10) (s : Telemetry.summary) =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf (Printf.sprintf "profile: %d events\n" p.p_events);
-  let total = List.fold_left (fun acc (_, ns) -> Int64.add acc ns) 0L p.p_phase_ns in
+  Buffer.add_string buf (Printf.sprintf "profile: %d events\n" s.Telemetry.total_events);
+  let total = List.fold_left (fun acc (_, ns) -> Int64.add acc ns) 0L s.Telemetry.phase_ns in
   Buffer.add_string buf "phases:\n";
   List.iter
     (fun (ph, ns) ->
@@ -160,10 +44,10 @@ let to_string ?(top = 10) p =
         (Printf.sprintf "  %-8s %12s  (%5.1f%%)\n"
            (Telemetry.phase_to_string ph)
            (Telemetry.ns_to_string ns) (pct ns total)))
-    p.p_phase_ns;
-  hist_dump buf "run" p.p_run_hist;
-  hist_dump buf "solve" p.p_solve_hist;
-  (match p.p_sites with
+    s.Telemetry.phase_ns;
+  hist_dump buf "run" s.Telemetry.run_hist;
+  hist_dump buf "solve" s.Telemetry.solve_hist;
+  (match s.Telemetry.sites with
    | [] -> ()
    | sites ->
      let shown = List.filteri (fun i _ -> i < top) sites in
@@ -171,31 +55,32 @@ let to_string ?(top = 10) p =
        (Printf.sprintf "hottest solver sites (top %d of %d, by total time):\n"
           (List.length shown) (List.length sites));
      List.iter
-       (fun s ->
+       (fun ((fn, pc), (a : Telemetry.site_agg)) ->
          Buffer.add_string buf
            (Printf.sprintf "  %-28s %6d queries  total %10s  mean %10s\n"
-              (Printf.sprintf "%s:%d" s.sp_fn s.sp_pc)
-              s.sp_queries
-              (Telemetry.ns_to_string s.sp_total_ns)
-              (Telemetry.ns_to_string s.sp_mean_ns)))
+              (Printf.sprintf "%s:%d" fn pc)
+              a.Telemetry.s_count
+              (Telemetry.ns_to_string a.Telemetry.s_ns)
+              (Telemetry.ns_to_string
+                 (Int64.div a.Telemetry.s_ns (Int64.of_int a.Telemetry.s_count)))))
        shown);
-  (match p.p_targets with
+  (match s.Telemetry.targets with
    | [] -> ()
    | targets ->
      let ttotal =
-       List.fold_left (fun acc t -> Int64.add acc t.tp_total_ns) 0L targets
+       List.fold_left (fun acc (t : Telemetry.target_row) -> Int64.add acc t.tg_ns) 0L targets
      in
      Buffer.add_string buf
        (Printf.sprintf "campaign targets (%d, %d rounds, by total time):\n"
-          (List.length targets) p.p_rounds);
+          (List.length targets) s.Telemetry.rounds);
      List.iter
-       (fun t ->
+       (fun (t : Telemetry.target_row) ->
          Buffer.add_string buf
-           (Printf.sprintf "  %-28s %3d slices %6d runs  %10s  (%5.1f%%)  %s\n" t.tp_name
-              t.tp_slices t.tp_runs
-              (Telemetry.ns_to_string t.tp_total_ns)
-              (pct t.tp_total_ns ttotal)
-              (match t.tp_retired with
+           (Printf.sprintf "  %-28s %3d slices %6d runs  %10s  (%5.1f%%)  %s\n" t.tg_name
+              t.tg_slices t.tg_runs
+              (Telemetry.ns_to_string t.tg_ns)
+              (pct t.tg_ns ttotal)
+              (match t.tg_retired with
                | Some reason -> "retired: " ^ reason
                | None -> "unfinished")))
        targets);

@@ -1,42 +1,15 @@
 (** Post-hoc wall-clock attribution over a recorded trace
     ([dartc profile TRACE.jsonl]).
 
-    Answers "where did the time go" from the trace alone: per-phase
-    totals (from [Phase_total]), run- and solve-latency histograms
-    (rebuilt from per-event durations), the hottest solver sites by
-    total query time, and — for campaign traces — a per-target table
-    from the [Slice_end]/[Target_retired] stream. A pure function of
-    the event list: same trace, same output. *)
+    Answers "where did the time go" from the trace alone, as a
+    rendering of the trace's {!Telemetry.summary}: per-phase totals
+    (from [Phase_total]), run- and solve-latency histograms (rebuilt
+    from per-event durations), the hottest solver sites by total query
+    time, and — for campaign traces — the per-target table from the
+    [Slice_end]/[Target_retired] stream. A pure function of the
+    summary: same trace, same output. *)
 
-type site_prof = {
-  sp_fn : string;
-  sp_pc : int;
-  sp_queries : int;
-  sp_total_ns : int64;
-  sp_mean_ns : int64;
-}
-
-type target_prof = {
-  tp_name : string;
-  tp_slices : int;
-  tp_runs : int; (* summed Slice_end runs *)
-  tp_total_ns : int64; (* summed slice wall clock *)
-  tp_retired : string option; (* retire reason; None = never retired *)
-}
-
-type t = {
-  p_events : int;
-  p_phase_ns : (Telemetry.phase * int64) list; (* all four phases *)
-  p_run_hist : Telemetry.Hist.t;
-  p_solve_hist : Telemetry.Hist.t;
-  p_sites : site_prof list; (* total time descending, site ascending on ties *)
-  p_targets : target_prof list; (* total time descending; empty for single-target traces *)
-  p_rounds : int;
-}
-
-val of_events : Telemetry.event list -> t
-
-val to_string : ?top:int -> t -> string
+val to_string : ?top:int -> Telemetry.summary -> string
 (** Render the attribution: phase table, both histogram dumps, the
     [top] (default 10) hottest solver sites, and the per-target table
     when the trace carries campaign events. *)

@@ -52,11 +52,7 @@ let run ?(seed = 42) ?(max_runs = 10_000) ?deadline ?(exec = Concolic.default_ex
         Telemetry.emit telemetry
           (Telemetry.Run_end
              { run = run_index;
-               outcome =
-                 (match data.Concolic.outcome with
-                  | Concolic.Run_fault _ -> "fault"
-                  | Concolic.Run_prediction_failure -> "prediction_failure"
-                  | Concolic.Run_halted -> "halted");
+               outcome = Concolic.outcome_to_string data.Concolic.outcome;
                steps = data.Concolic.steps;
                dur_ns = dur });
       total_steps := !total_steps + data.Concolic.steps;

@@ -1,8 +1,8 @@
 (* Live status snapshots: a single flat JSON object, atomically
    rewritten (write-then-rename, like Checkpoint.save) so a concurrent
    [dartc watch] always reads a complete object. Schema v1 is
-   intentionally integer-only — it reuses the flat-object parser of the
-   trace codec, which has no float production. *)
+   intentionally integer-only — it reuses the flat-object writer and
+   parser of the trace codec, which have no float production. *)
 
 type mode =
   | Run
@@ -39,38 +39,25 @@ let schema = "dart-status"
 let version = 1
 
 let to_json st =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  let first = ref true in
-  let raw k v =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_char buf '"';
-    Buffer.add_string buf k;
-    Buffer.add_string buf "\":";
-    Buffer.add_string buf v
-  in
-  let str k v = raw k (Printf.sprintf "%S" v) in
-  let int k v = raw k (string_of_int v) in
-  let i64 k v = raw k (Int64.to_string v) in
-  str "schema" schema;
-  int "version" version;
-  str "mode" (mode_to_string st.st_mode);
-  i64 "elapsed_ns" st.st_elapsed_ns;
-  (match st.st_budget_ns with None -> () | Some ns -> i64 "budget_ns" ns);
-  int "runs" st.st_runs;
-  int "max_runs" st.st_max_runs;
-  int "execs_per_sec" st.st_execs_per_sec;
-  int "bugs" st.st_bugs;
-  int "covered" st.st_covered;
-  int "frontier" st.st_frontier;
-  int "done" st.st_done;
-  int "active" st.st_active;
-  int "remaining" st.st_remaining;
-  int "round" st.st_round;
-  i64 "solve_p50_ns" st.st_solve_p50_ns;
-  i64 "solve_p99_ns" st.st_solve_p99_ns;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let int v = Telemetry.Jint (Int64.of_int v) in
+  Telemetry.flat_to_json
+    ([ ("schema", Telemetry.Jstr schema);
+       ("version", int version);
+       ("mode", Telemetry.Jstr (mode_to_string st.st_mode));
+       ("elapsed_ns", Telemetry.Jint st.st_elapsed_ns) ]
+    @ (match st.st_budget_ns with None -> [] | Some ns -> [ ("budget_ns", Telemetry.Jint ns) ])
+    @ [ ("runs", int st.st_runs);
+        ("max_runs", int st.st_max_runs);
+        ("execs_per_sec", int st.st_execs_per_sec);
+        ("bugs", int st.st_bugs);
+        ("covered", int st.st_covered);
+        ("frontier", int st.st_frontier);
+        ("done", int st.st_done);
+        ("active", int st.st_active);
+        ("remaining", int st.st_remaining);
+        ("round", int st.st_round);
+        ("solve_p50_ns", Telemetry.Jint st.st_solve_p50_ns);
+        ("solve_p99_ns", Telemetry.Jint st.st_solve_p99_ns) ])
 
 let of_json line =
   match Telemetry.parse_flat line with
@@ -136,6 +123,67 @@ let of_json line =
             st_solve_p99_ns = solve_p99_ns }
 
 let write ?fault ~path st = Dart_util.Fileio.write_atomic ?fault path (to_json st ^ "\n")
+
+(* The one status writer behind [Driver.search] and [Campaign.run]:
+   it owns the clock, the rate arithmetic and the warn-once flag, so
+   the two searches only hand over their counters. *)
+type publisher = {
+  p_path : string;
+  p_mode : mode;
+  p_fault : Dart_util.Faultsim.t option;
+  p_warn : string -> unit;
+  p_budget_ns : int64 option;
+  p_max_runs : int;
+  p_restored_runs : int;
+  p_start : int64;
+  mutable p_failed : bool;
+}
+
+let publisher ?fault ~warn ~mode ~budget_ns ~max_runs ~restored_runs path =
+  { p_path = path;
+    p_mode = mode;
+    p_fault = fault;
+    p_warn = warn;
+    p_budget_ns = budget_ns;
+    p_max_runs = max_runs;
+    p_restored_runs = restored_runs;
+    p_start = Telemetry.now ();
+    p_failed = false }
+
+let publish p ~runs ~bugs ~covered ~frontier ~done_ ~active ~remaining ~round solve_hist =
+  let elapsed = Int64.sub (Telemetry.now ()) p.p_start in
+  (* Runs restored from a checkpoint ran in an earlier session: only
+     this session's runs count towards its rate. *)
+  let execs_per_sec =
+    if Int64.compare elapsed 0L <= 0 then 0
+    else
+      int_of_float
+        (float_of_int (runs - p.p_restored_runs) /. (Int64.to_float elapsed /. 1e9))
+  in
+  (* Status is observability output: a full disk or revoked permission
+     must degrade to a warning, never abort the search. Warn once. *)
+  try
+    write ?fault:p.p_fault ~path:p.p_path
+      { st_mode = p.p_mode;
+        st_elapsed_ns = elapsed;
+        st_budget_ns = p.p_budget_ns;
+        st_runs = runs;
+        st_max_runs = p.p_max_runs;
+        st_execs_per_sec = execs_per_sec;
+        st_bugs = bugs;
+        st_covered = covered;
+        st_frontier = frontier;
+        st_done = done_;
+        st_active = active;
+        st_remaining = remaining;
+        st_round = round;
+        st_solve_p50_ns = Telemetry.Hist.p50 solve_hist;
+        st_solve_p99_ns = Telemetry.Hist.p99 solve_hist }
+  with Sys_error msg ->
+    if not p.p_failed then begin
+      p.p_failed <- true;
+      p.p_warn (Printf.sprintf "warning: status write failed: %s" msg)
+    end
 
 (* Transient conditions resolve by waiting for the writer's next atomic
    rename: the file is momentarily absent (deleted, not yet created) or

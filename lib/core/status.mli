@@ -3,8 +3,9 @@
     A running search (or campaign) periodically rewrites a small flat
     JSON object — schema v1, integer fields only — using the same
     write-then-rename discipline as {!Checkpoint.save}, so a concurrent
-    reader always sees a complete snapshot. [dartc watch FILE] renders
-    it as a terminal status view. *)
+    reader always sees a complete snapshot. Both write it through one
+    {!publisher}. [dartc watch FILE] renders it as a terminal status
+    view. *)
 
 type mode =
   | Run (* single-target dartc run *)
@@ -19,7 +20,7 @@ type t = {
   st_budget_ns : int64 option; (* --time-budget, when set *)
   st_runs : int; (* cumulative concolic/random runs *)
   st_max_runs : int; (* total run budget *)
-  st_execs_per_sec : int; (* cumulative, elapsed-averaged *)
+  st_execs_per_sec : int; (* this session's runs over its elapsed time *)
   st_bugs : int; (* distinct bugs so far *)
   st_covered : int; (* distinct user branch directions *)
   st_frontier : int; (* branch sites with one direction missing *)
@@ -38,8 +39,9 @@ val version : int
 (** Current schema version (1). *)
 
 val to_json : t -> string
-(** One flat JSON object (no trailing newline); [budget_ns] is omitted
-    when [st_budget_ns] is [None]. *)
+(** One {!Telemetry.flat_to_json} object (no trailing newline), read
+    back by {!Telemetry.parse_flat}; [budget_ns] is omitted when
+    [st_budget_ns] is [None]. *)
 
 val of_json : string -> (t, string) result
 
@@ -47,6 +49,45 @@ val write : ?fault:Dart_util.Faultsim.t -> path:string -> t -> unit
 (** Atomic snapshot write ({!Dart_util.Fileio.write_atomic}): [path ^
     ".tmp"] then rename. [fault] may inject an [Io_error]
     ({!Sys_error}). *)
+
+(** {1 Publishing} *)
+
+type publisher
+(** The status writer of one search or campaign session. *)
+
+val publisher :
+  ?fault:Dart_util.Faultsim.t ->
+  warn:(string -> unit) ->
+  mode:mode ->
+  budget_ns:int64 option ->
+  max_runs:int ->
+  restored_runs:int ->
+  string ->
+  publisher
+(** A publisher for the status file at the given path, its clock
+    started now. [restored_runs] are the runs a resumed session
+    restored from its checkpoint: they count in [st_runs] but not in
+    the session's [st_execs_per_sec]. [warn] receives the one warning
+    line ("warning: status write failed: …") the first time a write
+    fails; later failures are silent. *)
+
+val publish :
+  publisher ->
+  runs:int ->
+  bugs:int ->
+  covered:int ->
+  frontier:int ->
+  done_:int ->
+  active:int ->
+  remaining:int ->
+  round:int ->
+  Telemetry.Hist.t ->
+  unit
+(** Write one snapshot: the caller's counters plus elapsed time since
+    {!publisher}, the session's execs/sec ([runs - restored_runs] over
+    elapsed seconds) and the p50/p99 of the solve-latency histogram. A
+    failed write ({!Sys_error}, including an injected [Io_error]) is
+    reported through [warn] once and never raised. *)
 
 val read : path:string -> (t, string) result
 (** Read and parse a status file; [Error] carries a one-line reason

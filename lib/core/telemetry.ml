@@ -220,132 +220,80 @@ let json_string s =
   add_json_string buf s;
   Buffer.contents buf
 
-let event_to_json ev =
+type jval =
+  | Jstr of string
+  | Jint of int64
+  | Jbool of bool
+
+let flat_to_json fields =
   let buf = Buffer.create 96 in
-  let field_sep () = Buffer.add_char buf ',' in
-  let key k =
-    add_json_string buf k;
-    Buffer.add_char buf ':'
-  in
-  let str k v =
-    field_sep ();
-    key k;
-    add_json_string buf v
-  in
-  let int k v =
-    field_sep ();
-    key k;
-    Buffer.add_string buf (string_of_int v)
-  in
-  let i64 k v =
-    field_sep ();
-    key k;
-    Buffer.add_string buf (Int64.to_string v)
-  in
-  let bool k v =
-    field_sep ();
-    key k;
-    Buffer.add_string buf (if v then "true" else "false")
-  in
-  let tag name =
-    Buffer.add_char buf '{';
-    key "ev";
-    add_json_string buf name
-  in
-  (match ev with
-   | Run_start { run } ->
-     tag "run_start";
-     int "run" run
-   | Run_end { run; outcome; steps; dur_ns } ->
-     tag "run_end";
-     int "run" run;
-     str "outcome" outcome;
-     int "steps" steps;
-     i64 "ns" dur_ns
-   | Branch_taken { fn; pc; dir } ->
-     tag "branch";
-     str "fn" fn;
-     int "pc" pc;
-     bool "dir" dir
-   | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
-     tag "solve";
-     str "fn" fn;
-     int "pc" pc;
-     str "result" (solve_result_to_string result);
-     i64 "ns" dur_ns;
-     bool "cache_hit" cache_hit;
-     int "sliced" sliced
-   | Input_update { id; value } ->
-     tag "input";
-     int "id" id;
-     int "value" value
-   | Restart { restarts } ->
-     tag "restart";
-     int "restarts" restarts
-   | Bug_found { fn; pc; fault; run } ->
-     tag "bug";
-     str "fn" fn;
-     int "pc" pc;
-     str "fault" fault;
-     int "run" run
-   | Worker_spawn { worker; seed } ->
-     tag "worker_spawn";
-     int "worker" worker;
-     int "seed" seed
-   | Worker_drain { worker; runs } ->
-     tag "worker_drain";
-     int "worker" worker;
-     int "runs" runs
-   | Worker_crash { worker; reason; respawned } ->
-     tag "worker_crash";
-     int "worker" worker;
-     str "reason" reason;
-     bool "respawned" respawned
-   | Checkpoint_saved { run } ->
-     tag "checkpoint";
-     int "run" run
-   | Phase_total { phase; dur_ns } ->
-     tag "phase";
-     str "phase" (phase_to_string phase);
-     i64 "ns" dur_ns
-   | Cover_point { run; covered; elapsed_ns } ->
-     tag "cover";
-     int "run" run;
-     int "covered" covered;
-     i64 "ns" elapsed_ns
-   | Target_scheduled { target; round } ->
-     tag "target_scheduled";
-     str "target" target;
-     int "round" round
-   | Slice_end { target; round; outcome; runs; dur_ns } ->
-     tag "slice_end";
-     str "target" target;
-     int "round" round;
-     str "outcome" outcome;
-     int "runs" runs;
-     i64 "ns" dur_ns
-   | Target_retired { target; reason } ->
-     tag "target_retired";
-     str "target" target;
-     str "reason" reason
-   | Round_end { round; active; dur_ns } ->
-     tag "round_end";
-     int "round" round;
-     int "active" active;
-     i64 "ns" dur_ns
-   | Breaker_open { fn; pc } ->
-     tag "breaker_open";
-     str "fn" fn;
-     int "pc" pc
-   | Breaker_close { fn; pc } ->
-     tag "breaker_close";
-     str "fn" fn;
-     int "pc" pc);
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_json_string buf k;
+      Buffer.add_char buf ':';
+      match v with
+      | Jstr s -> add_json_string buf s
+      | Jint n -> Buffer.add_string buf (Int64.to_string n)
+      | Jbool b -> Buffer.add_string buf (if b then "true" else "false"))
+    fields;
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* Minimal parser for the flat objects emitted above: string, integer
-   and boolean values only, no nesting. *)
+let event_to_json ev =
+  let str k v = (k, Jstr v) in
+  let int k v = (k, Jint (Int64.of_int v)) in
+  let i64 k v = (k, Jint v) in
+  let bool k v = (k, Jbool v) in
+  let tag, fields =
+    match ev with
+    | Run_start { run } -> ("run_start", [ int "run" run ])
+    | Run_end { run; outcome; steps; dur_ns } ->
+      ("run_end", [ int "run" run; str "outcome" outcome; int "steps" steps; i64 "ns" dur_ns ])
+    | Branch_taken { fn; pc; dir } -> ("branch", [ str "fn" fn; int "pc" pc; bool "dir" dir ])
+    | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
+      ( "solve",
+        [ str "fn" fn;
+          int "pc" pc;
+          str "result" (solve_result_to_string result);
+          i64 "ns" dur_ns;
+          bool "cache_hit" cache_hit;
+          int "sliced" sliced ] )
+    | Input_update { id; value } -> ("input", [ int "id" id; int "value" value ])
+    | Restart { restarts } -> ("restart", [ int "restarts" restarts ])
+    | Bug_found { fn; pc; fault; run } ->
+      ("bug", [ str "fn" fn; int "pc" pc; str "fault" fault; int "run" run ])
+    | Worker_spawn { worker; seed } -> ("worker_spawn", [ int "worker" worker; int "seed" seed ])
+    | Worker_drain { worker; runs } -> ("worker_drain", [ int "worker" worker; int "runs" runs ])
+    | Worker_crash { worker; reason; respawned } ->
+      ( "worker_crash",
+        [ int "worker" worker; str "reason" reason; bool "respawned" respawned ] )
+    | Checkpoint_saved { run } -> ("checkpoint", [ int "run" run ])
+    | Phase_total { phase; dur_ns } ->
+      ("phase", [ str "phase" (phase_to_string phase); i64 "ns" dur_ns ])
+    | Cover_point { run; covered; elapsed_ns } ->
+      ("cover", [ int "run" run; int "covered" covered; i64 "ns" elapsed_ns ])
+    | Target_scheduled { target; round } ->
+      ("target_scheduled", [ str "target" target; int "round" round ])
+    | Slice_end { target; round; outcome; runs; dur_ns } ->
+      ( "slice_end",
+        [ str "target" target;
+          int "round" round;
+          str "outcome" outcome;
+          int "runs" runs;
+          i64 "ns" dur_ns ] )
+    | Target_retired { target; reason } ->
+      ("target_retired", [ str "target" target; str "reason" reason ])
+    | Round_end { round; active; dur_ns } ->
+      ("round_end", [ int "round" round; int "active" active; i64 "ns" dur_ns ])
+    | Breaker_open { fn; pc } -> ("breaker_open", [ str "fn" fn; int "pc" pc ])
+    | Breaker_close { fn; pc } -> ("breaker_close", [ str "fn" fn; int "pc" pc ])
+  in
+  flat_to_json (str "ev" tag :: fields)
+
+(* Minimal parser for the flat objects [flat_to_json] writes: string,
+   integer and boolean values only, no nesting. *)
 
 exception Bad of string
 
@@ -363,11 +311,6 @@ let hex_value s =
            | 'A' .. 'F' -> Some ((n * 16) + Char.code c - Char.code 'A' + 10)
            | _ -> None))
       (Some 0) s
-
-type jval =
-  | Jstr of string
-  | Jint of int64
-  | Jbool of bool
 
 let parse_flat_object s =
   let n = String.length s in
@@ -702,6 +645,14 @@ type site_agg = {
   s_ns : int64;
 }
 
+type target_row = {
+  tg_name : string;
+  tg_slices : int;
+  tg_runs : int;
+  tg_ns : int64;
+  tg_retired : string option;
+}
+
 type summary = {
   total_events : int;
   runs : int;
@@ -712,17 +663,19 @@ type summary = {
   solve_sat : int;
   solve_unsat : int;
   solve_unknown : int;
-  solve_site_ns : int64;
-  exec_run_ns : int64;
   inputs_updated : int;
   restarts : int;
   bugs : int;
   workers : int;
   crashes : int;
   phase_ns : (phase * int64) list;
+  run_hist : Hist.t;
+  solve_hist : Hist.t;
   sites : ((string * int) * site_agg) list;
+  targets : target_row list;
+  rounds : int;
   timeline : cover_point list;
-  site_dirs : ((string * int) * (bool * bool)) list;
+  covered : (string * int * bool) list;
 }
 
 and cover_point = {
@@ -738,12 +691,25 @@ let summarize evs =
   let runs = ref 0 and branches = ref 0 and solves = ref 0 and hits = ref 0 in
   let driver_branches = ref 0 in
   let sat = ref 0 and unsat = ref 0 and unknown = ref 0 in
-  let solve_ns = ref 0L and exec_ns = ref 0L in
   let inputs = ref 0 and restarts = ref 0 and bugs = ref 0 and workers = ref 0 in
-  let crashes = ref 0 in
+  let crashes = ref 0 and rounds = ref 0 in
+  let run_hist = Hist.create () and solve_hist = Hist.create () in
   let phase_tbl : (phase, int64) Hashtbl.t = Hashtbl.create 4 in
   let site_tbl : (string * int, site_agg) Hashtbl.t = Hashtbl.create 32 in
-  let dir_tbl : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 32 in
+  (* Targets keep their first-seen index so equal-time rows sort in
+     trace order. *)
+  let target_tbl : (string, int * target_row) Hashtbl.t = Hashtbl.create 32 in
+  let update_target name f =
+    let index, row =
+      match Hashtbl.find_opt target_tbl name with
+      | Some entry -> entry
+      | None ->
+        ( Hashtbl.length target_tbl,
+          { tg_name = name; tg_slices = 0; tg_runs = 0; tg_ns = 0L; tg_retired = None } )
+    in
+    Hashtbl.replace target_tbl name (index, f row)
+  in
+  let covered : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 32 in
   let points = ref [] in
   let count = ref 0 in
   List.iter
@@ -751,16 +717,12 @@ let summarize evs =
       incr count;
       match ev with
       | Run_start _ -> incr runs
-      | Run_end { dur_ns; _ } -> exec_ns := Int64.add !exec_ns dur_ns
+      | Run_end { dur_ns; _ } -> Hist.add run_hist dur_ns
       | Branch_taken { fn; pc; dir } ->
         if is_harness_site fn then incr driver_branches
         else begin
           incr branches;
-          let taken, fallthrough =
-            Option.value ~default:(false, false) (Hashtbl.find_opt dir_tbl (fn, pc))
-          in
-          Hashtbl.replace dir_tbl (fn, pc)
-            (if dir then (true, fallthrough) else (taken, true))
+          Hashtbl.replace covered (fn, pc, dir) ()
         end
       | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
         incr solves;
@@ -769,7 +731,7 @@ let summarize evs =
          | R_sat -> incr sat
          | R_unsat -> incr unsat
          | R_unknown -> incr unknown);
-        solve_ns := Int64.add !solve_ns dur_ns;
+        Hist.add solve_hist dur_ns;
         let prev = Option.value ~default:empty_agg (Hashtbl.find_opt site_tbl (fn, pc)) in
         Hashtbl.replace site_tbl (fn, pc)
           { s_count = prev.s_count + 1;
@@ -791,9 +753,16 @@ let summarize evs =
         Hashtbl.replace phase_tbl phase (Int64.add prev dur_ns)
       | Cover_point { run; covered; elapsed_ns } ->
         points := { cp_run = run; cp_covered = covered; cp_ns = elapsed_ns } :: !points
-      | Target_scheduled _ | Slice_end _ | Target_retired _ | Round_end _ ->
-        (* Campaign-scope events: aggregated by [Profile], not here. *)
-        ()
+      | Target_scheduled _ -> ()
+      | Slice_end { target; runs; dur_ns; _ } ->
+        update_target target (fun t ->
+            { t with
+              tg_slices = t.tg_slices + 1;
+              tg_runs = t.tg_runs + runs;
+              tg_ns = Int64.add t.tg_ns dur_ns })
+      | Target_retired { target; reason } ->
+        update_target target (fun t -> { t with tg_retired = Some reason })
+      | Round_end _ -> incr rounds
       | Breaker_open _ | Breaker_close _ ->
         (* Breaker transitions: surfaced via [Solver.stats], not here. *)
         ())
@@ -808,9 +777,11 @@ let summarize evs =
     |> List.sort (fun (sa, a) (sb, b) ->
            match Int64.compare b.s_ns a.s_ns with 0 -> compare sa sb | c -> c)
   in
-  let site_dirs =
-    Hashtbl.fold (fun site dirs acc -> (site, dirs) :: acc) dir_tbl []
-    |> List.sort compare
+  let targets =
+    Hashtbl.fold (fun _ entry acc -> entry :: acc) target_tbl []
+    |> List.sort (fun (ia, a) (ib, b) ->
+           match Int64.compare b.tg_ns a.tg_ns with 0 -> compare ia ib | c -> c)
+    |> List.map snd
   in
   { total_events = !count;
     runs = !runs;
@@ -821,29 +792,21 @@ let summarize evs =
     solve_sat = !sat;
     solve_unsat = !unsat;
     solve_unknown = !unknown;
-    solve_site_ns = !solve_ns;
-    exec_run_ns = !exec_ns;
     inputs_updated = !inputs;
     restarts = !restarts;
     bugs = !bugs;
     workers = !workers;
     crashes = !crashes;
     phase_ns;
+    run_hist;
+    solve_hist;
     sites;
+    targets;
+    rounds = !rounds;
     timeline = List.rev !points;
-    site_dirs }
+    covered = List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) covered []) }
 
 (* ---- coverage-over-time views ------------------------------------------------- *)
-
-let timeline evs =
-  List.rev
-    (List.fold_left
-       (fun acc ev ->
-         match ev with
-         | Cover_point { run; covered; elapsed_ns } ->
-           { cp_run = run; cp_covered = covered; cp_ns = elapsed_ns } :: acc
-         | _ -> acc)
-       [] evs)
 
 let plateau s =
   match s.timeline with
@@ -860,26 +823,21 @@ let plateau s =
 
 let frontier_sites s =
   List.filter_map
-    (fun (site, (taken, fallthrough)) ->
-      match (taken, fallthrough) with
-      | true, true | false, false -> None
-      | one_dir_taken, _ ->
+    (fun (site, status) ->
+      if not (Coverage.is_frontier status) then None
+      else
         let attempts =
           match List.assoc_opt site s.sites with
           | Some a -> a.s_count
           | None -> 0
         in
         (* The missing direction is the one not yet seen. *)
-        Some (site, not one_dir_taken, attempts))
-    s.site_dirs
+        Some (site, status = Coverage.Fall_only, attempts))
+    (Coverage.sites (Coverage.directions s.covered))
   |> List.sort (fun (sa, _, a) (sb, _, b) ->
          match compare b a with 0 -> compare sa sb | c -> c)
 
-let distinct_branch_dirs s =
-  List.fold_left
-    (fun acc (_, (taken, fallthrough)) ->
-      acc + (if taken then 1 else 0) + if fallthrough then 1 else 0)
-    0 s.site_dirs
+let distinct_branch_dirs s = List.length s.covered
 
 let summary_to_string s =
   let buf = Buffer.create 512 in
@@ -911,7 +869,7 @@ let summary_to_string s =
     s.phase_ns;
   Buffer.add_string buf
     (Printf.sprintf "per-run execution time (from run_end): %.3fms\n"
-       (seconds s.exec_run_ns *. 1e3));
+       (seconds (Hist.sum_ns s.run_hist) *. 1e3));
   if s.sites <> [] then begin
     Buffer.add_string buf "solve sites (by total solver time):\n";
     List.iter
@@ -933,7 +891,7 @@ let summary_to_string s =
         traces run uninstrumented and carry only the Cover_point curve,
         so fall back to its final sample there. *)
      let covered =
-       if s.site_dirs <> [] then distinct_branch_dirs s
+       if s.covered <> [] then distinct_branch_dirs s
        else match List.rev s.timeline with p :: _ -> p.cp_covered | [] -> 0
      in
      Buffer.add_string buf

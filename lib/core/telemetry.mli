@@ -13,7 +13,9 @@
       buffer of {!Parallel} workers, whose events are replayed into the
       main sink in worker order at join.
     - {!jsonl}: one JSON object per line on an output channel, the
-      stable on-disk trace format consumed by [dartc trace-stats].
+      stable on-disk trace format that [dartc trace-stats], [dartc
+      profile] and [dartc cover --from-trace] read back through
+      {!summarize}.
 
     Orthogonally, {!metrics} accumulates monotonic per-phase wall-clock
     time (execute / solve / lower / merge); a metrics record rides in
@@ -151,8 +153,20 @@ val hex_value : string -> int option
     sign, prefix or [_] separator), else [None]. Decodes the [\u]
     escapes of {!parse_flat} and the [%]-escapes of {!Checkpoint}. *)
 
+(** Flat JSON values: strings, integers and booleans only, no nesting.
+    The trace codec and the status-file schema ({!Status}) both write
+    them with {!flat_to_json} and read them with {!parse_flat}. *)
+type jval =
+  | Jstr of string
+  | Jint of int64
+  | Jbool of bool
+
+val flat_to_json : (string * jval) list -> string
+(** One flat JSON object with the fields in list order, no trailing
+    newline; {!parse_flat} reads it back field for field. *)
+
 val event_to_json : event -> string
-(** One flat JSON object, no trailing newline. Schema (the [ev] field
+(** One {!flat_to_json} object. Schema (the [ev] field
     selects the variant): [run_start], [run_end], [branch], [solve],
     [input], [restart], [bug], [worker_spawn], [worker_drain],
     [worker_crash], [checkpoint], [phase], [cover], [target_scheduled],
@@ -161,14 +175,6 @@ val event_to_json : event -> string
 val event_of_json : string -> (event, string) result
 (** Inverse of {!event_to_json}; [Error] explains the first schema
     violation found. *)
-
-(** Flat JSON values as produced by the codec above: strings, integers
-    and booleans only, no nesting. Shared with the status-file schema
-    ({!Status}). *)
-type jval =
-  | Jstr of string
-  | Jint of int64
-  | Jbool of bool
 
 val parse_flat : string -> ((string * jval) list, string) result
 (** Parse one flat JSON object into its fields, in source order.
@@ -260,7 +266,7 @@ val latency_to_string : metrics -> string
 val emit_phase_totals : sink -> metrics -> unit
 (** One {!Phase_total} event per phase, in declaration order. *)
 
-(** {1 Trace summaries ([dartc trace-stats])} *)
+(** {1 Trace summaries ([trace-stats], [profile], [cover --from-trace])} *)
 
 type site_agg = {
   s_count : int;
@@ -270,6 +276,14 @@ type site_agg = {
   s_hits : int;
   s_sliced : int;
   s_ns : int64;
+}
+
+type target_row = {
+  tg_name : string;
+  tg_slices : int; (* Slice_end events *)
+  tg_runs : int; (* summed Slice_end runs *)
+  tg_ns : int64; (* summed slice wall clock *)
+  tg_retired : string option; (* Target_retired reason; None = never retired *)
 }
 
 type summary = {
@@ -287,22 +301,29 @@ type summary = {
   solve_sat : int;
   solve_unsat : int;
   solve_unknown : int;
-  solve_site_ns : int64; (* summed per-query durations *)
-  exec_run_ns : int64; (* summed Run_end durations *)
   inputs_updated : int;
   restarts : int;
   bugs : int;
   workers : int; (* Worker_spawn events *)
   crashes : int; (* Worker_crash events *)
   phase_ns : (phase * int64) list; (* summed Phase_total, all four phases *)
-  sites : ((string * int) * site_agg) list; (* sorted by s_ns descending *)
+  run_hist : Hist.t; (* Run_end durations *)
+  solve_hist : Hist.t; (* Solve_query durations *)
+  sites : ((string * int) * site_agg) list;
+      (* per solver site, sorted by s_ns descending, site ascending on
+         ties *)
+  targets : target_row list;
+      (* campaign traces: one row per target seen in Slice_end or
+         Target_retired, sorted by tg_ns descending, first-seen order
+         on ties; empty for single-target traces *)
+  rounds : int; (* Round_end events *)
   timeline : cover_point list; (* Cover_point events, trace order *)
-  site_dirs : ((string * int) * (bool * bool)) list;
-      (* per user branch site, (then seen, else seen) across every
-         Branch_taken event; sorted by site. The distinct-direction
-         count [2*both + one-directional] equals
+  covered : (string * int * bool) list;
+      (* distinct (fn, pc, dir) user branch directions across every
+         Branch_taken event, sorted — the shape of
+         [Driver.report.coverage_sites], and of the same size as
          [Driver.report.branches_covered] for a trace of the same
-         search. *)
+         search *)
 }
 
 and cover_point = {
@@ -312,18 +333,19 @@ and cover_point = {
 }
 
 val summarize : event list -> summary
+(** The one pass over a recorded event list: [dartc trace-stats],
+    [dartc profile] ({!Profile.to_string}) and [dartc cover
+    --from-trace] all render this record. *)
+
 val summary_to_string : summary -> string
 
 (** {1 Coverage-over-time}
 
-    Derived views of the {!Cover_point} stream used by
-    [dartc cover --timeline], [dartc trace-stats] and the bench
-    trajectory artifact. In a multi-worker trace the points appear in
-    worker-replay order: each worker's segment is monotone, the
-    concatenation is not a single global curve. *)
-
-val timeline : event list -> cover_point list
-(** The Cover_point events, in trace order. *)
+    Derived views of a summary's [timeline] and [covered] fields used
+    by [dartc cover --timeline], [dartc trace-stats] and the bench
+    trajectory artifact. In a multi-worker trace the cover points
+    appear in worker-replay order: each worker's segment is monotone,
+    the concatenation is not a single global curve. *)
 
 val plateau : summary -> (int * int) option
 (** [(last_run, stale_runs)]: the run number of the last cover point
@@ -331,8 +353,8 @@ val plateau : summary -> (int * int) option
     when the trace has no cover points. *)
 
 val frontier_sites : summary -> ((string * int) * bool * int) list
-(** User branch sites with exactly one direction seen — the candidates
-    a directed search can still force. Each entry is
+(** {!Coverage.is_frontier} user branch sites of [covered] — the
+    candidates a directed search can still force. Each entry is
     [(site, missing_dir, solve_attempts)] where [missing_dir] is the
     machine direction not yet exercised ([true] = jump taken), ranked
     by solver attempts at that site (descending), i.e. by how hard the
@@ -340,8 +362,8 @@ val frontier_sites : summary -> ((string * int) * bool * int) list
     search plateaued. *)
 
 val distinct_branch_dirs : summary -> int
-(** Distinct (site, direction) pairs over user branch sites — the
-    trace-side counterpart of [Driver.report.branches_covered]. *)
+(** [List.length covered]: the trace-side counterpart of
+    [Driver.report.branches_covered]. *)
 
 (** {1 Configuration} *)
 

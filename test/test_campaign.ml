@@ -404,6 +404,37 @@ let test_campaign_status_file () =
              0 r.Campaign.cam_results)
           st.Dart.Status.st_runs)
 
+(* A resumed campaign's status rate covers this session only: the
+   restored targets' runs ran in an earlier session. *)
+let test_resume_status_rate () =
+  let options = opts () in
+  let uninterrupted = run_campaign ~options lib_src in
+  let ck = Filename.temp_file "dart_campaign" ".ck" in
+  let path = Filename.temp_file "dart_campaign_status" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ ck; path ])
+    (fun () ->
+      let first = List.hd uninterrupted.Campaign.cam_results in
+      Campaign.save ~path:ck ~options ~library:lib_src
+        { uninterrupted with Campaign.cam_results = [ first ]; cam_crashes = [] };
+      let options =
+        { options with O.telemetry = { T.default_config with T.status_path = Some path } }
+      in
+      let resumed = run_campaign ~options ~resume:ck lib_src in
+      Alcotest.(check int) "one target restored" 1 resumed.Campaign.cam_resumed;
+      match Dart.Status.read ~path with
+      | Error msg -> Alcotest.failf "status unreadable after resume: %s" msg
+      | Ok st ->
+        let restored = first.Campaign.tr_runs in
+        let secs = Int64.to_float st.Dart.Status.st_elapsed_ns /. 1e9 in
+        let bound = (float_of_int (st.Dart.Status.st_runs - restored) /. secs) +. 1.0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "execs/sec %d <= this session's %.0f"
+             st.Dart.Status.st_execs_per_sec bound)
+          true
+          (float_of_int st.Dart.Status.st_execs_per_sec <= bound))
+
 (* ---- fault tolerance -------------------------------------------------------- *)
 
 module Faultsim = Dart_util.Faultsim
@@ -765,6 +796,8 @@ let suite =
       test_json_phases_line;
     Alcotest.test_case "status snapshot at campaign exit" `Quick
       test_campaign_status_file;
+    Alcotest.test_case "resumed status rate counts this session only" `Quick
+      test_resume_status_rate;
     Alcotest.test_case "checkpoint codec round-trips" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec rejects single-shot checkpoints" `Quick
       test_codec_rejects_single_shot;

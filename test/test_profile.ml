@@ -1,6 +1,7 @@
-(* dartc profile: wall-clock attribution is a pure function of the
-   event list, so both the aggregation and the rendered text can be
-   pinned against a small synthetic trace. *)
+(* dartc profile: wall-clock attribution is a rendering of the trace
+   summary, a pure function of the event list, so both the aggregation
+   and the rendered text can be pinned against a small synthetic
+   trace. *)
 
 module T = Dart.Telemetry
 module P = Dart.Profile
@@ -34,37 +35,38 @@ let events =
     T.Phase_total { phase = T.Merge; dur_ns = 0L } ]
 
 let test_aggregation () =
-  let p = P.of_events events in
-  Alcotest.(check int) "event count" (List.length events) p.P.p_events;
-  Alcotest.(check int) "rounds" 1 p.P.p_rounds;
-  Alcotest.(check int) "run samples" 3 (T.Hist.count p.P.p_run_hist);
-  Alcotest.(check int) "solve samples" 4 (T.Hist.count p.P.p_solve_hist);
+  let p = T.summarize events in
+  Alcotest.(check int) "event count" (List.length events) p.T.total_events;
+  Alcotest.(check int) "rounds" 1 p.T.rounds;
+  Alcotest.(check int) "run samples" 3 (T.Hist.count p.T.run_hist);
+  Alcotest.(check int) "solve samples" 4 (T.Hist.count p.T.solve_hist);
   Alcotest.(check int64) "solve phase total" 950L
-    (List.assoc T.Solve p.P.p_phase_ns);
+    (List.assoc T.Solve p.T.phase_ns);
   (* Sites ranked by total solve time: beta:1 (500) > alpha:3 (400) >
      beta:9 (50). *)
-  (match p.P.p_sites with
-   | [ s1; s2; s3 ] ->
-     Alcotest.(check (pair string int)) "hottest" ("beta", 1) (s1.P.sp_fn, s1.P.sp_pc);
-     Alcotest.(check int64) "hottest total" 500L s1.P.sp_total_ns;
-     Alcotest.(check (pair string int)) "second" ("alpha", 3) (s2.P.sp_fn, s2.P.sp_pc);
-     Alcotest.(check int) "second queries" 2 s2.P.sp_queries;
-     Alcotest.(check int64) "second mean" 200L s2.P.sp_mean_ns;
-     Alcotest.(check (pair string int)) "third" ("beta", 9) (s3.P.sp_fn, s3.P.sp_pc)
+  (match p.T.sites with
+   | [ (site1, s1); (site2, s2); (site3, _) ] ->
+     Alcotest.(check (pair string int)) "hottest" ("beta", 1) site1;
+     Alcotest.(check int64) "hottest total" 500L s1.T.s_ns;
+     Alcotest.(check (pair string int)) "second" ("alpha", 3) site2;
+     Alcotest.(check int) "second queries" 2 s2.T.s_count;
+     Alcotest.(check int64) "second mean" 200L
+       (Int64.div s2.T.s_ns (Int64.of_int s2.T.s_count));
+     Alcotest.(check (pair string int)) "third" ("beta", 9) site3
    | sites -> Alcotest.failf "expected 3 sites, got %d" (List.length sites));
   (* Targets ranked by total slice time: beta (30us) > alpha (10us);
      alpha retired, beta not. *)
-  match p.P.p_targets with
+  match p.T.targets with
   | [ t1; t2 ] ->
-    Alcotest.(check string) "slowest target" "beta" t1.P.tp_name;
-    Alcotest.(check (option string)) "beta unfinished" None t1.P.tp_retired;
-    Alcotest.(check string) "other target" "alpha" t2.P.tp_name;
-    Alcotest.(check (option string)) "alpha retired" (Some "bug") t2.P.tp_retired;
-    Alcotest.(check int) "alpha runs" 2 t2.P.tp_runs
+    Alcotest.(check string) "slowest target" "beta" t1.T.tg_name;
+    Alcotest.(check (option string)) "beta unfinished" None t1.T.tg_retired;
+    Alcotest.(check string) "other target" "alpha" t2.T.tg_name;
+    Alcotest.(check (option string)) "alpha retired" (Some "bug") t2.T.tg_retired;
+    Alcotest.(check int) "alpha runs" 2 t2.T.tg_runs
   | targets -> Alcotest.failf "expected 2 targets, got %d" (List.length targets)
 
 let test_render_golden () =
-  let out = P.to_string ~top:2 (P.of_events events) in
+  let out = P.to_string ~top:2 (T.summarize events) in
   let expect_lines =
     [ "profile: 17 events";
       "phases:";
@@ -89,13 +91,13 @@ let test_render_golden () =
    (the two partitions of a parallel trace) only differ where they
    should. *)
 let test_render_deterministic () =
-  let a = P.to_string (P.of_events events) in
-  let b = P.to_string (P.of_events events) in
+  let a = P.to_string (T.summarize events) in
+  let b = P.to_string (T.summarize events) in
   Alcotest.(check string) "pure function of the trace" a b
 
 let test_empty_trace () =
-  let p = P.of_events [] in
-  Alcotest.(check int) "no events" 0 p.P.p_events;
+  let p = T.summarize [] in
+  Alcotest.(check int) "no events" 0 p.T.total_events;
   let out = P.to_string p in
   Alcotest.(check bool) "renders the empty histograms" true
     (Str_contains.contains out "(empty)")

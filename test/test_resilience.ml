@@ -588,6 +588,35 @@ let test_resume_through_serialization () =
         Alcotest.(check bool) "identical after a disk roundtrip" true
           (norm full = norm resumed))
 
+(* The status file's rate covers this session only: the runs restored
+   from the snapshot ran in an earlier session, so counting them would
+   inflate execs/sec by restored / elapsed. *)
+let test_resume_status_rate () =
+  with_snapshot (fun ~options ~prog ~full:_ ~snapshot ->
+      let path = Filename.temp_file "dart_resume_status" ".json" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let options =
+            { options with
+              Dart.Driver.Options.telemetry =
+                { Dart.Telemetry.default_config with Dart.Telemetry.status_path = Some path } }
+          in
+          let resumed = Dart.Driver.run ~resume:snapshot ~options prog in
+          match Dart.Status.read ~path with
+          | Error msg -> Alcotest.failf "status unreadable after resume: %s" msg
+          | Ok st ->
+            let restored = snapshot.Dart.Driver.sn_runs in
+            Alcotest.(check int) "status runs = all runs" resumed.Dart.Driver.runs
+              st.Dart.Status.st_runs;
+            let secs = Int64.to_float st.Dart.Status.st_elapsed_ns /. 1e9 in
+            let bound = (float_of_int (st.Dart.Status.st_runs - restored) /. secs) +. 1.0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "execs/sec %d <= this session's %.0f"
+                 st.Dart.Status.st_execs_per_sec bound)
+              true
+              (float_of_int st.Dart.Status.st_execs_per_sec <= bound)))
+
 (* ---- crash isolation ------------------------------------------------------- *)
 
 let crash_run ~jobs ~spec =
@@ -741,6 +770,8 @@ let suite =
     Alcotest.test_case "checkpoint file atomicity" `Quick test_checkpoint_file_atomicity;
     Alcotest.test_case "resume reaches same state" `Quick test_resume_reaches_same_state;
     Alcotest.test_case "resume through serialization" `Quick test_resume_through_serialization;
+    Alcotest.test_case "resumed status rate counts this session only" `Quick
+      test_resume_status_rate;
     Alcotest.test_case "crash isolation at jobs=4" `Quick test_crash_isolation;
     Alcotest.test_case "crash without respawn" `Quick test_crash_without_respawn;
     Alcotest.test_case "crash at jobs=1" `Quick test_crash_single_worker;
