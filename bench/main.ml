@@ -68,19 +68,16 @@ let dart ?(depth = 1) ?(max_runs = 20_000) ?(strategy = Dart.Strategy.Dfs)
   in
   time_it (fun () -> Dart.Driver.test_source ~options ~toplevel src)
 
+(* The paper's random-testing baseline: the same search with the
+   symbolic shadow off. *)
+let random_options ~seed ~max_runs =
+  Dart.Driver.Options.make ~seed ~max_runs
+    ~exec:{ Dart.Concolic.default_exec_options with symbolic = false } ()
+
 let random_baseline ?(depth = 1) ~max_runs ~toplevel src =
   let ast = Minic.Parser.parse_program src in
   let prog = Dart.Driver.prepare ~toplevel ~depth ast in
-  time_it (fun () -> Dart.Random_search.run ~seed:1 ~max_runs prog)
-
-let random_cell (r : Dart.Random_search.report) seconds =
-  match r.Dart.Random_search.verdict with
-  | `Bug_found b -> Printf.sprintf "BUG on run %d (%.2fs)" b.Dart.Driver.bug_run seconds
-  | `No_bug -> Printf.sprintf "no bug in %d runs (%.2fs)" r.Dart.Random_search.runs seconds
-  | `Time_exhausted ->
-    Printf.sprintf "time budget exhausted after %d runs (%.2fs)" r.Dart.Random_search.runs seconds
-  | `Interrupted ->
-    Printf.sprintf "interrupted after %d runs (%.2fs)" r.Dart.Random_search.runs seconds
+  time_it (fun () -> Dart.Driver.run ~options:(random_options ~seed:1 ~max_runs) prog)
 
 (* ---- E1-E4, E11: the Section 2 example programs --------------------------- *)
 
@@ -126,7 +123,7 @@ let experiment_section2 () =
       (fst Workloads.Paper_examples.eq_filter)
   in
   row ~id:"eq-filter-random" ~desc:"if (x == 10): random baseline"
-    ~paper:"1 in 2^32 per run" ~measured:(random_cell r s)
+    ~paper:"1 in 2^32 per run" ~measured:(verdict_cell r s)
 
 (* ---- E5: AC-controller (Section 4.1) --------------------------------------- *)
 
@@ -142,7 +139,7 @@ let experiment_ac () =
   let budget = if !quick then 20_000 else 200_000 in
   let r, s = random_baseline ~depth:2 ~max_runs:budget ~toplevel src in
   row ~id:"ac-random" ~desc:"depth 2: random baseline"
-    ~paper:"hours, not found (1 in 2^64)" ~measured:(random_cell r s)
+    ~paper:"hours, not found (1 in 2^64)" ~measured:(verdict_cell r s)
 
 (* ---- E6: Needham-Schroeder, possibilistic intruder (Figure 9) -------------- *)
 
@@ -159,7 +156,7 @@ let experiment_ns_poss () =
   let budget = if !quick then 5_000 else 50_000 in
   let r, s = random_baseline ~depth:2 ~max_runs:budget ~toplevel src in
   row ~id:"ns-poss-random" ~desc:"depth 2: random baseline" ~paper:"hours, not found"
-    ~measured:(random_cell r s)
+    ~measured:(verdict_cell r s)
 
 (* ---- E7: Needham-Schroeder, Dolev-Yao intruder (Figure 10) ----------------- *)
 
@@ -225,10 +222,15 @@ let experiment_osip_sweep () =
                  (1 + Option.value ~default:0 (Hashtbl.find_opt faults b.Dart.Driver.bug_fault))
              | Dart.Driver.Complete | Dart.Driver.Budget_exhausted
              | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> ());
-            let rr = Dart.Random_search.run ~seed:1 ~max_runs:per_function_budget prog in
-            match rr.Dart.Random_search.verdict with
-            | `Bug_found _ -> incr random_crashed
-            | `No_bug | `Time_exhausted | `Interrupted -> ())
+            let rr =
+              Dart.Driver.run
+                ~options:(random_options ~seed:1 ~max_runs:per_function_budget)
+                prog
+            in
+            match rr.Dart.Driver.verdict with
+            | Dart.Driver.Bug_found _ -> incr random_crashed
+            | Dart.Driver.Complete | Dart.Driver.Budget_exhausted
+            | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> ())
           funcs)
   in
   let pct a b = 100.0 *. float_of_int a /. float_of_int b in
@@ -326,7 +328,7 @@ let experiment_packet_construction () =
       Workloads.Sip_parser.vulnerable
   in
   row ~id:"packet-random" ~desc:"same parser, random testing"
-    ~paper:"stuck in the filter (1 in 256^7)" ~measured:(random_cell r s);
+    ~paper:"stuck in the filter (1 in 256^7)" ~measured:(verdict_cell r s);
   let r, s =
     dart ~max_runs:2_000 ~toplevel:Workloads.Sip_parser.toplevel Workloads.Sip_parser.fixed
   in
@@ -901,32 +903,31 @@ let experiment_coverage_trajectory () =
     let possible =
       2 * (Dart.Coverage.compute prog ~covered:[]).Dart.Coverage.total_sites
     in
-    let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
-    let options =
-      Dart.Driver.Options.make ~depth ~max_runs ~stop_on_first_bug:false
-        ~telemetry:(Dart.Telemetry.with_sink sink) ()
-    in
-    let ctx = Dart.Driver.make_ctx ~seed:42 ~max_runs () in
-    let r, s = time_it (fun () -> Dart.Driver.search ~ctx ~options prog) in
-    let points =
-      (Dart.Telemetry.summarize (Dart.Telemetry.events sink)).Dart.Telemetry.timeline
+    (* Both searches trace into a ring; a ring that overwrote events
+       would cut the start off the curve, so the cell says so. *)
+    let traced options =
+      let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
+      let options =
+        { options with Dart.Driver.Options.telemetry = Dart.Telemetry.with_sink sink }
+      in
+      let r, s = time_it (fun () -> Dart.Driver.run ~options prog) in
+      let points =
+        (Dart.Telemetry.summarize (Dart.Telemetry.events sink)).Dart.Telemetry.timeline
+      in
+      let dropped = Dart.Telemetry.dropped sink in
+      Printf.sprintf "%s (%.2fs)%s"
+        (summary_of points r.Dart.Driver.runs possible)
+        s
+        (if dropped > 0 then Printf.sprintf " [trace ring dropped %d events]" dropped else "")
     in
     row ~id:(id ^ "-directed")
       ~desc:(desc ^ ", directed")
       ~paper:"coverage grows with directed flips"
-      ~measured:(Printf.sprintf "%s (%.2fs)" (summary_of points r.Dart.Driver.runs possible) s);
-    let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
-    let rr, s =
-      time_it (fun () -> Dart.Random_search.run ~seed:42 ~max_runs ~telemetry:sink prog)
-    in
-    let points =
-      (Dart.Telemetry.summarize (Dart.Telemetry.events sink)).Dart.Telemetry.timeline
-    in
+      ~measured:(traced (Dart.Driver.Options.make ~depth ~max_runs ~stop_on_first_bug:false ()));
     row ~id:(id ^ "-random")
       ~desc:(desc ^ ", random testing")
       ~paper:"plateaus below directed"
-      ~measured:
-        (Printf.sprintf "%s (%.2fs)" (summary_of points rr.Dart.Random_search.runs possible) s)
+      ~measured:(traced (random_options ~seed:42 ~max_runs))
   in
   let ac_src, ac_top = Workloads.Paper_examples.ac_controller in
   case ~id:"cover-ac-depth3" ~desc:"AC controller, depth 3" ~depth:3

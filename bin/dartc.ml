@@ -212,16 +212,13 @@ let arms_worker_crash spec =
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
    new conflicts here, not as ad-hoc if/else chains in the driver. *)
-let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~time_budget
-    ~solver_timeout ~checkpoint ~checkpoint_every ~resume ~faultsim ~status =
+let validate ~jobs ~strategy ~random_mode ~no_cache ~time_budget ~solver_timeout
+    ~checkpoint ~checkpoint_every ~resume ~faultsim ~status =
   let table =
     [ (jobs < 0, "--jobs must be >= 0");
-      (* Random testing is a single undirected worker with no
-         branch-selection: reject flags that would silently be
-         ignored. *)
+      (* Random testing flips no branch and asks no solver: reject
+         flags that would silently be ignored. *)
       (random_mode && strategy <> None, "--strategy has no effect with --random-testing");
-      (random_mode && all_bugs, "--all-bugs is not supported with --random-testing");
-      (random_mode && jobs <> 1, "--jobs is not supported with --random-testing");
       (random_mode && no_cache, "--no-cache has no effect with --random-testing");
       ( (match time_budget with Some s -> s <= 0.0 | None -> false),
         "--time-budget must be positive" );
@@ -231,23 +228,20 @@ let validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~time_budget
         "--checkpoint-every must be positive" );
       ( checkpoint_every <> None && checkpoint = None,
         "--checkpoint-every requires --checkpoint" );
-      (* Checkpoints serialize one sequential search's state; the
-         parallel and random paths have no resumable single stream. *)
+      (* The checkpoint meta line does not record the mode, so a
+         random-testing snapshot would resume as a directed search. *)
       ( random_mode && (checkpoint <> None || resume <> None),
         "--checkpoint/--resume are not supported with --random-testing" );
+      (* Checkpoints serialize one sequential search's state. *)
       ( jobs <> 1 && (checkpoint <> None || resume <> None),
         "--checkpoint/--resume require --jobs 1" );
       ( random_mode && solver_timeout <> None,
         "--solver-timeout has no effect with --random-testing (no solver)" );
-      ( random_mode && faultsim <> None,
-        "--faultsim is not supported with --random-testing" );
       ( jobs = 1 && Option.fold ~none:false ~some:arms_worker_crash faultsim,
         "--faultsim worker_crash requires --jobs other than 1 (only parallel workers \
          crash)" );
-      (* The status file has one writer: the sequential directed
-         search. Parallel workers each run their own search loop, and
-         the undirected loop does not snapshot. *)
-      (random_mode && status <> None, "--status is not supported with --random-testing");
+      (* The status file has one writer: the sequential search.
+         Parallel workers each run their own search loop. *)
       (status <> None && jobs <> 1, "--status requires --jobs 1") ]
   in
   List.find_opt fst table |> Option.map snd
@@ -303,8 +297,8 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
     end
     else begin
       match
-        validate ~jobs ~strategy ~random_mode ~all_bugs ~no_cache ~time_budget
-          ~solver_timeout ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
+        validate ~jobs ~strategy ~random_mode ~no_cache ~time_budget ~solver_timeout
+          ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
       with
       | Some msg -> usage_error msg
       | None ->
@@ -346,97 +340,82 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                 ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
                 ~exec:
                   { Dart.Concolic.default_exec_options with
-                    symbolic_pointers = symbolic_ptrs }
+                    symbolic_pointers = symbolic_ptrs;
+                    symbolic = not random_mode }
                 ~telemetry:
                   { (Dart.Telemetry.with_sink sink) with
                     Dart.Telemetry.status_path = status }
                 ~faultsim:fs ()
             in
             let prog = Dart.Driver.prepare ~metrics:prep ~toplevel ~depth ast in
-            if random_mode then begin
+            let resume_snapshot =
+              match resume with
+              | None -> Ok None
+              | Some path ->
+                (match Dart.Checkpoint.load ~path ~options with
+                 | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
+                 | Ok snap -> Ok (Some snap))
+            in
+            match resume_snapshot with
+            | Error msg -> usage_error msg
+            | Ok resume_snapshot ->
+              let on_checkpoint =
+                Option.map
+                  (fun path snapshot -> Dart.Checkpoint.save ~path ~options snapshot)
+                  checkpoint
+              in
               let report =
-                Dart.Random_search.run ~seed ~max_runs
-                  ?deadline:(Dart.Driver.deadline_of_options options)
-                  ~exec:options.Dart.Driver.Options.exec ~telemetry:sink ~metrics:prep prog
+                if jobs = 1 then begin
+                  let report =
+                    Dart.Driver.run ?resume:resume_snapshot ?on_checkpoint
+                      ?checkpoint_every ~metrics:prep ~options prog
+                  in
+                  print_endline (Dart.Driver.report_to_string report);
+                  report
+                end
+                else begin
+                  let r =
+                    Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs options) prog
+                  in
+                  (* Workers never see preparation time: fold it into
+                     the merged metrics (and the trace) here. *)
+                  Dart.Telemetry.add_metrics ~into:r.Dart.Parallel.merged.Dart.Driver.metrics
+                    prep;
+                  if Dart.Telemetry.enabled sink then begin
+                    Dart.Telemetry.emit sink
+                      (Dart.Telemetry.Phase_total
+                         { phase = Dart.Telemetry.Lower;
+                           dur_ns = prep.Dart.Telemetry.lower_ns });
+                    Dart.Telemetry.flush sink
+                  end;
+                  print_endline (Dart.Parallel.report_to_string r);
+                  r.Dart.Parallel.merged
+                end
               in
-              print_endline (Dart.Random_search.report_to_string report);
-              print_metrics prep;
-              if coverage then print_coverage prog report.Dart.Random_search.coverage_sites;
-              match report.Dart.Random_search.verdict with
-              | `Bug_found _ -> 1
-              | `No_bug -> 0
-              | `Time_exhausted | `Interrupted -> 3
-            end
-            else begin
-              let resume_snapshot =
-                match resume with
-                | None -> Ok None
-                | Some path ->
-                  (match Dart.Checkpoint.load ~path ~options with
-                   | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
-                   | Ok snap -> Ok (Some snap))
-              in
-              match resume_snapshot with
-              | Error msg -> usage_error msg
-              | Ok resume_snapshot ->
-                let on_checkpoint =
-                  Option.map
-                    (fun path snapshot -> Dart.Checkpoint.save ~path ~options snapshot)
-                    checkpoint
-                in
-                let report =
-                  if jobs = 1 then begin
-                    let report =
-                      Dart.Driver.run ?resume:resume_snapshot ?on_checkpoint
-                        ?checkpoint_every ~metrics:prep ~options prog
-                    in
-                    print_endline (Dart.Driver.report_to_string report);
-                    report
-                  end
-                  else begin
-                    let r =
-                      Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs options) prog
-                    in
-                    (* Workers never see preparation time: fold it into
-                       the merged metrics (and the trace) here. *)
-                    Dart.Telemetry.add_metrics ~into:r.Dart.Parallel.merged.Dart.Driver.metrics
-                      prep;
-                    if Dart.Telemetry.enabled sink then begin
-                      Dart.Telemetry.emit sink
-                        (Dart.Telemetry.Phase_total
-                           { phase = Dart.Telemetry.Lower;
-                             dur_ns = prep.Dart.Telemetry.lower_ns });
-                      Dart.Telemetry.flush sink
-                    end;
-                    print_endline (Dart.Parallel.report_to_string r);
-                    r.Dart.Parallel.merged
-                  end
-                in
-                print_metrics report.Dart.Driver.metrics;
-                (* Incremental/shared-store counters ride with --metrics:
-                   the plain report stays byte-identical whether or not
-                   incremental solving ([accel.use_incremental]) is on. *)
-                if metrics_flag then begin
-                  let st = report.Dart.Driver.solver_stats in
-                  Printf.printf
-                    "incremental: %d prepared-state hits, %d pops saved, %d shared-store hits\n"
-                    (Solver.incremental_hits st) (Solver.pops_saved st)
-                    (Solver.shared_hits st)
-                end;
-                if coverage then print_coverage prog report.Dart.Driver.coverage_sites;
-                List.iter
-                  (fun (b : Dart.Driver.bug) ->
-                    Printf.printf "  - %s in %s at %s (run %d)\n"
-                      (Machine.fault_to_string b.bug_fault)
-                      b.bug_site.Machine.site_fn
-                      (Minic.Loc.to_string b.bug_site.Machine.site_loc)
-                      b.bug_run)
-                  report.Dart.Driver.bugs;
-                match report.Dart.Driver.verdict with
-                | Dart.Driver.Bug_found _ -> 1
-                | Dart.Driver.Complete | Dart.Driver.Budget_exhausted -> 0
-                | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> 3
-            end
+              print_metrics report.Dart.Driver.metrics;
+              (* Incremental/shared-store counters ride with --metrics:
+                 the plain report stays byte-identical whether or not
+                 incremental solving ([accel.use_incremental]) is on. *)
+              if metrics_flag then begin
+                let st = report.Dart.Driver.solver_stats in
+                Printf.printf
+                  "incremental: %d prepared-state hits, %d pops saved, %d shared-store hits\n"
+                  (Solver.incremental_hits st) (Solver.pops_saved st)
+                  (Solver.shared_hits st)
+              end;
+              if coverage then print_coverage prog report.Dart.Driver.coverage_sites;
+              List.iter
+                (fun (b : Dart.Driver.bug) ->
+                  Printf.printf "  - %s in %s at %s (run %d)\n"
+                    (Machine.fault_to_string b.bug_fault)
+                    b.bug_site.Machine.site_fn
+                    (Minic.Loc.to_string b.bug_site.Machine.site_loc)
+                    b.bug_run)
+                report.Dart.Driver.bugs;
+              match report.Dart.Driver.verdict with
+              | Dart.Driver.Bug_found _ -> 1
+              | Dart.Driver.Complete | Dart.Driver.Budget_exhausted -> 0
+              | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> 3
         end
     end
   with
@@ -554,10 +533,9 @@ let print_timeline summary =
           p.Dart.Telemetry.cp_covered
           (Int64.to_float p.Dart.Telemetry.cp_ns /. 1e6))
       points;
-    (match Dart.Telemetry.plateau summary with
-     | Some (last_run, stale) ->
-       Printf.printf "plateau: %d runs total, %d since the last new direction\n" last_run
-         stale
+    (match summary.Dart.Telemetry.plateau with
+     | Some (runs, stale) ->
+       Printf.printf "plateau: %d runs total, %d since the last new direction\n" runs stale
      | None -> ());
     (match Dart.Telemetry.frontier_sites summary with
      | [] -> ()
@@ -582,15 +560,7 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
         (* A recorded trace carries both the per-site directions (from
            Branch_taken, user sites only) and the cover-point curve. *)
         let summary = Dart.Telemetry.summarize (read_trace_events trace) in
-        let covered = summary.Dart.Telemetry.covered in
-        (* Random-testing traces run uninstrumented: they carry the
-           Cover_point curve but no per-site Branch_taken events, so
-           site classification would be vacuously "unreached". *)
-        if covered = [] && summary.Dart.Telemetry.timeline <> [] then
-          prerr_endline
-            "dartc cover: warning: trace has no per-site branch events (recorded with \
-             --random-testing?); only --timeline reflects its coverage";
-        (summary, covered)
+        (summary, summary.Dart.Telemetry.covered)
       | None ->
         install_signal_handlers ();
         let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
@@ -598,8 +568,7 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
           Dart.Driver.Options.make ~seed ~depth ~max_runs ~stop_on_first_bug:false
             ~telemetry:(Dart.Telemetry.with_sink sink) ()
         in
-        let ctx = Dart.Driver.make_ctx ~seed ~max_runs () in
-        let report = Dart.Driver.search ~ctx ~options prog in
+        let report = Dart.Driver.run ~options prog in
         ( Dart.Telemetry.summarize (Dart.Telemetry.events sink),
           report.Dart.Driver.coverage_sites )
     in

@@ -36,11 +36,16 @@ let () =
    | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted ->
      print_endline "no bug found (unexpected)");
   print_endline "\nSame budget of plain random testing:";
-  let r =
-    Dart.Random_search.test_source ~seed:9 ~max_runs:50_000
-      ~toplevel:Workloads.Sip_parser.toplevel Workloads.Sip_parser.vulnerable
+  (* Random testing is the same search with the symbolic shadow off. *)
+  let random =
+    Dart.Driver.Options.make ~seed:9 ~max_runs:50_000
+      ~exec:{ Dart.Concolic.default_exec_options with symbolic = false } ()
   in
-  print_endline (Dart.Random_search.report_to_string r);
+  let r =
+    Dart.Driver.test_source ~options:random ~toplevel:Workloads.Sip_parser.toplevel
+      Workloads.Sip_parser.vulnerable
+  in
+  print_endline (Dart.Driver.report_to_string r);
   print_endline "\nBounds-checked parser, same search budget:";
   let report =
     Dart.Driver.test_source ~options ~toplevel:Workloads.Sip_parser.toplevel

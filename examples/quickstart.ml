@@ -43,8 +43,13 @@ let () =
        bug.Dart.Driver.bug_inputs
    | Dart.Driver.Complete | Dart.Driver.Budget_exhausted
    | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> ());
-  (* Contrast with plain random testing: 2^-32 chance per run of
-     hitting x = 10 after x != y. *)
+  (* Contrast with plain random testing, the same search with the
+     symbolic shadow off: 2^-32 chance per run of hitting x = 10 after
+     x != y. *)
   print_endline "\n=== Random-testing baseline (10,000 runs) ===";
-  let r = Dart.Random_search.test_source ~max_runs:10_000 ~toplevel:"h" source in
-  print_endline (Dart.Random_search.report_to_string r)
+  let options =
+    Dart.Driver.Options.make ~max_runs:10_000
+      ~exec:{ Dart.Concolic.default_exec_options with symbolic = false } ()
+  in
+  let r = Dart.Driver.test_source ~options ~toplevel:"h" source in
+  print_endline (Dart.Driver.report_to_string r)

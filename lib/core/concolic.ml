@@ -282,7 +282,9 @@ let run_once ~opts ~rng ~im ~prev_stack ~entry (prog : Ram.Instr.program) : run_
       pc_rev = [];
       sites_rev = [];
       flip_confirmed = false;
-      all_linear = true;
+      (* Without the shadow no constraint is tracked, so the run cannot
+         vouch for completeness. *)
+      all_linear = opts.symbolic;
       all_locs_definite = true;
       coverage = Hashtbl.create 64 }
   in

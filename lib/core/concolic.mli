@@ -39,7 +39,10 @@ type run_data = {
          numbering is creation order, so the read set is a prefix).
          Entries of IM at or beyond this id were left behind by earlier
          runs and never influenced this one. *)
-  all_linear : bool; (* flags *cleared during this run* are false *)
+  all_linear : bool;
+      (* flags *cleared during this run* are false; a run with the
+         shadow off ([symbolic = false]) tracked no constraints and
+         reports [all_linear = false] *)
   all_locs_definite : bool;
   branch_sites : (string * int * bool) list; (* coverage: fn, pc, direction *)
 }
@@ -51,7 +54,11 @@ type exec_options = {
       (* extension: make the NULL/non-NULL coin of Figure 8 a
          directable branch instead of pure randomness *)
   max_ptr_depth : int; (* cap on recursive data-structure depth *)
-  symbolic : bool; (* false = plain random testing execution *)
+  symbolic : bool;
+      (* false = the symbolic shadow is off: no path constraint, so a
+         {!Driver} search restarts from fresh random inputs after every
+         run — the paper's random-testing baseline ([dartc
+         --random-testing]) *)
   compile : bool;
       (* true (default) = run the machine's compiled closure engine;
          false = tree-walking interpreter (an ablation for tests and

@@ -1,6 +1,14 @@
 (** run_DART (paper Figure 2): the outer random-restart loop and the
     inner directed-search loop, plus program preparation (driver
-    generation, typechecking, lowering). *)
+    generation, typechecking, lowering).
+
+    The paper's random-testing baseline is the same search with the
+    direction removed: options whose [exec.symbolic] is [false]. Such a
+    run tracks no path constraint and clears [all_linear], so the solve
+    finds no candidate and every run is followed by a restart with
+    fresh random inputs. The verdict is then [Bug_found],
+    [Budget_exhausted], [Time_exhausted] or [Interrupted], never
+    [Complete]. *)
 
 (** Search configuration, grouped by concern so new knobs widen one
     sub-record instead of a flat options type: [budget] (how much work),

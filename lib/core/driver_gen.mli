@@ -29,8 +29,8 @@ val coin_site : string
 val is_harness_site : string -> bool
 (** [is_driver_function name || name = coin_site]: every branch site
     the harness itself introduces, as opposed to the program under
-    test. The search's coverage sets ({!Driver.search},
-    {!Random_search}), the branch counts of {!Telemetry.summarize} and
+    test. The search's coverage set ({!Driver.search}, random testing
+    included), the branch counts of {!Telemetry.summarize} and
     campaign target discovery and aggregate coverage all route through
     this one predicate. *)
 

@@ -676,6 +676,7 @@ type summary = {
   rounds : int;
   timeline : cover_point list;
   covered : (string * int * bool) list;
+  plateau : (int * int) option;
 }
 
 and cover_point = {
@@ -710,6 +711,10 @@ let summarize evs =
     Hashtbl.replace target_tbl name (index, f row)
   in
   let covered : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 32 in
+  (* Plateau: runs are counted by Run_end; a run's Branch_taken events
+     precede its Run_end, so a direction first seen now belongs to run
+     [run_ends + 1]. *)
+  let run_ends = ref 0 and last_gain = ref 0 in
   let points = ref [] in
   let count = ref 0 in
   List.iter
@@ -717,12 +722,17 @@ let summarize evs =
       incr count;
       match ev with
       | Run_start _ -> incr runs
-      | Run_end { dur_ns; _ } -> Hist.add run_hist dur_ns
+      | Run_end { dur_ns; _ } ->
+        incr run_ends;
+        Hist.add run_hist dur_ns
       | Branch_taken { fn; pc; dir } ->
         if is_harness_site fn then incr driver_branches
         else begin
           incr branches;
-          Hashtbl.replace covered (fn, pc, dir) ()
+          if not (Hashtbl.mem covered (fn, pc, dir)) then begin
+            Hashtbl.replace covered (fn, pc, dir) ();
+            last_gain := !run_ends + 1
+          end
         end
       | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
         incr solves;
@@ -804,22 +814,10 @@ let summarize evs =
     targets;
     rounds = !rounds;
     timeline = List.rev !points;
-    covered = List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) covered []) }
+    covered = List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) covered []);
+    plateau = (if !run_ends = 0 then None else Some (!run_ends, !run_ends - !last_gain)) }
 
 (* ---- coverage-over-time views ------------------------------------------------- *)
-
-let plateau s =
-  match s.timeline with
-  | [] -> None
-  | points ->
-    let last_run = ref 0 and last_gain = ref 0 and prev = ref 0 in
-    List.iter
-      (fun p ->
-        last_run := p.cp_run;
-        if p.cp_covered > !prev then last_gain := p.cp_run;
-        prev := p.cp_covered)
-      points;
-    Some (!last_run, !last_run - !last_gain)
 
 let frontier_sites s =
   List.filter_map
@@ -883,22 +881,14 @@ let summary_to_string s =
              (seconds a.s_ns *. 1e3)))
       s.sites
   end;
-  (match plateau s with
+  (match s.plateau with
    | None -> ()
-   | Some (last_run, stale) ->
-     (* Directed (and parallel) traces carry Branch_taken events, whose
-        distinct-direction count is the merged coverage; random-testing
-        traces run uninstrumented and carry only the Cover_point curve,
-        so fall back to its final sample there. *)
-     let covered =
-       if s.covered <> [] then distinct_branch_dirs s
-       else match List.rev s.timeline with p :: _ -> p.cp_covered | [] -> 0
-     in
+   | Some (runs, stale) ->
      Buffer.add_string buf
        (Printf.sprintf
           "coverage: %d branch directions after %d runs (%d cover points); plateau: %d \
            runs since the last new direction\n"
-          covered last_run (List.length s.timeline) stale));
+          (distinct_branch_dirs s) runs (List.length s.timeline) stale));
   (match frontier_sites s with
    | [] -> ()
    | frontier ->

@@ -324,6 +324,12 @@ type summary = {
          [Driver.report.coverage_sites], and of the same size as
          [Driver.report.branches_covered] for a trace of the same
          search *)
+  plateau : (int * int) option;
+      (* [(runs, stale_runs)]: the number of Run_end events, and how
+         many of those runs came after the run that first added a
+         direction to [covered]. In a campaign or multi-worker trace
+         both count every run of every target and worker. [None] when
+         the trace has no Run_end. *)
 }
 
 and cover_point = {
@@ -346,11 +352,6 @@ val summary_to_string : summary -> string
     trajectory artifact. In a multi-worker trace the cover points
     appear in worker-replay order: each worker's segment is monotone,
     the concatenation is not a single global curve. *)
-
-val plateau : summary -> (int * int) option
-(** [(last_run, stale_runs)]: the run number of the last cover point
-    and how many runs have passed since coverage last increased. [None]
-    when the trace has no cover points. *)
 
 val frontier_sites : summary -> ((string * int) * bool * int) list
 (** {!Coverage.is_frontier} user branch sites of [covered] — the

@@ -1,0 +1,21 @@
+(* Run the dartc binary built next to the tests (the test runs in
+   _build/default/test) and capture its exit code, stdout and stderr. *)
+
+let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe"
+
+let run args =
+  let out = Filename.temp_file "dartc" ".out" and err = Filename.temp_file "dartc" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ out; err ])
+    (fun () ->
+      let open_w p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let outfd = open_w out and errfd = open_w err in
+      let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin outfd errfd in
+      Unix.close outfd;
+      Unix.close errfd;
+      let code =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED n -> n
+        | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+      in
+      (code, Dart_util.Fileio.read_all out, Dart_util.Fileio.read_all err))

@@ -211,7 +211,7 @@ let test_trace_timeline_replay () =
     ((T.summarize parsed).T.timeline = (T.summarize events).T.timeline);
   let s = T.summarize parsed in
   Alcotest.(check int) "cover point per run" r.Dart.Driver.runs (List.length s.T.timeline);
-  (match T.plateau s with
+  (match s.T.plateau with
    | Some (last_run, stale) ->
      Alcotest.(check int) "plateau anchored at the last run" r.Dart.Driver.runs last_run;
      Alcotest.(check bool) "stale-run count within the run budget" true
@@ -228,22 +228,38 @@ let test_random_search_timeline () =
   let ast = Minic.Parser.parse_program src in
   let prog = Dart.Driver.prepare ~toplevel ~depth:2 ast in
   let sink = T.ring ~capacity:(1 lsl 16) in
-  let r = Dart.Random_search.run ~seed:7 ~max_runs:50 ~telemetry:sink prog in
+  (* Random testing: the directed search with the symbolic shadow off. *)
+  let options =
+    Dart.Driver.Options.make ~seed:7 ~max_runs:50
+      ~exec:{ Dart.Concolic.default_exec_options with symbolic = false }
+      ~telemetry:(T.with_sink sink) ()
+  in
+  let r = Dart.Driver.run ~options prog in
   let s = T.summarize (T.events sink) in
-  Alcotest.(check int) "random search emits one cover point per run"
-    r.Dart.Random_search.runs (List.length s.T.timeline);
+  Alcotest.(check int) "random search emits one cover point per run" r.Dart.Driver.runs
+    (List.length s.T.timeline);
   (match List.rev s.T.timeline with
    | last :: _ ->
      Alcotest.(check int) "random timeline ends at its coverage"
-       r.Dart.Random_search.branches_covered last.T.cp_covered
+       r.Dart.Driver.branches_covered last.T.cp_covered
    | [] -> Alcotest.fail "no cover points");
-  (* Random traces carry no Branch_taken events; the summary's coverage
-     line must fall back to the Cover_point curve, not print 0. *)
-  Alcotest.(check int) "random trace has no branch events" 0 s.T.branches;
-  Alcotest.(check bool) "summary coverage line uses the timeline" true
+  (* Random runs emit Branch_taken like directed ones, so a random
+     trace classifies each site exactly as the live report does. *)
+  Alcotest.(check bool) "random trace has branch events" true (s.T.branches > 0);
+  Alcotest.(check (list (triple string int bool))) "trace directions = report coverage"
+    (List.sort compare r.Dart.Driver.coverage_sites) s.T.covered;
+  let statuses t =
+    List.map (fun site -> (site.C.cs_fn, site.C.cs_pc, C.marker site.C.cs_status)) t.C.sites
+  in
+  let from_trace = C.compute prog ~covered:s.T.covered in
+  Alcotest.(check (list (triple string int string))) "per-site classification from the trace"
+    (statuses (C.compute prog ~covered:r.Dart.Driver.coverage_sites)) (statuses from_trace);
+  Alcotest.(check bool) "some site reached" true
+    (List.exists (fun site -> site.C.cs_status <> C.Unreached) from_trace.C.sites);
+  Alcotest.(check bool) "summary coverage line counts the trace's directions" true
     (contains (T.summary_to_string s)
-       (Printf.sprintf "coverage: %d branch directions"
-          r.Dart.Random_search.branches_covered))
+       (Printf.sprintf "coverage: %d branch directions after %d runs"
+          r.Dart.Driver.branches_covered r.Dart.Driver.runs))
 
 (* ---- Coverage.frontier_count ---------------------------------------------------- *)
 

@@ -3,8 +3,13 @@
    baseline. *)
 
 let options ?(depth = 1) ?(max_runs = 20_000) ?(strategy = Dart.Strategy.Dfs) ?seed
-    ?stop_on_first_bug () =
-  Dart.Driver.Options.make ~depth ~max_runs ~strategy ?seed ?stop_on_first_bug ()
+    ?stop_on_first_bug ?exec () =
+  Dart.Driver.Options.make ~depth ~max_runs ~strategy ?seed ?stop_on_first_bug ?exec ()
+
+(* The random baseline: the same search with the symbolic shadow off. *)
+let random ~seed ~max_runs =
+  options ~seed ~max_runs ~exec:{ Dart.Concolic.default_exec_options with symbolic = false }
+    ()
 
 let dart ?depth ?max_runs ?strategy (src, toplevel) =
   Dart.Driver.test_source ~options:(options ?depth ?max_runs ?strategy ()) ~toplevel src
@@ -86,10 +91,11 @@ let test_eq_filter () =
    | _ -> assert false);
   (* Random testing virtually never finds x == 10. *)
   let rr =
-    Dart.Random_search.test_source ~seed:5 ~max_runs:5_000 ~toplevel:"check"
+    Dart.Driver.test_source ~options:(random ~seed:5 ~max_runs:5_000) ~toplevel:"check"
       (fst Workloads.Paper_examples.eq_filter)
   in
-  Alcotest.(check bool) "random search fails" true (rr.Dart.Random_search.verdict = `No_bug)
+  Alcotest.(check bool) "random search fails" true
+    (rr.Dart.Driver.verdict = Dart.Driver.Budget_exhausted)
 
 let test_ac_controller () =
   let r = dart ~depth:1 Workloads.Paper_examples.ac_controller in
@@ -108,9 +114,9 @@ let test_ac_controller () =
   (* Random search cannot find the (3, 0) sequence in reasonable time. *)
   let ast = Minic.Parser.parse_program (fst Workloads.Paper_examples.ac_controller) in
   let prog = Dart.Driver.prepare ~toplevel:"ac_controller" ~depth:2 ast in
-  let rr = Dart.Random_search.run ~seed:11 ~max_runs:5_000 prog in
+  let rr = Dart.Driver.run ~options:(random ~seed:11 ~max_runs:5_000) prog in
   Alcotest.(check bool) "random fails at depth 2" true
-    (rr.Dart.Random_search.verdict = `No_bug)
+    (rr.Dart.Driver.verdict = Dart.Driver.Budget_exhausted)
 
 let test_strategies () =
   (* DFS and random-branch find the AC bug. Single-stack BFS cannot:
@@ -185,13 +191,12 @@ void f(int x) {
 
 let test_random_search_finds_easy_bug () =
   let r =
-    Dart.Random_search.test_source ~seed:3 ~max_runs:2_000 ~toplevel:"f"
+    Dart.Driver.test_source ~options:(random ~seed:3 ~max_runs:2_000) ~toplevel:"f"
       "void f(int x) { if (x > 0) abort(); }"
   in
-  match r.Dart.Random_search.verdict with
-  | `Bug_found _ -> ()
-  | `No_bug | `Time_exhausted | `Interrupted ->
-    Alcotest.fail "random search should find x > 0"
+  match r.Dart.Driver.verdict with
+  | Dart.Driver.Bug_found _ -> ()
+  | _ -> Alcotest.fail "random search should find x > 0"
 
 let test_determinism () =
   let run () = dart ~depth:2 Workloads.Paper_examples.ac_controller in
@@ -245,8 +250,8 @@ let test_coverage_report () =
         Alcotest.fail "driver function leaked into coverage")
     cov.Dart.Coverage.entries;
   (* A single random run covers strictly less. *)
-  let rr = Dart.Random_search.run ~seed:3 ~max_runs:1 prog in
-  let cov1 = Dart.Coverage.compute prog ~covered:rr.Dart.Random_search.coverage_sites in
+  let rr = Dart.Driver.run ~options:(random ~seed:3 ~max_runs:1) prog in
+  let cov1 = Dart.Coverage.compute prog ~covered:rr.Dart.Driver.coverage_sites in
   Alcotest.(check bool) "partial coverage" true (Dart.Coverage.percent cov1 < 100.0)
 
 let test_directed_switch () =
@@ -413,6 +418,39 @@ let test_solver_mix () =
      | _ -> Alcotest.fail "witness did not replay the fault")
   | bugs -> Alcotest.failf "expected one bug, got %d" (List.length bugs)
 
+(* dartc --random-testing runs the directed search with the shadow off,
+   so --jobs, --all-bugs and the report format are the directed
+   search's. Flags that steer the solver or the branch choice, and the
+   checkpoint whose meta line does not record the mode, are refused. *)
+let test_dartc_random_testing () =
+  let ac =
+    [ "../examples/ac_controller.mc"; "-t"; "ac_controller"; "-d"; "2"; "--random-testing" ]
+  in
+  let code, out, _ = Dartc_cli.run (ac @ [ "--jobs"; "2"; "--max-runs"; "300" ]) in
+  Alcotest.(check int) "--jobs 2: no bug, exit 0" 0 code;
+  Alcotest.(check bool) "--jobs 2 spends the budget exactly" true
+    (Str_contains.contains out "\nruns: 300 ");
+  let code, out, _ =
+    Dartc_cli.run
+      [ "../examples/solver_mix.mc"; "-t"; "step"; "-d"; "2"; "--seed"; "7"; "--random-testing";
+        "--all-bugs"; "--max-runs"; "2000" ]
+  in
+  Alcotest.(check int) "--all-bugs: bug found, exit 1" 1 code;
+  Alcotest.(check bool) "--all-bugs keeps going to the budget" true
+    (Str_contains.contains out "\nruns: 2000 ");
+  List.iter
+    (fun flags ->
+      let code, _, err = Dartc_cli.run (ac @ flags) in
+      let name = String.concat " " flags in
+      Alcotest.(check int) (name ^ ": usage error") 2 code;
+      Alcotest.(check bool) (name ^ ": message names --random-testing") true
+        (Str_contains.contains err "--random-testing"))
+    [ [ "--strategy"; "dfs" ];
+      [ "--no-cache" ];
+      [ "--solver-timeout"; "5" ];
+      [ "--checkpoint"; Filename.concat (Filename.get_temp_dir_name ()) "dart_random.ck" ];
+      [ "--resume"; "../examples/ac_controller.mc" ] ]
+
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;
     Alcotest.test_case "paper 2.4" `Quick test_section_2_4;
@@ -435,5 +473,6 @@ let suite =
     Alcotest.test_case "minimal bug witness replays" `Quick test_bug_witness_minimal_and_replays;
     Alcotest.test_case "unknown voids complete" `Quick test_unknown_voids_complete;
     Alcotest.test_case "solver mix" `Quick test_solver_mix;
+    Alcotest.test_case "dartc random testing" `Quick test_dartc_random_testing;
     Alcotest.test_case "list shapes via restarts" `Slow test_list_shapes_via_restarts;
     Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers ]

@@ -2,7 +2,7 @@
    reports, the jobs=1 determinism contract against Driver.run, bug-set
    agreement at jobs=4, the work pool dividing one path tree, BFS and
    random workers on the pooled budget, crash requeue, the strategy
-   candidate set, and the Random_search budget boundary. *)
+   candidate set, and the random-testing budget boundary. *)
 
 module Strategy = Dart.Strategy
 
@@ -372,24 +372,28 @@ let test_candidates_empty_remove () =
     (Invalid_argument "Strategy.remove_failed: no preceding choose") (fun () ->
       Strategy.remove_failed Strategy.Dfs c)
 
-(* ---- random search budget boundary ----------------------------------------- *)
+(* ---- random testing budget boundary ---------------------------------------- *)
 
 let test_random_budget_boundary () =
+  (* Random testing is the search with the symbolic shadow off. *)
+  let random ~max_runs =
+    Dart.Driver.Options.make ~seed:3 ~max_runs
+      ~exec:{ Dart.Concolic.default_exec_options with symbolic = false } ()
+  in
   (* No findable bug: the budget must be exactly consumed, not
      max_runs - 1 or max_runs + 1. *)
   let src = "void f(int x) { if (x == 123456789) abort(); }" in
   let prog = prepare_workload (src, "f") ~depth:1 in
-  let r = Dart.Random_search.run ~seed:3 ~max_runs:17 prog in
-  Alcotest.(check bool) "no bug" true (r.Dart.Random_search.verdict = `No_bug);
-  Alcotest.(check int) "runs = max_runs exactly" 17 r.Dart.Random_search.runs;
+  let r = Dart.Driver.run ~options:(random ~max_runs:17) prog in
+  Alcotest.(check bool) "no bug" true (r.Dart.Driver.verdict = Dart.Driver.Budget_exhausted);
+  Alcotest.(check int) "runs = max_runs exactly" 17 r.Dart.Driver.runs;
   (* A bug on the very first run: the boundary run still counts. *)
   let prog = prepare_workload ("void g(int x) { abort(); }", "g") ~depth:1 in
-  let r = Dart.Random_search.run ~seed:3 ~max_runs:1 prog in
-  (match r.Dart.Random_search.verdict with
-   | `Bug_found b -> Alcotest.(check int) "found on run 1" 1 b.Dart.Driver.bug_run
-   | `No_bug | `Time_exhausted | `Interrupted ->
-     Alcotest.fail "expected the unconditional abort");
-  Alcotest.(check int) "runs = 1" 1 r.Dart.Random_search.runs
+  let r = Dart.Driver.run ~options:(random ~max_runs:1) prog in
+  (match r.Dart.Driver.verdict with
+   | Dart.Driver.Bug_found b -> Alcotest.(check int) "found on run 1" 1 b.Dart.Driver.bug_run
+   | _ -> Alcotest.fail "expected the unconditional abort");
+  Alcotest.(check int) "runs = 1" 1 r.Dart.Driver.runs
 
 let suite =
   [ Alcotest.test_case "merge: bug dedup" `Quick test_merge_bug_dedup;

@@ -17,6 +17,9 @@ let churn_src = (Example_programs.read "churn.mc", "step")
 
 let abort_src = ("void f(int x) { if (x == 5) abort(); }", "f")
 
+(* Random testing: the directed search with the symbolic shadow off. *)
+let random_exec = { Dart.Concolic.default_exec_options with symbolic = false }
+
 (* ---- faultsim -------------------------------------------------------------- *)
 
 let test_faultsim_off () =
@@ -275,19 +278,22 @@ let test_interrupt_verdicts () =
        | Dart.Driver.Interrupted -> ()
        | _ -> Alcotest.fail "directed: expected Interrupted");
       Alcotest.(check int) "directed: stopped before the first run" 0 r.Dart.Driver.runs;
-      match (Dart.Random_search.run ~seed:1 ~max_runs:100 prog).Dart.Random_search.verdict with
-      | `Interrupted -> ()
-      | _ -> Alcotest.fail "random: expected `Interrupted")
+      let options = Dart.Driver.Options.make ~seed:1 ~max_runs:100 ~exec:random_exec () in
+      match (Dart.Driver.run ~options prog).Dart.Driver.verdict with
+      | Dart.Driver.Interrupted -> ()
+      | _ -> Alcotest.fail "random: expected Interrupted")
 
 let test_random_deadline () =
   let prog = prepare abort_src in
-  let expired = Int64.sub (Dart.Telemetry.now ()) 1L in
-  match
-    (Dart.Random_search.run ~seed:1 ~max_runs:100 ~deadline:expired prog)
-      .Dart.Random_search.verdict
-  with
-  | `Time_exhausted -> ()
-  | _ -> Alcotest.fail "expected `Time_exhausted on an expired deadline"
+  (* A zero budget has expired by the first run boundary. *)
+  let options =
+    Dart.Driver.Options.make ~seed:1 ~max_runs:100 ~time_budget_ns:0L ~exec:random_exec ()
+  in
+  let r = Dart.Driver.run ~options prog in
+  (match r.Dart.Driver.verdict with
+   | Dart.Driver.Time_exhausted -> ()
+   | _ -> Alcotest.fail "expected Time_exhausted on an expired deadline");
+  Alcotest.(check int) "stopped before the first run" 0 r.Dart.Driver.runs
 
 (* ---- resource-limit classification ----------------------------------------- *)
 
@@ -704,29 +710,17 @@ let test_crash_single_worker () =
    worker_crash: a plan arming it at --jobs 1 would be silently
    ignored, so the CLI refuses it as a usage error that names --jobs. *)
 let test_dartc_worker_crash_needs_jobs () =
-  let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe" in
   let src = Filename.temp_file "dart_wc" ".mc" in
-  let err = Filename.temp_file "dart_wc" ".err" in
   Fun.protect
-    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ src; err ])
+    ~finally:(fun () -> try Sys.remove src with Sys_error _ -> ())
     (fun () ->
       Dart_util.Fileio.write_atomic src (fst abort_src);
-      let dartc args =
-        let out = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
-        let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-        let argv = Array.of_list (exe :: src :: "--toplevel" :: snd abort_src :: args) in
-        let pid = Unix.create_process exe argv Unix.stdin out errfd in
-        Unix.close out;
-        Unix.close errfd;
-        let _, status = Unix.waitpid [] pid in
-        (status, Dart_util.Fileio.read_all err)
-      in
-      let status, msg = dartc [ "--faultsim"; "worker_crash@0" ] in
-      Alcotest.(check bool) "jobs 1: usage error" true (status = Unix.WEXITED 2);
+      let dartc args = Dartc_cli.run (src :: "--toplevel" :: snd abort_src :: args) in
+      let code, _, msg = dartc [ "--faultsim"; "worker_crash@0" ] in
+      Alcotest.(check int) "jobs 1: usage error" 2 code;
       Alcotest.(check bool) "message names --jobs" true (Str_contains.contains msg "--jobs");
-      let status, _ = dartc [ "--faultsim"; "worker_crash@0"; "--jobs"; "2" ] in
-      Alcotest.(check bool) "jobs 2: the crash is injected and the bug still found" true
-        (status = Unix.WEXITED 1))
+      let code, _, _ = dartc [ "--faultsim"; "worker_crash@0"; "--jobs"; "2" ] in
+      Alcotest.(check int) "jobs 2: the crash is injected and the bug still found" 1 code)
 
 (* ---- telemetry codec for the new events ------------------------------------ *)
 

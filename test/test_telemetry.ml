@@ -348,6 +348,36 @@ let test_hist_merge_determinism () =
         (T.Hist.percentile whole p) (T.Hist.percentile merged p))
     [ 50.0; 90.0; 99.0; 100.0 ]
 
+(* ---- plateau over a two-target trace ------------------------------------------- *)
+
+(* A campaign trace concatenates targets, each numbering its runs from
+   1. The plateau counts Run_end events across the whole trace, and the
+   last gain is the run that first added a direction to [covered]. *)
+let test_plateau_two_targets () =
+  let run ~target_run fn pc dir ~covered =
+    [ T.Run_start { run = target_run };
+      T.Branch_taken { fn; pc; dir };
+      T.Run_end { run = target_run; outcome = "halted"; steps = 1; dur_ns = 1L };
+      T.Cover_point { run = target_run; covered; elapsed_ns = 1L } ]
+  in
+  let events =
+    List.concat
+      [ (* target a: gains in its runs 1 and 2 *)
+        run ~target_run:1 "a" 0 true ~covered:1;
+        run ~target_run:2 "a" 0 false ~covered:2;
+        run ~target_run:3 "a" 0 false ~covered:2;
+        (* target b: gains in its run 1, the trace's run 4 *)
+        run ~target_run:1 "b" 0 true ~covered:1;
+        run ~target_run:2 "b" 0 true ~covered:1 ]
+  in
+  let s = T.summarize events in
+  Alcotest.(check (option (pair int int))) "plateau" (Some (5, 1)) s.T.plateau;
+  Alcotest.(check bool) "summary line" true
+    (Str_contains.contains (T.summary_to_string s)
+       "coverage: 3 branch directions after 5 runs (5 cover points); plateau: 1 runs");
+  Alcotest.(check (option (pair int int))) "no runs, no plateau" None
+    (T.summarize [ T.Cover_point { run = 1; covered = 1; elapsed_ns = 1L } ]).T.plateau
+
 let suite =
   [ Alcotest.test_case "null sink" `Quick test_null_sink;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
@@ -360,4 +390,5 @@ let suite =
     Alcotest.test_case "phase metrics" `Quick test_metrics;
     Alcotest.test_case "tracing does not perturb search" `Quick test_tracing_off_and_on_agree;
     Alcotest.test_case "jsonl trace counts" `Quick test_jsonl_trace_counts;
-    Alcotest.test_case "parallel trace merge" `Quick test_parallel_trace_merge ]
+    Alcotest.test_case "parallel trace merge" `Quick test_parallel_trace_merge;
+    Alcotest.test_case "plateau over two targets" `Quick test_plateau_two_targets ]

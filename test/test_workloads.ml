@@ -6,6 +6,9 @@
 let options ?(depth = 1) ?(max_runs = 50_000) () =
   Dart.Driver.Options.make ~depth ~max_runs ()
 
+(* Random testing: the directed search with the symbolic shadow off. *)
+let random_exec = { Dart.Concolic.default_exec_options with symbolic = false }
+
 let ns_poss ~fix ~depth ~max_runs =
   Dart.Driver.test_source
     ~options:(options ~depth ~max_runs ())
@@ -41,9 +44,12 @@ let test_ns_possibilistic_random_fails () =
     Dart.Driver.prepare ~toplevel:Workloads.Needham_schroeder.possibilistic_toplevel
       ~depth:2 ast
   in
-  let r = Dart.Random_search.run ~seed:17 ~max_runs:3_000 prog in
+  let options =
+    Dart.Driver.Options.make ~seed:17 ~max_runs:3_000 ~exec:random_exec ()
+  in
+  let r = Dart.Driver.run ~options prog in
   Alcotest.(check bool) "random cannot guess nonces" true
-    (r.Dart.Random_search.verdict = `No_bug)
+    (r.Dart.Driver.verdict = Dart.Driver.Budget_exhausted)
 
 let test_ns_dolev_yao_depths () =
   (* Figure 10's shape: no error up to depth 3, error at depth 4, run
@@ -178,11 +184,12 @@ let test_sip_packet_construction () =
      Alcotest.(check string) "method token synthesized" "INVITE " prefix
    | _ -> Alcotest.fail "packet not constructed");
   let rr =
-    Dart.Random_search.test_source ~seed:9 ~max_runs:10_000
+    Dart.Driver.test_source
+      ~options:(Dart.Driver.Options.make ~seed:9 ~max_runs:10_000 ~exec:random_exec ())
       ~toplevel:Workloads.Sip_parser.toplevel Workloads.Sip_parser.vulnerable
   in
   Alcotest.(check bool) "random cannot pass the filter" true
-    (rr.Dart.Random_search.verdict = `No_bug);
+    (rr.Dart.Driver.verdict = Dart.Driver.Budget_exhausted);
   let rf =
     Dart.Driver.test_source
       ~options:(options ~depth:1 ~max_runs:2_000 ())
