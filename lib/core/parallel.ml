@@ -43,7 +43,7 @@ type crash = {
 
 type report = {
   jobs : int;
-  strategy : Strategy.t;
+  strategy : Strategy.t option;
   merged : Driver.report;
   workers : worker_report list;
   crashes : crash list;
@@ -189,6 +189,9 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   let workpool =
     if n >= 2 && strategy = Strategy.Dfs then Some (Workpool.create ~members:n) else None
   in
+  (* With the shadow off no branch is ever chosen: random testing runs
+     no strategy, whatever [search.strategy] says. *)
+  let strategy = if t.base.O.exec.Concolic.symbolic then Some strategy else None in
   (* A worker body never lets an exception reach [Domain.join]: it
      returns [Error reason] instead, so the supervisor always joins
      every domain, replays the surviving rings and flushes the sink. *)
@@ -391,7 +394,9 @@ let report_to_string r =
     (fun w ->
       Buffer.add_string buf
         (Printf.sprintf "\n  worker %d [%s, seed %d]: %s, %d runs, %d paths" w.w_id
-           (Strategy.to_string r.strategy)
+           (match r.strategy with
+            | Some s -> Strategy.to_string s
+            | None -> "random-testing")
            w.w_seed
            (Driver.verdict_tag w.w_report.Driver.verdict)
            w.w_report.Driver.runs w.w_report.Driver.paths_explored);

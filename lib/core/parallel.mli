@@ -67,7 +67,9 @@ type crash = {
 
 type report = {
   jobs : int; (* actual worker count after resolving [jobs = 0] *)
-  strategy : Strategy.t; (* the one strategy every worker ran *)
+  strategy : Strategy.t option;
+      (* the one strategy every worker ran; [None] under random testing
+         ([exec.symbolic = false]), where no branch is ever chosen *)
   merged : Driver.report;
   workers : worker_report list;
       (* surviving workers (respawns included), in worker-id order *)

@@ -61,9 +61,11 @@ exception Fault_exn of fault
    plumbing. Never escapes [run]. *)
 exception Halt_exn
 
+module Memory = Memory
+
 (* Memory layout (cell addresses, all well below 2^31). The bases live
-   in [Memory] so its flat representation can decode addresses into
-   regions; they are re-bound here for readability. *)
+   in [Memory] so the store can decode addresses into regions; they are
+   re-bound here for readability. *)
 let globals_base = Memory.globals_base
 let heap_base = Memory.heap_base
 let stack_base = Memory.stack_base
@@ -94,8 +96,8 @@ and t = {
   config : config;
   mem : Memory.t;
   sreg : Memory.region; (* cached stack-region handle: frame-slot
-                           accesses skip the store's variant/record
-                           decode (see [Memory.stack_region]) *)
+                           accesses skip the store's region decode
+                           (see [Memory.stack_region]) *)
   global_addrs : (string, int) Hashtbl.t;
   string_addrs : int array;
   externals : (string, Minic.Tast.fsig) Hashtbl.t;
@@ -158,7 +160,6 @@ let null_listener =
 
 type library_impl = t -> int list -> int
 
-let program t = t.prog
 let steps t = t.step_count
 let branch_count t = t.cond_count
 
@@ -230,8 +231,6 @@ let alloc_heap t n =
   t.heap_top <- t.heap_top + n + 1; (* guard cell between blocks *)
   Hashtbl.replace t.malloc_blocks addr n;
   addr
-
-let malloc_block_size t addr = Hashtbl.find_opt t.malloc_blocks addr
 
 (* ---- concrete evaluation --------------------------------------------------- *)
 
@@ -307,7 +306,7 @@ let push_frame t (func : Instr.func) ~ret_dst ~steps =
   if t.stack_top + func.Instr.frame_size - stack_base > t.config.stack_limit then
     raise (Fault_exn Call_depth);
   let base = t.stack_top in
-  Memory.alloc_stack t.mem ~addr:base ~size:func.Instr.frame_size;
+  Memory.alloc t.mem ~addr:base ~size:func.Instr.frame_size;
   let frame = { func; base; pc = 0; ret_dst; saved_stack_top = t.stack_top; fr_steps = steps } in
   t.stack_top <- t.stack_top + func.Instr.frame_size;
   t.frames <- frame :: t.frames;
@@ -318,7 +317,7 @@ let pop_frame t =
   match t.frames with
   | [] -> assert false
   | f :: rest ->
-    Memory.dealloc_stack t.mem ~addr:f.saved_stack_top ~size:(t.stack_top - f.saved_stack_top);
+    Memory.dealloc t.mem ~addr:f.saved_stack_top ~size:(t.stack_top - f.saved_stack_top);
     t.stack_top <- f.saved_stack_top;
     t.frames <- rest;
     t.call_depth <- t.call_depth - 1;
@@ -332,7 +331,7 @@ let do_alloca t size =
     0
   else begin
     let addr = t.stack_top in
-    Memory.alloc_stack t.mem ~addr ~size;
+    Memory.alloc t.mem ~addr ~size;
     t.stack_top <- t.stack_top + size;
     addr
   end
@@ -1163,7 +1162,7 @@ let compile (prog : Instr.program) : compiled =
       let slot = Hashtbl.find cfuncs name in
       slot := compile_func ~global_addrs ~string_addrs ~externals ~cfuncs prog f)
     prog.funcs;
-  let init_mem = Memory.create_flat () in
+  let init_mem = Memory.create () in
   seed_memory init_mem prog ~string_addrs placed;
   let max_params = Hashtbl.fold (fun _ f acc -> max acc f.Instr.nparams) prog.funcs 0 in
   { cfuncs;

@@ -104,8 +104,6 @@ val precompile : Ram.Instr.program -> unit
 val is_compiled : t -> bool
 (** Whether this machine runs the compiled engine. *)
 
-val program : t -> Ram.Instr.program
-
 val run : ?args:int list -> ?listener:listener -> t -> entry:string -> outcome
 (** Execute [entry]. When [args] is given, parameter cells are
     initialized with those words; otherwise the listener's [on_entry]
@@ -122,6 +120,10 @@ val branch_count : t -> int
 
 (* -- memory and layout, for the test driver and random initializer -- *)
 
+module Memory = Memory
+(** The store both engines run on; exported so the tests can hold it
+    to a reference implementation. *)
+
 val global_addr : t -> string -> int
 val read_word : t -> int -> (int, Memory.read_error) result
 val write_word : t -> int -> int -> unit
@@ -129,9 +131,6 @@ val write_word : t -> int -> int -> unit
 
 val alloc_heap : t -> int -> int
 (** Allocate [n] fresh undefined heap cells, returning their address. *)
-
-val malloc_block_size : t -> int -> int option
-(** Size of the live malloc/heap block starting at the given address. *)
 
 val memory_snapshot : t -> (int * int option) list
 (** All mapped cells as a sorted [(address, value)] list, [None] for

@@ -10,25 +10,24 @@ exception Unmapped_exn
 exception Undefined_exn
 exception Null_exn
 
-(* Address-space layout, shared with [Machine.layout]: the flat
-   representation decodes an address to its region with two compares,
-   so the bases live here and the machine re-exports them. *)
+(* Address-space layout, shared with [Machine.layout]: the store
+   decodes an address to its region with two compares, so the bases
+   live here and the machine re-exports them. *)
 let globals_base = 0x1000
 let heap_base = 0x2000_0000
 let stack_base = 0x4000_0000
 
 (* ---- flat regions ----------------------------------------------------------
-   The compiled engine's store. Each region is one growable int array
-   indexed by [addr - base], each element encoding state and value
-   together: [0] unmapped, [1] allocated-but-undefined, and a defined
-   cell holding [v] as [(v lsl 2) lor 2] — values are 32-bit words, so
-   the shift cannot overflow a native int. One array element per access
-   (a single cache line touch), no hashing, no allocation. Cells a
-   program somehow reaches outside any region's array window (negative
-   addresses, offsets past [region_cap]) spill into [overflow]; the
-   array wins whenever its element is non-zero, and the overflow is
-   only consulted on zero/out-of-bounds misses, so each cell has
-   exactly one home. *)
+   Each region is one growable int array indexed by [addr - base], each
+   element encoding state and value together: [0] unmapped, [1]
+   allocated-but-undefined, and a defined cell holding [v] as
+   [(v lsl 2) lor 2] — values are 32-bit words, so the shift cannot
+   overflow a native int. One array element per access (a single cache
+   line touch), no hashing, no allocation. Cells a program somehow
+   reaches outside any region's array window (negative addresses,
+   offsets past [region_cap]) spill into [overflow]; the array wins
+   whenever its element is non-zero, and the overflow is only consulted
+   on zero/out-of-bounds misses, so each cell has exactly one home. *)
 
 type region = {
   base : int;
@@ -36,7 +35,7 @@ type region = {
   mutable hi : int; (* exclusive upper offset ever touched; bounds scans *)
 }
 
-type flat = {
+type t = {
   r_static : region; (* globals and interned strings: [0, heap_base) *)
   r_heap : region; (* [heap_base, stack_base) *)
   r_stack : region; (* [stack_base, ...) *)
@@ -49,26 +48,21 @@ let encode v = (v lsl 2) lor 2
 let decode c = c asr 2
 
 (* Largest offset the arrays may grow to cover (cells). Past this a
-   cell lives in [overflow]; correctness is unaffected. *)
+   cell lives in [overflow]; correctness is unaffected. Every region
+   spans far more than [region_cap] cells, so a range that fits in one
+   region's window never reaches into the next region. *)
 let region_cap = 1 lsl 22
-
-type t =
-  | Htbl of (int, cell) Hashtbl.t
-  | Flat of flat
-
-let create () = Htbl (Hashtbl.create 1024)
 
 let make_region base = { base; cells = [||]; hi = 0 }
 
-let create_flat () =
+let create () =
   (* The static region is based at [globals_base], not 0: offsets start
      at the first cell layout can actually place, and the never-mapped
      null page resolves to a negative offset, i.e. the overflow path. *)
-  Flat
-    { r_static = make_region globals_base;
-      r_heap = make_region heap_base;
-      r_stack = make_region stack_base;
-      overflow = Hashtbl.create 4 }
+  { r_static = make_region globals_base;
+    r_heap = make_region heap_base;
+    r_stack = make_region stack_base;
+    overflow = Hashtbl.create 4 }
 
 let region_of f a = if a >= stack_base then f.r_stack else if a >= heap_base then f.r_heap else f.r_static
 
@@ -95,14 +89,11 @@ let clone_region r =
     { base = r.base; cells = Array.sub r.cells 0 len; hi = r.hi }
   end
 
-let clone = function
-  | Htbl h -> Htbl (Hashtbl.copy h)
-  | Flat f ->
-    Flat
-      { r_static = clone_region f.r_static;
-        r_heap = clone_region f.r_heap;
-        r_stack = clone_region f.r_stack;
-        overflow = Hashtbl.copy f.overflow }
+let clone f =
+  { r_static = clone_region f.r_static;
+    r_heap = clone_region f.r_heap;
+    r_stack = clone_region f.r_stack;
+    overflow = Hashtbl.copy f.overflow }
 
 (* Single-cell slow paths (overflow, region-spanning ranges). *)
 
@@ -132,96 +123,42 @@ let read_overflow f a =
 
 (* ---- the public operations ------------------------------------------------ *)
 
-let alloc t ~addr ~size =
-  match t with
-  | Htbl cells ->
-    for a = addr to addr + size - 1 do
-      Hashtbl.replace cells a Undef
-    done
-  | Flat f ->
-    if size > 0 then begin
-      let r = region_of f addr in
-      let off = addr - r.base in
-      if off >= 0 && off + size <= region_cap && region_of f (addr + size - 1) == r then begin
-        if off + size > Array.length r.cells then grow r (off + size);
-        Array.fill r.cells off size undef_cell;
-        if off + size > r.hi then r.hi <- off + size
-      end
-      else
-        for a = addr to addr + size - 1 do
-          set_undef_cell f a
-        done
-    end
-
-let dealloc t ~addr ~size =
-  match t with
-  | Htbl cells ->
-    for a = addr to addr + size - 1 do
-      Hashtbl.remove cells a
-    done
-  | Flat f ->
-    if size > 0 then begin
-      let r = region_of f addr in
-      let off = addr - r.base in
-      if off >= 0 && off + size <= Array.length r.cells && region_of f (addr + size - 1) == r
-      then Array.fill r.cells off size unmapped_cell
-      else
-        for a = addr to addr + size - 1 do
-          unmap_cell f a
-        done
-    end
-
-(* Frame-sized alloc/dealloc on the stack region — the per-call path.
-   Identical to {!alloc}/{!dealloc} restricted to addresses the machine
-   derives from its stack pointer (always [>= stack_base]); the generic
-   entry points remain for everything else. *)
-
-let alloc_stack t ~addr ~size =
-  match t with
-  | Flat f when addr >= stack_base && addr - stack_base + size <= region_cap ->
-    if size > 0 then begin
-      let r = f.r_stack in
-      let off = addr - stack_base in
+let alloc f ~addr ~size =
+  if size > 0 then begin
+    let r = region_of f addr in
+    let off = addr - r.base in
+    if off >= 0 && off + size <= region_cap then begin
       if off + size > Array.length r.cells then grow r (off + size);
       Array.fill r.cells off size undef_cell;
       if off + size > r.hi then r.hi <- off + size
     end
-  | t -> alloc t ~addr ~size
+    else
+      for a = addr to addr + size - 1 do
+        set_undef_cell f a
+      done
+  end
 
-let dealloc_stack t ~addr ~size =
-  match t with
-  | Flat f when addr >= stack_base && size >= 0
-                && size <= Array.length f.r_stack.cells - (addr - stack_base) ->
-    if size > 0 then Array.fill f.r_stack.cells (addr - stack_base) size unmapped_cell
-  | t -> dealloc t ~addr ~size
+let dealloc f ~addr ~size =
+  if size > 0 then begin
+    let r = region_of f addr in
+    let off = addr - r.base in
+    if off >= 0 && off + size <= Array.length r.cells then Array.fill r.cells off size unmapped_cell
+    else
+      for a = addr to addr + size - 1 do
+        unmap_cell f a
+      done
+  end
 
-let is_mapped t a =
-  match t with
-  | Htbl cells -> Hashtbl.mem cells a
-  | Flat f ->
-    let r = region_of f a in
-    let off = a - r.base in
-    if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
-    then true
-    else Hashtbl.mem f.overflow a
-
-let read t a =
-  match t with
-  | Htbl cells ->
-    (match Hashtbl.find_opt cells a with
-     | None -> Error Unmapped
-     | Some Undef -> Error Undefined
-     | Some (Val v) -> Ok v)
-  | Flat f ->
-    let r = region_of f a in
-    let off = a - r.base in
-    if off >= 0 && off < Array.length r.cells then begin
-      let c = Array.unsafe_get r.cells off in
-      if c land 2 <> 0 then Ok (decode c)
-      else if c = undef_cell then Error Undefined
-      else read_overflow f a
-    end
+let read f a =
+  let r = region_of f a in
+  let off = a - r.base in
+  if off >= 0 && off < Array.length r.cells then begin
+    let c = Array.unsafe_get r.cells off in
+    if c land 2 <> 0 then Ok (decode c)
+    else if c = undef_cell then Error Undefined
     else read_overflow f a
+  end
+  else read_overflow f a
 
 (* Raising variants for the compiled engine's hot path: no [result]
    allocation per access; the exceptions propagate to [Machine.run],
@@ -238,192 +175,110 @@ let read_miss f a =
     | Error Unmapped -> raise Unmapped_exn
     | Error Undefined -> raise Undefined_exn
 
-let[@inline] read_exn t a =
-  match t with
-  | Flat f ->
-    let r = region_of f a in
-    let off = a - r.base in
-    if off >= 0 && off < Array.length r.cells then begin
-      let c = Array.unsafe_get r.cells off in
-      if c land 2 <> 0 then decode c
-      else if c = undef_cell then raise Undefined_exn
-      else read_miss f a
-    end
+let[@inline] read_exn f a =
+  let r = region_of f a in
+  let off = a - r.base in
+  if off >= 0 && off < Array.length r.cells then begin
+    let c = Array.unsafe_get r.cells off in
+    if c land 2 <> 0 then decode c
+    else if c = undef_cell then raise Undefined_exn
     else read_miss f a
-  | Htbl cells ->
-    if a >= 0 && a < globals_base then raise Null_exn
-    else (
-      match Hashtbl.find_opt cells a with
-      | None -> raise Unmapped_exn
-      | Some Undef -> raise Undefined_exn
-      | Some (Val v) -> v)
+  end
+  else read_miss f a
 
-let write t a v =
-  match t with
-  | Htbl cells ->
-    if Hashtbl.mem cells a then begin
-      Hashtbl.replace cells a (Val v);
-      Ok ()
-    end
-    else Error Unmapped
-  | Flat f ->
-    let r = region_of f a in
-    let off = a - r.base in
-    if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
-    then begin
-      Array.unsafe_set r.cells off (encode v);
-      Ok ()
-    end
-    else if Hashtbl.mem f.overflow a then begin
-      Hashtbl.replace f.overflow a (Val v);
-      Ok ()
-    end
-    else Error Unmapped
+let write f a v =
+  let r = region_of f a in
+  let off = a - r.base in
+  if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
+  then begin
+    Array.unsafe_set r.cells off (encode v);
+    Ok ()
+  end
+  else if Hashtbl.mem f.overflow a then begin
+    Hashtbl.replace f.overflow a (Val v);
+    Ok ()
+  end
+  else Error Unmapped
 
-let[@inline] write_exn t a v =
-  match t with
-  | Flat f ->
-    let r = region_of f a in
-    let off = a - r.base in
-    if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
-    then Array.unsafe_set r.cells off (encode v)
-    else if a >= 0 && a < globals_base then raise Null_exn
-    else if Hashtbl.mem f.overflow a then Hashtbl.replace f.overflow a (Val v)
-    else raise Unmapped_exn
-  | Htbl cells ->
-    if a >= 0 && a < globals_base then raise Null_exn
-    else if Hashtbl.mem cells a then Hashtbl.replace cells a (Val v)
-    else raise Unmapped_exn
+let[@inline] write_exn f a v =
+  let r = region_of f a in
+  let off = a - r.base in
+  if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
+  then Array.unsafe_set r.cells off (encode v)
+  else if a >= 0 && a < globals_base then raise Null_exn
+  else if Hashtbl.mem f.overflow a then Hashtbl.replace f.overflow a (Val v)
+  else raise Unmapped_exn
 
 (* Specialized raising accessors for addresses whose region is known at
-   compile time: frame slots (always >= stack_base) and globals (always
-   in [globals_base, heap_base)). They skip the region decode — and the
-   caller skips its null-page check — on the hit path; array misses
-   fall back to the generic ops so overflow-resident cells and the
-   Hashtbl representation stay fully supported. *)
+   compile time: frame slots (always >= stack_base, through a region
+   handle) and globals (always in [globals_base, heap_base)). They skip
+   the region decode — and the caller skips its null-page check — on
+   the hit path; array misses fall back to the generic ops, so
+   overflow-resident cells stay fully supported. *)
 
-let[@inline] read_local_exn t a =
-  match t with
-  | Flat f ->
-    let r = f.r_stack in
-    let off = a - stack_base in
-    if off >= 0 && off < Array.length r.cells then begin
-      let c = Array.unsafe_get r.cells off in
-      if c land 2 <> 0 then decode c
-      else if c = undef_cell then raise Undefined_exn
-      else read_exn t a
-    end
-    else read_exn t a
-  | Htbl _ -> read_exn t a
+let[@inline] read_static_exn f a =
+  let r = f.r_static in
+  let off = a - globals_base in
+  if off >= 0 && off < Array.length r.cells then begin
+    let c = Array.unsafe_get r.cells off in
+    if c land 2 <> 0 then decode c
+    else if c = undef_cell then raise Undefined_exn
+    else read_exn f a
+  end
+  else read_exn f a
 
-let[@inline] write_local_exn t a v =
-  match t with
-  | Flat f ->
-    let r = f.r_stack in
-    let off = a - stack_base in
-    if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
-    then Array.unsafe_set r.cells off (encode v)
-    else write_exn t a v
-  | Htbl _ -> write_exn t a v
-
-let[@inline] read_static_exn t a =
-  match t with
-  | Flat f ->
-    let r = f.r_static in
-    let off = a - globals_base in
-    if off >= 0 && off < Array.length r.cells then begin
-      let c = Array.unsafe_get r.cells off in
-      if c land 2 <> 0 then decode c
-      else if c = undef_cell then raise Undefined_exn
-      else read_exn t a
-    end
-    else read_exn t a
-  | Htbl _ -> read_exn t a
-
-let[@inline] write_static_exn t a v =
-  match t with
-  | Flat f ->
-    let r = f.r_static in
-    let off = a - globals_base in
-    if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
-    then Array.unsafe_set r.cells off (encode v)
-    else write_exn t a v
-  | Htbl _ -> write_exn t a v
+let[@inline] write_static_exn f a v =
+  let r = f.r_static in
+  let off = a - globals_base in
+  if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
+  then Array.unsafe_set r.cells off (encode v)
+  else write_exn f a v
 
 (* Region handles. [Machine] caches the stack region record at load
-   time and reads frame slots through it, skipping the variant and
-   record chain above on every access. Region records are stable for
-   the lifetime of a store — growth replaces their [cells] field, never
-   the record — so a cached handle cannot dangle. A Hashtbl store gets
-   a fresh empty region: every access through it misses and falls back
-   to the generic accessors, which handle that representation. *)
+   time and reads frame slots through it, skipping the record chain
+   above on every access. Region records are stable for the lifetime of
+   a store — growth replaces their [cells] field, never the record — so
+   a cached handle cannot dangle. *)
 
-let stack_region = function
-  | Flat f -> f.r_stack
-  | Htbl _ -> make_region stack_base
+let stack_region f = f.r_stack
 
-let[@inline] stack_read_exn t r a =
+let[@inline] stack_read_exn f r a =
   let off = a - stack_base in
   if off >= 0 && off < Array.length r.cells then begin
     let c = Array.unsafe_get r.cells off in
     if c land 2 <> 0 then decode c
     else if c = undef_cell then raise Undefined_exn
-    else read_exn t a
+    else read_exn f a
   end
-  else read_exn t a
+  else read_exn f a
 
-let[@inline] stack_write_exn t r a v =
+let[@inline] stack_write_exn f r a v =
   let off = a - stack_base in
   if off >= 0 && off < Array.length r.cells && Array.unsafe_get r.cells off <> unmapped_cell
   then Array.unsafe_set r.cells off (encode v)
-  else write_exn t a v
+  else write_exn f a v
 
-let write_init t a v =
-  match t with
-  | Htbl cells -> Hashtbl.replace cells a (Val v)
-  | Flat f ->
-    let r = region_of f a in
-    let off = a - r.base in
-    if off >= 0 && off < region_cap then begin
-      if off >= Array.length r.cells then grow r (off + 1);
-      Array.unsafe_set r.cells off (encode v);
-      if off + 1 > r.hi then r.hi <- off + 1
-    end
-    else Hashtbl.replace f.overflow a (Val v)
+let write_init f a v =
+  let r = region_of f a in
+  let off = a - r.base in
+  if off >= 0 && off < region_cap then begin
+    if off >= Array.length r.cells then grow r (off + 1);
+    Array.unsafe_set r.cells off (encode v);
+    if off + 1 > r.hi then r.hi <- off + 1
+  end
+  else Hashtbl.replace f.overflow a (Val v)
 
-let to_alist t =
-  match t with
-  | Htbl cells ->
-    Hashtbl.fold
-      (fun a c acc -> (a, (match c with Undef -> None | Val v -> Some v)) :: acc)
-      cells []
-    |> List.sort compare
-  | Flat f ->
-    let scan r acc =
-      let acc = ref acc in
-      for off = r.hi - 1 downto 0 do
-        let c = Array.unsafe_get r.cells off in
-        if c land 2 <> 0 then acc := (r.base + off, Some (decode c)) :: !acc
-        else if c = undef_cell then acc := (r.base + off, None) :: !acc
-      done;
-      !acc
-    in
-    Hashtbl.fold
-      (fun a c acc -> (a, (match c with Undef -> None | Val v -> Some v)) :: acc)
-      f.overflow []
-    |> scan f.r_stack |> scan f.r_heap |> scan f.r_static |> List.sort compare
-
-let defined_count t =
-  match t with
-  | Htbl cells ->
-    Hashtbl.fold (fun _ c acc -> match c with Val _ -> acc + 1 | Undef -> acc) cells 0
-  | Flat f ->
-    let scan r acc =
-      let n = ref acc in
-      for off = 0 to r.hi - 1 do
-        if Array.unsafe_get r.cells off land 2 <> 0 then incr n
-      done;
-      !n
-    in
-    Hashtbl.fold (fun _ c acc -> match c with Val _ -> acc + 1 | Undef -> acc) f.overflow 0
-    |> scan f.r_static |> scan f.r_heap |> scan f.r_stack
+let to_alist f =
+  let scan r acc =
+    let acc = ref acc in
+    for off = r.hi - 1 downto 0 do
+      let c = Array.unsafe_get r.cells off in
+      if c land 2 <> 0 then acc := (r.base + off, Some (decode c)) :: !acc
+      else if c = undef_cell then acc := (r.base + off, None) :: !acc
+    done;
+    !acc
+  in
+  Hashtbl.fold
+    (fun a c acc -> (a, (match c with Undef -> None | Val v -> Some v)) :: acc)
+    f.overflow []
+  |> scan f.r_stack |> scan f.r_heap |> scan f.r_static |> List.sort compare

@@ -1,4 +1,5 @@
-(** Word-addressed memory for the RAM machine.
+(** Word-addressed memory for the RAM machine: the memory M of paper
+    §2.2, shared by the compiled engine and the interpreter.
 
     Cells are 32-bit words. The map distinguishes unmapped addresses
     (never allocated — reads and writes fault), allocated-but-undefined
@@ -15,41 +16,33 @@ exception Unmapped_exn
 exception Undefined_exn
 exception Null_exn
 
-(* Address-space bases shared with [Machine.layout]; the flat
-   representation decodes addresses against them. *)
+(* Address-space bases shared with [Machine.layout]; the store decodes
+   addresses against them. *)
 val globals_base : int
 val heap_base : int
 val stack_base : int
 
-val create : unit -> t
-(** Hashtbl-backed store: any address, no layout assumptions. The
-    interpreter's representation. *)
+val region_cap : int
+(** Cells in a region's array window, counted from its base. Cells
+    past it live in the overflow table. *)
 
-val create_flat : unit -> t
-(** Region-decoded store backed by flat growable arrays over the
-    [globals/heap/stack] bases — the compiled engine's representation.
-    Semantics (mapped/undefined/defined, faults, snapshots) are
-    identical to {!create}; only the cost model differs. *)
+val create : unit -> t
+(** An empty store. Cells live in flat growable arrays, one per
+    [globals/heap/stack] region, indexed by the offset from the
+    region's base; addresses outside every region's array window
+    (negative addresses, the null page, offsets past {!region_cap})
+    live in a small overflow table. Any address can be mapped; the
+    layout only decides what an access costs. *)
 
 val clone : t -> t
-(** Deep copy. For a flat store this is a handful of array copies, so a
-    pre-seeded initial image can be stamped out per load. *)
+(** Deep copy: a handful of array copies, so a pre-seeded initial image
+    can be stamped out per load. *)
 
 val alloc : t -> addr:int -> size:int -> unit
 (** Mark [size] cells starting at [addr] as allocated and undefined. *)
 
 val dealloc : t -> addr:int -> size:int -> unit
 (** Unmap cells, so later access faults (dangling pointers). *)
-
-val alloc_stack : t -> addr:int -> size:int -> unit
-(** As {!alloc}, specialized for frame ranges at [>= stack_base]; the
-    machine's per-call path. Falls back to {!alloc} when the range is
-    not entirely in the stack region's window. *)
-
-val dealloc_stack : t -> addr:int -> size:int -> unit
-(** As {!dealloc}, the inverse of {!alloc_stack}. *)
-
-val is_mapped : t -> int -> bool
 
 val read : t -> int -> (int, read_error) result
 
@@ -72,16 +65,6 @@ val write_exn : t -> int -> int -> unit
 (** As {!write}, but raising [Unmapped_exn] (or [Null_exn]) on
     failure. *)
 
-(** Region-specialized variants of the raising accessors, for callers
-    that know the address's region at compile time: [..._local_...]
-    for frame slots ([>= stack_base]), [..._static_...] for globals and
-    strings ([globals_base, heap_base)). Behaviour is identical to
-    {!read_exn}/{!write_exn}; only the decode work differs. *)
-
-val read_local_exn : t -> int -> int
-
-val write_local_exn : t -> int -> int -> unit
-
 type region
 (** Handle on a store's stack region. Region records are stable for the
     store's lifetime (growth swaps their backing array, never the
@@ -89,14 +72,17 @@ type region
     valid. *)
 
 val stack_region : t -> region
-(** The store's stack region; for a Hashtbl store, an empty region
-    whose accesses all fall back to the generic (and correct)
-    accessors. *)
+
+(** Region-specialized variants of the raising accessors, for callers
+    that know the address's region at compile time: [stack_...] for
+    frame slots ([>= stack_base]), [..._static_...] for globals and
+    strings ([globals_base, heap_base)). Behaviour is identical to
+    {!read_exn}/{!write_exn} at every address; only the decode work
+    differs. *)
 
 val stack_read_exn : t -> region -> int -> int
-(** [stack_read_exn t r a] = [read_local_exn t a] with [r] =
-    [stack_region t]: same semantics, one less pointer chase on the hit
-    path. *)
+(** [stack_read_exn t r a] reads [a] through [r], which must be
+    [stack_region t]. *)
 
 val stack_write_exn : t -> region -> int -> int -> unit
 
@@ -107,6 +93,3 @@ val write_static_exn : t -> int -> int -> unit
 val to_alist : t -> (int * int option) list
 (** All mapped cells, sorted by address; [None] marks
     allocated-but-undefined cells. *)
-
-val defined_count : t -> int
-(** Number of cells currently holding a defined value (statistics). *)

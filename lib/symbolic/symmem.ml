@@ -1,7 +1,6 @@
 type t = { tbl : (int, Linexpr.t) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
-let clear t = Hashtbl.reset t.tbl
 
 let erase t ~addr = Hashtbl.remove t.tbl addr
 
@@ -13,4 +12,3 @@ let bind t ~addr e =
 let lookup t ~addr = Hashtbl.find_opt t.tbl addr
 
 let symbolic_count t = Hashtbl.length t.tbl
-let iter f t = Hashtbl.iter f t.tbl

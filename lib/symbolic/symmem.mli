@@ -8,7 +8,6 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 val bind : t -> addr:int -> Linexpr.t -> unit
 (** Bind an address; a constant expression erases instead. *)
@@ -19,4 +18,3 @@ val lookup : t -> addr:int -> Linexpr.t option
 (** [None] means the cell is concrete-only. *)
 
 val symbolic_count : t -> int
-val iter : (int -> Linexpr.t -> unit) -> t -> unit

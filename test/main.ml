@@ -7,6 +7,7 @@ let () =
       ("frontend", Test_frontend.suite);
       ("lower", Test_lower.suite);
       ("machine", Test_machine.suite);
+      ("memory diff", Diff_memory.suite);
       ("compile", Test_compile.suite);
       ("symbolic", Test_symbolic.suite);
       ("solver", Test_solver.suite);

@@ -430,6 +430,14 @@ let test_dartc_random_testing () =
   Alcotest.(check int) "--jobs 2: no bug, exit 0" 0 code;
   Alcotest.(check bool) "--jobs 2 spends the budget exactly" true
     (Str_contains.contains out "\nruns: 300 ");
+  (* No branch is chosen, so the worker lines name no strategy. *)
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) ("--jobs 2: " ^ w ^ " labelled random-testing") true
+        (Str_contains.contains out ("\n  " ^ w ^ " [random-testing, seed ")))
+    [ "worker 0"; "worker 1" ];
+  Alcotest.(check bool) "--jobs 2: no worker labelled dfs" false
+    (Str_contains.contains out "[dfs, ");
   let code, out, _ =
     Dartc_cli.run
       [ "../examples/solver_mix.mc"; "-t"; "step"; "-d"; "2"; "--seed"; "7"; "--random-testing";
@@ -450,6 +458,19 @@ let test_dartc_random_testing () =
       [ "--solver-timeout"; "5" ];
       [ "--checkpoint"; Filename.concat (Filename.get_temp_dir_name ()) "dart_random.ck" ];
       [ "--resume"; "../examples/ac_controller.mc" ] ]
+
+(* The ablation switches are library options ([Driver.Options.accel],
+   [Concolic.exec_options.compile]), not command-line flags: dartc and
+   dartc campaign refuse them as usage errors. *)
+let test_dartc_ablation_flags () =
+  List.iter
+    (fun args ->
+      let code, _, _ = Dartc_cli.run args in
+      Alcotest.(check int) (String.concat " " args ^ ": usage error") 2 code)
+    (List.map
+       (fun flag -> [ "../examples/ac_controller.mc"; "--toplevel"; "ac_controller"; flag ])
+       [ "--no-compile"; "--no-slicing"; "--no-incremental"; "--no-breaker" ]
+    @ [ [ "campaign"; "../examples/osip_library.mc"; "--no-breaker" ] ])
 
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;
@@ -474,5 +495,6 @@ let suite =
     Alcotest.test_case "unknown voids complete" `Quick test_unknown_voids_complete;
     Alcotest.test_case "solver mix" `Quick test_solver_mix;
     Alcotest.test_case "dartc random testing" `Quick test_dartc_random_testing;
+    Alcotest.test_case "dartc rejects ablation flags" `Quick test_dartc_ablation_flags;
     Alcotest.test_case "list shapes via restarts" `Slow test_list_shapes_via_restarts;
     Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers ]

@@ -2,7 +2,8 @@
    reports, the jobs=1 determinism contract against Driver.run, bug-set
    agreement at jobs=4, the work pool dividing one path tree, BFS and
    random workers on the pooled budget, crash requeue, the strategy
-   candidate set, and the random-testing budget boundary. *)
+   candidate set, the random-testing budget boundary, and the tree split
+   and pooled budget as dartc prints them. *)
 
 module Strategy = Dart.Strategy
 
@@ -395,6 +396,43 @@ let test_random_budget_boundary () =
    | _ -> Alcotest.fail "expected the unconditional abort");
   Alcotest.(check int) "runs = 1" 1 r.Dart.Driver.runs
 
+(* ---- dartc at several job counts ------------------------------------------- *)
+
+(* The contracts above as the command line shows them. DFS workers split
+   one path tree, so an exhausted no-bug search prints the same [runs:]
+   line (runs, paths, steps, branch coverage) at every job count. BFS
+   and random-branch workers search on their own, claiming runs from
+   one pooled budget, and together spend it exactly. *)
+let test_dartc_jobs () =
+  let split args =
+    Dartc_cli.run ([ "../examples/split.mc"; "--toplevel"; "walk"; "--depth"; "3" ] @ args)
+  in
+  let runs_line out =
+    List.find_opt (String.starts_with ~prefix:"runs: ") (String.split_on_char '\n' out)
+  in
+  let at jobs =
+    let code, out, _ = split [ "--jobs"; string_of_int jobs ] in
+    Alcotest.(check int) (Printf.sprintf "jobs %d: exit 0" jobs) 0 code;
+    Alcotest.(check bool) (Printf.sprintf "jobs %d: COMPLETE" jobs) true
+      (String.starts_with ~prefix:"COMPLETE" out);
+    runs_line out
+  in
+  let one = at 1 in
+  Alcotest.(check bool) "jobs 1 prints a runs: line" true (one <> None);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (option string)) (Printf.sprintf "jobs %d: runs: line of jobs 1" jobs) one
+        (at jobs))
+    [ 2; 4 ];
+  List.iter
+    (fun strategy ->
+      let _, out, _ = split [ "--jobs"; "2"; "--strategy"; strategy; "--max-runs"; "300" ] in
+      Alcotest.(check bool) (strategy ^ " --jobs 2 spends --max-runs 300 exactly") true
+        (match runs_line out with
+         | Some l -> String.starts_with ~prefix:"runs: 300 " l
+         | None -> false))
+    [ "random"; "bfs" ]
+
 let suite =
   [ Alcotest.test_case "merge: bug dedup" `Quick test_merge_bug_dedup;
     Alcotest.test_case "merge: coverage union" `Quick test_merge_coverage_union;
@@ -411,4 +449,5 @@ let suite =
     Alcotest.test_case "candidates: bfs" `Quick test_candidates_bfs;
     Alcotest.test_case "candidates: random" `Quick test_candidates_random;
     Alcotest.test_case "candidates: edge cases" `Quick test_candidates_empty_remove;
-    Alcotest.test_case "random budget boundary" `Quick test_random_budget_boundary ]
+    Alcotest.test_case "random budget boundary" `Quick test_random_budget_boundary;
+    Alcotest.test_case "dartc: runs line at jobs 1, 2, 4" `Quick test_dartc_jobs ]
