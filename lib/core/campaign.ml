@@ -216,7 +216,7 @@ type tstate = {
   mutable st_bugs : Driver.bug list; (* last successful slice's cumulative bugs *)
   mutable st_overruns : int; (* cumulative solver deadline overruns *)
   mutable st_breaker : Solver.Breaker.t option; (* shared across this target's slices *)
-  mutable st_prog : Ram.Instr.program option; (* prepared on the first slice *)
+  mutable st_prog : Ram.Instr.program option; (* linked on the first slice *)
 }
 
 type slice_outcome =
@@ -235,9 +235,15 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
       "no testable targets discovered (every function is a prototype, a harness helper, \
        or takes non-scalar parameters)"
   else begin
-    (* Surface library-level type errors once, up front, instead of as
-       one identical slice failure per target. *)
-    ignore (Minic.Typecheck.check ast);
+    (* The library is typechecked and lowered once, up front: its type
+       errors surface once instead of as one identical slice failure per
+       target, and a target's first slice links only its driver. *)
+    let cam_metrics = Telemetry.create_metrics () in
+    let lib = Driver.lower_library ~metrics:cam_metrics ast in
+    (* Compiled before any worker domain starts, so that the targets'
+       drivers all build on one compiled library instead of racing to
+       compile their own. *)
+    if options.O.exec.Concolic.compile then Machine.precompile (Driver.library_program lib);
     match
       match resume with
       | None -> Ok []
@@ -292,7 +298,6 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
          settle, so worker domains never touch either. *)
       let msink = options.O.telemetry.Telemetry.sink in
       let tracing = Telemetry.enabled msink in
-      let cam_metrics = Telemetry.create_metrics () in
       let dropped_events = ref 0 in
       let per_slice = max 1 options.O.campaign.O.per_function_runs in
       let cap_total = options.O.budget.O.max_runs in
@@ -335,16 +340,16 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
               Dart_util.Faultsim.is_on fault
               && Dart_util.Faultsim.fire ~key:st.st_index fault Dart_util.Faultsim.Worker_crash
             then Dart_util.Faultsim.inject_crash Dart_util.Faultsim.Worker_crash;
-            (* Lowering the target's driver lands in its first slice's
-               Lower phase; later slices reuse the program. *)
+            (* Linking the target's driver against the lowered library
+               lands in its first slice's Lower phase; later slices
+               reuse the program. *)
             let metrics = Telemetry.create_metrics () in
             let prog =
               match st.st_prog with
               | Some prog -> prog
               | None ->
                 let prog =
-                  Driver.prepare ~metrics ~toplevel:st.st_name
-                    ~depth:options.O.search.O.depth ast
+                  Driver.link ~metrics lib ~toplevel:st.st_name ~depth:options.O.search.O.depth
                 in
                 st.st_prog <- Some prog;
                 prog

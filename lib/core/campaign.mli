@@ -28,9 +28,10 @@
     one direction exercised) from their latest coverage, so refills flow to the functions where
     the directed search still has branches to flip.
 
-    The library text is parsed once. Each target is prepared
-    ({!Driver.prepare}: driver generation, typecheck, lowering) on its
-    first slice, and its later slices reuse that program.
+    The library text is parsed, typechecked, lowered and compiled once
+    ({!Driver.lower_library}). Each target links its generated driver
+    against it on its first slice ({!Driver.link}), and its later
+    slices reuse that program.
 
     Slices resume each other through in-memory {!Driver.snapshot}s:
     target results are a deterministic function of (options, target)

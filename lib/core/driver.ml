@@ -223,15 +223,31 @@ let deadline_of_options (options : Options.t) =
     (fun ns -> Int64.add (Telemetry.now ()) ns)
     options.Options.budget.Options.time_budget_ns
 
-let prepare ?metrics ?(library_sigs = []) ~toplevel ~depth (ast : Minic.Ast.program) =
-  let lower () =
-    let ast = Driver_gen.generate ast ~toplevel ~depth in
-    let tp = Minic.Typecheck.check ~library:library_sigs ast in
-    Ram.Lower.lower_program tp
-  in
+type library = {
+  lib_ast : Minic.Ast.program;
+  lib_typed : Minic.Tast.tprogram;
+  lib_prog : Ram.Instr.program;
+}
+
+let timed_lower metrics f =
   match metrics with
-  | None -> lower ()
-  | Some m -> Telemetry.timed m Telemetry.Lower lower
+  | None -> f ()
+  | Some m -> Telemetry.timed m Telemetry.Lower f
+
+let lower_library ?metrics ?(library_sigs = []) (ast : Minic.Ast.program) =
+  timed_lower metrics (fun () ->
+      let typed = Minic.Typecheck.check ~library:library_sigs ast in
+      { lib_ast = ast; lib_typed = typed; lib_prog = Ram.Lower.lower_program typed })
+
+let library_program lib = lib.lib_prog
+
+let link ?metrics lib ~toplevel ~depth =
+  timed_lower metrics (fun () ->
+      let stub = Driver_gen.stub lib.lib_ast ~toplevel ~depth in
+      Ram.Lower.extend lib.lib_prog (Minic.Typecheck.extend lib.lib_typed stub))
+
+let prepare ?metrics ?library_sigs ~toplevel ~depth ast =
+  link ?metrics (lower_library ?metrics ?library_sigs ast) ~toplevel ~depth
 
 let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : options)
     (prog : Ram.Instr.program) : report =

@@ -313,6 +313,33 @@ val deadline_of_options : options -> int64 option
     when the options carry no time budget. Compute it once and share it
     across worker contexts so every worker stops at the same instant. *)
 
+type library
+(** A program under test, typechecked and lowered once, without a test
+    driver: what every target of a campaign links against. *)
+
+val lower_library :
+  ?metrics:Telemetry.metrics -> ?library_sigs:Minic.Tast.fsig list -> Minic.Ast.program -> library
+(** Typecheck and lower the program. [library_sigs] names its black-box
+    functions ({!Minic.Typecheck.check}). When [metrics] is given, the
+    elapsed wall clock is attributed to its [Lower] phase.
+    @raise Minic.Typecheck.Error on a type error. *)
+
+val library_program : library -> Ram.Instr.program
+(** The lowered library without a driver: what every linked program
+    records as [linked_from]. *)
+
+val link :
+  ?metrics:Telemetry.metrics -> library -> toplevel:string -> depth:int -> Ram.Instr.program
+(** Synthesize the test driver for [toplevel] ({!Driver_gen.stub}),
+    check it against the library ({!Minic.Typecheck.extend}) and lower
+    it against the lowered library ({!Ram.Lower.extend}). The result
+    shares the library's functions, strings and globals, and
+    {!Machine} compiles only the driver on top of the library's
+    compiled form. Its entry point is {!Driver_gen.wrapper_name}.
+    [metrics] as for {!lower_library}.
+    @raise Driver_gen.No_toplevel if [toplevel] is not a defined
+    function. *)
+
 val prepare :
   ?metrics:Telemetry.metrics ->
   ?library_sigs:Minic.Tast.fsig list ->
@@ -320,9 +347,8 @@ val prepare :
   depth:int ->
   Minic.Ast.program ->
   Ram.Instr.program
-(** Synthesize the test driver, typecheck and lower. The resulting
-    entry point is {!Driver_gen.wrapper_name}. When [metrics] is given,
-    the elapsed wall clock is attributed to its [Lower] phase. *)
+(** [link (lower_library ast) ~toplevel ~depth]: the program with its
+    test driver, ready to search. *)
 
 val search :
   ?resume:snapshot ->

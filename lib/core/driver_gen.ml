@@ -38,9 +38,9 @@ let find_toplevel (prog : Ast.program) name =
   | Some (Ast.Gfun f) -> f
   | _ -> raise (No_toplevel name)
 
-(** Extend [prog] with the generated driver. The result's entry point
-    is {!wrapper_name}. *)
-let generate (prog : Ast.program) ~toplevel ~depth : Ast.program =
+(** The generated driver alone: one prototype per toplevel argument,
+    then {!wrapper_name}. *)
+let stub (prog : Ast.program) ~toplevel ~depth : Ast.program =
   let f = find_toplevel prog toplevel in
   let protos =
     List.mapi
@@ -78,13 +78,12 @@ let generate (prog : Ast.program) ~toplevel ~depth : Ast.program =
         fbody = Some [ loop ];
         floc = Loc.dummy }
   in
-  prog @ protos @ [ main ]
+  protos @ [ main ]
+
+(** Extend [prog] with the generated driver. The result's entry point
+    is {!wrapper_name}. *)
+let generate prog ~toplevel ~depth = prog @ stub prog ~toplevel ~depth
 
 (** The generated driver rendered as MiniC source (what the paper's
     Figure 7 shows for the AC-controller). *)
-let driver_source (prog : Ast.program) ~toplevel ~depth =
-  let full = generate prog ~toplevel ~depth in
-  let added =
-    List.filteri (fun i _ -> i >= List.length prog) full
-  in
-  Pretty.program_to_string added
+let driver_source prog ~toplevel ~depth = Pretty.program_to_string (stub prog ~toplevel ~depth)

@@ -36,8 +36,16 @@ val is_harness_site : string -> bool
 
 exception No_toplevel of string
 
+val stub : Minic.Ast.program -> toplevel:string -> depth:int -> Minic.Ast.program
+(** The generated driver alone, the declarations {!generate} appends:
+    one body-less [__dart_argN] prototype per toplevel parameter, then
+    {!wrapper_name}. {!Driver.link} checks and lowers it against the
+    already-lowered program.
+    @raise No_toplevel if [toplevel] is not a defined function. *)
+
 val generate : Minic.Ast.program -> toplevel:string -> depth:int -> Minic.Ast.program
-(** Extend the program with the generated driver.
+(** Extend the program with the generated driver: the program followed
+    by its {!stub}.
     @raise No_toplevel if [toplevel] is not a defined function. *)
 
 val driver_source : Minic.Ast.program -> toplevel:string -> depth:int -> string

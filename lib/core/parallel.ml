@@ -183,15 +183,17 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
      [Driver.run]. *)
   let store = if n > 1 then Some (Solver.Store.create ~workers:n) else None in
   let pool = if n > 1 then Some (Atomic.make t.base.O.budget.O.max_runs) else None in
+  (* With the shadow off no branch is ever chosen: random testing runs
+     no strategy, whatever [search.strategy] says, and has no path tree
+     to split. *)
+  let strategy =
+    if t.base.O.exec.Concolic.symbolic then Some t.base.O.search.O.strategy else None
+  in
   (* Two or more DFS workers split the tree through a work pool; slot
      0 starts at the root. *)
-  let strategy = t.base.O.search.O.strategy in
   let workpool =
-    if n >= 2 && strategy = Strategy.Dfs then Some (Workpool.create ~members:n) else None
+    if n >= 2 && strategy = Some Strategy.Dfs then Some (Workpool.create ~members:n) else None
   in
-  (* With the shadow off no branch is ever chosen: random testing runs
-     no strategy, whatever [search.strategy] says. *)
-  let strategy = if t.base.O.exec.Concolic.symbolic then Some strategy else None in
   (* A worker body never lets an exception reach [Domain.join]: it
      returns [Error reason] instead, so the supervisor always joins
      every domain, replays the surviving rings and flushes the sink. *)

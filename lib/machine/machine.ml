@@ -1149,50 +1149,56 @@ let compile_func ~global_addrs ~string_addrs ~externals ~cfuncs (prog : Instr.pr
   done;
   fused
 
-let compile (prog : Instr.program) : compiled =
-  let global_addrs, string_addrs, placed = layout prog in
+(* Compile [fs] into [cfuncs] in two passes, so that mutually
+   recursive functions can resolve each other: allocate every
+   function's slot first, then fill the bodies. *)
+let compile_funcs ~global_addrs ~string_addrs ~externals ~cfuncs prog fs =
+  List.iter (fun (f : Instr.func) -> Hashtbl.replace cfuncs f.Instr.fname (ref [||])) fs;
+  List.iter
+    (fun (f : Instr.func) ->
+      let slot = Hashtbl.find cfuncs f.Instr.fname in
+      slot := compile_func ~global_addrs ~string_addrs ~externals ~cfuncs prog f)
+    fs
+
+let max_params fs = List.fold_left (fun acc f -> max acc f.Instr.nparams) 0 fs
+
+let external_table (prog : Instr.program) =
   let externals = Hashtbl.create 8 in
   List.iter (fun (s : Minic.Tast.fsig) -> Hashtbl.replace externals s.sig_name s) prog.externals;
-  (* Two passes so mutually recursive functions can resolve each other:
-     allocate every function's slot first, then fill the bodies. *)
-  let cfuncs : (string, cstep array ref) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter (fun name _ -> Hashtbl.replace cfuncs name (ref [||])) prog.funcs;
-  Hashtbl.iter
-    (fun name f ->
-      let slot = Hashtbl.find cfuncs name in
-      slot := compile_func ~global_addrs ~string_addrs ~externals ~cfuncs prog f)
-    prog.funcs;
-  let init_mem = Memory.create () in
-  seed_memory init_mem prog ~string_addrs placed;
-  let max_params = Hashtbl.fold (fun _ f acc -> max acc f.Instr.nparams) prog.funcs 0 in
-  { cfuncs;
-    c_global_addrs = global_addrs;
-    c_string_addrs = string_addrs;
-    c_externals = externals;
-    c_init_mem = init_mem;
-    c_max_params = max_params }
+  externals
 
 (* A search loads thousands of machines from the same lowered program;
    compilation happens once per [Instr.program] value. The cache is
    keyed by physical identity (programs are immutable after lowering)
    and kept in an [Atomic] so Parallel workers on other domains share
    the read-only compiled form; a lost CAS race at worst compiles
-   twice. *)
+   twice. It is least recently used first out: a hit moves its entry to
+   the front, so a library that every linked target derives from stays
+   resident however many targets pass through. *)
 let cache_capacity = 8
 
 let compiled_cache : (Instr.program * compiled) list Atomic.t = Atomic.make []
 
-let compiled_for (prog : Instr.program) : compiled =
-  let find entries =
-    List.find_map (fun (p, c) -> if p == prog then Some c else None) entries
+let rec compiled_for (prog : Instr.program) : compiled =
+  let rec promote () =
+    let cur = Atomic.get compiled_cache in
+    match cur with
+    | (p, c) :: _ when p == prog -> Some c
+    | _ ->
+      (match List.assq_opt prog cur with
+       | None -> None
+       | Some c ->
+         let rest = List.filter (fun (p, _) -> p != prog) cur in
+         if Atomic.compare_and_set compiled_cache cur ((prog, c) :: rest) then Some c
+         else promote ())
   in
-  match find (Atomic.get compiled_cache) with
+  match promote () with
   | Some c -> c
   | None ->
     let c = compile prog in
     let rec publish () =
       let cur = Atomic.get compiled_cache in
-      match find cur with
+      match List.assq_opt prog cur with
       | Some c' -> c' (* another domain won the race; use its copy *)
       | None ->
         let kept =
@@ -1203,6 +1209,40 @@ let compiled_for (prog : Instr.program) : compiled =
         if Atomic.compare_and_set compiled_cache cur ((prog, c) :: kept) then c else publish ()
     in
     publish ()
+
+(* A linked program compiles as its base's compiled form plus its own
+   functions. It shares the base's functions, globals and strings
+   ([Instr.program.linked_from]), so its layout is the base's, and the
+   base's closures, address tables and memory image serve it as they
+   are. *)
+and compile (prog : Instr.program) : compiled =
+  match prog.linked_from with
+  | None ->
+    let global_addrs, string_addrs, placed = layout prog in
+    let externals = external_table prog in
+    let cfuncs : (string, cstep array ref) Hashtbl.t = Hashtbl.create 16 in
+    let fs = Hashtbl.fold (fun _ f acc -> f :: acc) prog.funcs [] in
+    compile_funcs ~global_addrs ~string_addrs ~externals ~cfuncs prog fs;
+    let init_mem = Memory.create () in
+    seed_memory init_mem prog ~string_addrs placed;
+    { cfuncs;
+      c_global_addrs = global_addrs;
+      c_string_addrs = string_addrs;
+      c_externals = externals;
+      c_init_mem = init_mem;
+      c_max_params = max_params fs }
+  | Some base ->
+    let b = compiled_for base in
+    let cfuncs = Hashtbl.copy b.cfuncs in
+    let externals = external_table prog in
+    let fs =
+      Hashtbl.fold
+        (fun name f acc -> if Hashtbl.mem b.cfuncs name then acc else f :: acc)
+        prog.funcs []
+    in
+    compile_funcs ~global_addrs:b.c_global_addrs ~string_addrs:b.c_string_addrs ~externals
+      ~cfuncs prog fs;
+    { b with cfuncs; c_externals = externals; c_max_params = max b.c_max_params (max_params fs) }
 
 let precompile prog = ignore (compiled_for prog)
 

@@ -91,15 +91,22 @@ val load :
     the program is translated once into OCaml closures (constants
     folded, global and string addresses resolved, straight-line runs
     fused) and cached per [Instr.program] value, shared read-only
-    across machines and domains. Observable behaviour — outcomes, step
-    counts, branch order, listener callbacks — is identical to the
-    tree-walking interpreter selected by [~compile:false]. *)
+    across machines and domains. The cache holds 8 programs and evicts
+    the least recently used. A program linked from another
+    ([Instr.program.linked_from], see {!Ram.Lower.extend}) compiles
+    as that program's compiled form (taken from the cache, or compiled
+    and cached first) plus its own functions: it shares the base's
+    closures, address tables and initial memory image. Observable
+    behaviour — outcomes, step counts, branch order, listener
+    callbacks — is identical to the tree-walking interpreter selected
+    by [~compile:false]. *)
 
 val precompile : Ram.Instr.program -> unit
 (** Populate the shared compile cache for [prog] ahead of time, so
     e.g. parallel workers spawned afterwards all reuse one compiled
-    form instead of racing to build it. Loading a machine with
-    [compile:true] does this implicitly. *)
+    form instead of racing to build it; for a campaign's library, so
+    that every target's driver builds on one compiled library. Loading
+    a machine with [compile:true] does this implicitly. *)
 
 val is_compiled : t -> bool
 (** Whether this machine runs the compiled engine. *)

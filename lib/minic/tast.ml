@@ -91,6 +91,7 @@ type tprogram = {
   tfuncs : tfunc list;
   texternals : fsig list; (* prototypes without bodies, minus library *)
   tlibrary : fsig list; (* black-box functions implemented by the host *)
+  tconstants : (string, int) Hashtbl.t; (* enum members *)
 }
 
 let find_func p name = List.find_opt (fun f -> f.tfname = name) p.tfuncs

@@ -500,19 +500,105 @@ let builtin_sigs =
     ("assert", (Ctype.Tvoid, [ Ctype.Tint ], Tast.Bassert));
     ("assume", (Ctype.Tvoid, [ Ctype.Tint ], Tast.Bassume)) ]
 
-let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
-  let structs : Ctype.struct_env = Hashtbl.create 16 in
-  let funcs : (string, fentry) Hashtbl.t = Hashtbl.create 16 in
-  let globals : (string, Ctype.t) Hashtbl.t = Hashtbl.create 16 in
-  let constants : (string, int) Hashtbl.t = Hashtbl.create 16 in
+(* The program-wide tables both entry points build: [check] from
+   source, [extend] from an already-checked program. *)
+type decls = {
+  d_structs : Ctype.struct_env;
+  d_funcs : (string, fentry) Hashtbl.t;
+  d_globals : (string, Ctype.t) Hashtbl.t;
+  d_constants : (string, int) Hashtbl.t;
+  d_protos : (string, Tast.fsig * Loc.t) Hashtbl.t; (* body-less declarations *)
+  d_defined : (string, unit) Hashtbl.t; (* functions with a body *)
+  d_library : Tast.fsig list;
+}
+
+let new_decls ~structs ~constants ~library =
+  let d_funcs = Hashtbl.create 16 in
   (* Builtins are always in scope. *)
   List.iter
     (fun (name, (ret, params, b)) ->
-      Hashtbl.replace funcs name { fe_ret = ret; fe_params = params; fe_kind = Tast.Cbuiltin b })
+      Hashtbl.replace d_funcs name { fe_ret = ret; fe_params = params; fe_kind = Tast.Cbuiltin b })
     builtin_sigs;
+  { d_structs = structs;
+    d_funcs;
+    d_globals = Hashtbl.create 16;
+    d_constants = constants;
+    d_protos = Hashtbl.create 16;
+    d_defined = Hashtbl.create 16;
+    d_library = library }
+
+let is_library d name = List.exists (fun (l : Tast.fsig) -> l.sig_name = name) d.d_library
+
+(* Pass 1 for one function: record its signature and classify it. *)
+let declare_func d (f : Ast.func) =
+  let signature =
+    { Tast.sig_name = f.fname;
+      sig_ret = f.fret;
+      sig_params = List.map fst f.fparams }
+  in
+  (match f.fbody with
+   | None ->
+     (match Hashtbl.find_opt d.d_protos f.fname with
+      | Some (prev, _) when prev <> signature ->
+        err f.floc "conflicting declarations for '%s'" f.fname
+      | _ -> Hashtbl.replace d.d_protos f.fname (signature, f.floc))
+   | Some _ ->
+     if Hashtbl.mem d.d_defined f.fname then err f.floc "duplicate function '%s'" f.fname;
+     Hashtbl.replace d.d_defined f.fname ());
+  let kind =
+    if f.fbody <> None then Tast.Cprogram
+    else if is_library d f.fname then Tast.Clibrary
+    else Tast.Cexternal
+  in
+  match Hashtbl.find_opt d.d_funcs f.fname with
+  | Some prev when prev.fe_kind = Tast.Cprogram && kind <> Tast.Cprogram ->
+    () (* definition seen first; keep it *)
+  | _ ->
+    Hashtbl.replace d.d_funcs f.fname
+      { fe_ret = f.fret; fe_params = List.map fst f.fparams; fe_kind = kind }
+
+(* Pass 2 for one function: check its body. *)
+let check_func d (f : Ast.func) : Tast.tfunc =
+  let env =
+    { structs = d.d_structs; funcs = d.d_funcs; globals = d.d_globals;
+      constants = d.d_constants; scopes = [ [] ]; locals = []; next_slot = 0;
+      break_depth = 0; continue_depth = 0; ret_ty = f.fret }
+  in
+  let tparams =
+    List.map
+      (fun (ty, name) ->
+        check_wf env f.floc ty;
+        if not (Ctype.is_scalar ty) then
+          err f.floc "parameter '%s' of '%s' must be scalar (use a pointer)" name f.fname;
+        let slot = declare_local env f.floc name ty in
+        (slot, name, ty))
+      f.fparams
+  in
+  let body = match f.fbody with Some b -> b | None -> assert false in
+  (* C scoping: the function's top-level block shares the parameter
+     scope, so a local cannot redeclare a parameter. *)
+  let tbody = List.map (check_stmt env) body in
+  { Tast.tfname = f.fname;
+    tret = f.fret;
+    tparams;
+    tlocals = List.rev env.locals;
+    tbody;
+    tfloc = f.floc }
+
+(* Prototypes without a body, minus library functions, by name. *)
+let externals d =
+  Hashtbl.fold
+    (fun name (signature, _) acc ->
+      if Hashtbl.mem d.d_defined name || is_library d name then acc else signature :: acc)
+    d.d_protos []
+  |> List.sort (fun (a : Tast.fsig) b -> compare a.sig_name b.sig_name)
+
+let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
+  let structs : Ctype.struct_env = Hashtbl.create 16 in
+  let constants : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let d = new_decls ~structs ~constants ~library in
+  let funcs = d.d_funcs and globals = d.d_globals in
   (* Pass 1: collect structs, globals and function signatures. *)
-  let protos : (string, Tast.fsig * Loc.t) Hashtbl.t = Hashtbl.create 16 in
-  let defined : (string, Ast.func) Hashtbl.t = Hashtbl.create 16 in
   let global_order = ref [] in
   let func_order = ref [] in
   List.iter
@@ -565,33 +651,8 @@ let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
           { Tast.gl_name = gname; gl_ty = gty; gl_init = init; gl_extern = gextern }
           :: !global_order
       | Ast.Gfun f ->
-        let signature =
-          { Tast.sig_name = f.fname;
-            sig_ret = f.fret;
-            sig_params = List.map fst f.fparams }
-        in
-        (match f.fbody with
-         | None ->
-           (match Hashtbl.find_opt protos f.fname with
-            | Some (prev, _) when prev <> signature ->
-              err f.floc "conflicting declarations for '%s'" f.fname
-            | _ -> Hashtbl.replace protos f.fname (signature, f.floc))
-         | Some _ ->
-           if Hashtbl.mem defined f.fname then err f.floc "duplicate function '%s'" f.fname;
-           Hashtbl.replace defined f.fname f;
-           func_order := f :: !func_order);
-        let kind =
-          if f.fbody <> None then Tast.Cprogram
-          else if List.exists (fun (l : Tast.fsig) -> l.sig_name = f.fname) library then
-            Tast.Clibrary
-          else Tast.Cexternal
-        in
-        (match Hashtbl.find_opt funcs f.fname with
-         | Some prev when prev.fe_kind = Tast.Cprogram && kind <> Tast.Cprogram ->
-           () (* definition seen first; keep it *)
-         | _ ->
-           Hashtbl.replace funcs f.fname
-             { fe_ret = f.fret; fe_params = List.map fst f.fparams; fe_kind = kind }))
+        declare_func d f;
+        if f.fbody <> None then func_order := f :: !func_order)
     prog;
   (* Library functions must have a matching prototype (or we add one). *)
   List.iter
@@ -629,47 +690,57 @@ let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
         def.Ctype.sfields)
     structs;
   (* Pass 2: check function bodies. *)
-  let tfuncs =
-    List.rev_map
-      (fun (f : Ast.func) ->
-        let env =
-          { structs; funcs; globals; constants; scopes = [ [] ]; locals = [];
-            next_slot = 0; break_depth = 0; continue_depth = 0; ret_ty = f.fret }
-        in
-        let tparams =
-          List.map
-            (fun (ty, name) ->
-              check_wf env f.floc ty;
-              if not (Ctype.is_scalar ty) then
-                err f.floc "parameter '%s' of '%s' must be scalar (use a pointer)" name
-                  f.fname;
-              let slot = declare_local env f.floc name ty in
-              (slot, name, ty))
-            f.fparams
-        in
-        let body = match f.fbody with Some b -> b | None -> assert false in
-        (* C scoping: the function's top-level block shares the
-           parameter scope, so a local cannot redeclare a parameter. *)
-        let tbody = List.map (check_stmt env) body in
-        { Tast.tfname = f.fname;
-          tret = f.fret;
-          tparams;
-          tlocals = List.rev env.locals;
-          tbody;
-          tfloc = f.floc })
-      !func_order
-  in
-  let texternals =
-    Hashtbl.fold
-      (fun name (signature, _) acc ->
-        if Hashtbl.mem defined name then acc
-        else if List.exists (fun (l : Tast.fsig) -> l.sig_name = name) library then acc
-        else signature :: acc)
-      protos []
-    |> List.sort (fun (a : Tast.fsig) b -> compare a.sig_name b.sig_name)
-  in
+  let tfuncs = List.rev_map (check_func d) !func_order in
   { Tast.structs;
     tglobals = List.rev !global_order;
     tfuncs;
-    texternals;
-    tlibrary = library }
+    texternals = externals d;
+    tlibrary = library;
+    tconstants = constants }
+
+let extend (base : Tast.tprogram) (prog : Ast.program) : Tast.tprogram =
+  (* The base's tables, rebuilt from its checked form. Its struct and
+     enum tables are shared, not copied: only functions are added. *)
+  let d =
+    new_decls ~structs:base.Tast.structs ~constants:base.Tast.tconstants
+      ~library:base.Tast.tlibrary
+  in
+  List.iter
+    (fun (g : Tast.tglobal) -> Hashtbl.replace d.d_globals g.gl_name g.gl_ty)
+    base.Tast.tglobals;
+  let enter kind (s : Tast.fsig) =
+    Hashtbl.replace d.d_funcs s.sig_name
+      { fe_ret = s.sig_ret; fe_params = s.sig_params; fe_kind = kind }
+  in
+  List.iter
+    (fun (s : Tast.fsig) ->
+      enter Tast.Cexternal s;
+      Hashtbl.replace d.d_protos s.sig_name (s, Loc.dummy))
+    base.Tast.texternals;
+  List.iter (enter Tast.Clibrary) base.Tast.tlibrary;
+  List.iter
+    (fun (f : Tast.tfunc) ->
+      enter Tast.Cprogram
+        { Tast.sig_name = f.tfname;
+          sig_ret = f.tret;
+          sig_params = List.map (fun (_, _, ty) -> ty) f.tparams };
+      Hashtbl.replace d.d_defined f.tfname ())
+    base.Tast.tfuncs;
+  let added =
+    List.filter_map
+      (fun g ->
+        match g with
+        | Ast.Gfun f ->
+          (* The base's code is checked, so a new body may not change
+             what one of its names means. *)
+          if f.fbody <> None && Hashtbl.mem d.d_funcs f.fname then
+            err f.floc "'%s' is already declared by the program being extended" f.fname;
+          declare_func d f;
+          if f.fbody <> None then Some f else None
+        | Ast.Gstruct _ | Ast.Genum _ -> err Loc.dummy "only functions can extend a checked program"
+        | Ast.Gvar { gloc; _ } -> err gloc "only functions can extend a checked program")
+      prog
+  in
+  { base with
+    Tast.tfuncs = base.Tast.tfuncs @ List.map (check_func d) added;
+    texternals = externals d }

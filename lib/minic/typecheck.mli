@@ -16,3 +16,15 @@ val check : ?library:Tast.fsig list -> Ast.program -> Tast.tprogram
     and all [extern] variables form the program's external interface
     (paper §3.1).
     @raise Error on any type or scope violation. *)
+
+val extend : Tast.tprogram -> Ast.program -> Tast.tprogram
+(** [extend base decls] checks [decls], extra top-level function
+    definitions and prototypes, against the already-checked [base] and
+    returns the program they form together: [base]'s functions followed
+    by the new ones, and the external interface of both. The result
+    equals what {!check} gives for [base]'s source followed by [decls].
+    A call from [decls] to a function [base] defines is classified
+    {!Tast.Cprogram}. [base] itself is not re-checked, and shares its
+    struct and enum tables with the result.
+    @raise Error if [decls] holds anything but functions, defines a
+    name [base] already declares, or fails to check. *)

@@ -52,6 +52,10 @@ type program = {
   strings : string array;
   externals : Minic.Tast.fsig list;
   library : Minic.Tast.fsig list;
+  linked_from : program option;
+      (* The program this one extends ({!Lower.extend}): its functions,
+         globals and strings are physically this program's, none of them
+         calls a function added here, and only functions were added. *)
 }
 
 let find_func p name = Hashtbl.find_opt p.funcs name

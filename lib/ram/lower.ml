@@ -378,6 +378,14 @@ let lower_func structs intern (f : Tast.tfunc) : Instr.func =
     slot_offsets = Array.of_seq (Hashtbl.to_seq slot_off);
     ret_ty = f.Tast.tret }
 
+(* The function table, filled in declaration order whichever functions
+   are lowered afresh, so that it iterates alike however the program
+   was built. *)
+let func_table (tp : Tast.tprogram) lower =
+  let funcs : (string, Instr.func) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Tast.tfname (lower f)) tp.Tast.tfuncs;
+  funcs
+
 let lower_program (tp : Tast.tprogram) : Instr.program =
   let string_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let rev_strings = ref [] in
@@ -392,16 +400,32 @@ let lower_program (tp : Tast.tprogram) : Instr.program =
       rev_strings := s :: !rev_strings;
       i
   in
-  let funcs : (string, Instr.func) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun f -> Hashtbl.replace funcs f.Tast.tfname (lower_func tp.Tast.structs intern f))
-    tp.Tast.tfuncs;
+  let funcs = func_table tp (lower_func tp.Tast.structs intern) in
   { Instr.funcs;
     globals = tp.Tast.tglobals;
     structs = tp.Tast.structs;
     strings = Array.of_list (List.rev !rev_strings);
     externals = tp.Tast.texternals;
-    library = tp.Tast.tlibrary }
+    library = tp.Tast.tlibrary;
+    linked_from = None }
+
+let extend (base : Instr.program) (tp : Tast.tprogram) : Instr.program =
+  if tp.Tast.tglobals != base.Instr.globals then
+    invalid_arg "Lower.extend: the program's globals are not its base's";
+  let intern s =
+    match Array.find_index (String.equal s) base.Instr.strings with
+    | Some i -> i
+    | None -> raise (Error (Loc.dummy, Printf.sprintf "linked code adds the string %S" s))
+  in
+  let lower (f : Tast.tfunc) =
+    match Hashtbl.find_opt base.Instr.funcs f.Tast.tfname with
+    | Some lowered -> lowered
+    | None -> lower_func tp.Tast.structs intern f
+  in
+  { base with
+    Instr.funcs = func_table tp lower;
+    externals = tp.Tast.texternals;
+    linked_from = Some base }
 
 let lower_source ?(file = "<input>") ?(library = []) src =
   let ast = Parser.parse_program ~file src in

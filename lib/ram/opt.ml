@@ -113,4 +113,5 @@ let optimize_func (f : Instr.func) : Instr.func =
 let optimize_program (p : Instr.program) : Instr.program =
   let funcs = Hashtbl.create (Hashtbl.length p.Instr.funcs) in
   Hashtbl.iter (fun name f -> Hashtbl.replace funcs name (optimize_func f)) p.Instr.funcs;
-  { p with Instr.funcs }
+  (* Every function changed, so the result extends no program. *)
+  { p with Instr.funcs; linked_from = None }

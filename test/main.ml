@@ -8,6 +8,7 @@ let () =
       ("lower", Test_lower.suite);
       ("machine", Test_machine.suite);
       ("memory diff", Diff_memory.suite);
+      ("link diff", Diff_link.suite);
       ("compile", Test_compile.suite);
       ("symbolic", Test_symbolic.suite);
       ("solver", Test_solver.suite);

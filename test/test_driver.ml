@@ -459,6 +459,29 @@ let test_dartc_random_testing () =
       [ "--checkpoint"; Filename.concat (Filename.get_temp_dir_name ()) "dart_random.ck" ];
       [ "--resume"; "../examples/ac_controller.mc" ] ]
 
+(* Random testing has no path tree to split, so its workers join no
+   DFS work pool: each spends its share of one budget on its own, and
+   no worker line reports jobs taken or donated. *)
+let test_dartc_random_testing_no_pool () =
+  let code, out, _ =
+    Dartc_cli.run
+      [ "../examples/ac_controller.mc"; "-t"; "ac_controller"; "-d"; "2"; "--random-testing";
+        "--jobs"; "2"; "--max-runs"; "300" ]
+  in
+  Alcotest.(check int) "no bug, exit 0" 0 code;
+  Alcotest.(check bool) "300 runs in total" true (Str_contains.contains out "\nruns: 300 ");
+  let workers =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"  worker " l)
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check int) "two worker lines" 2 (List.length workers);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) (l ^ ": no jobs taken") false (Str_contains.contains l "jobs taken");
+      Alcotest.(check bool) (l ^ ": budget share") true (Str_contains.contains l ": budget, "))
+    workers
+
 (* The ablation switches are library options ([Driver.Options.accel],
    [Concolic.exec_options.compile]), not command-line flags: dartc and
    dartc campaign refuse them as usage errors. *)
@@ -495,6 +518,8 @@ let suite =
     Alcotest.test_case "unknown voids complete" `Quick test_unknown_voids_complete;
     Alcotest.test_case "solver mix" `Quick test_solver_mix;
     Alcotest.test_case "dartc random testing" `Quick test_dartc_random_testing;
+    Alcotest.test_case "dartc random testing joins no work pool" `Quick
+      test_dartc_random_testing_no_pool;
     Alcotest.test_case "dartc rejects ablation flags" `Quick test_dartc_ablation_flags;
     Alcotest.test_case "list shapes via restarts" `Slow test_list_shapes_via_restarts;
     Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers ]
