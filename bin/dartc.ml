@@ -139,9 +139,10 @@ let time_budget_arg =
     & opt (some float) None
     & info [ "time-budget" ] ~docv:"SEC"
         ~doc:
-          "Wall-clock budget for the whole search, in seconds. Checked at run boundaries: \
-           an over-budget search stops cleanly with a complete partial report and exit \
-           code 3.")
+          "Wall-clock budget for the whole search (for a campaign: the whole campaign, \
+           every slice of every target), in seconds. Checked at run boundaries: an \
+           over-budget search stops cleanly with a complete partial report and exit code \
+           3.")
 
 let solver_timeout_arg =
   Arg.(
@@ -389,6 +390,9 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                     Dart.Telemetry.flush sink
                   end;
                   print_endline (Dart.Parallel.report_to_string r);
+                  if r.Dart.Parallel.dropped > 0 then
+                    Printf.eprintf "dartc: %s\n"
+                      (Dart.Parallel.dropped_warning r.Dart.Parallel.dropped);
                   r.Dart.Parallel.merged
                 end
               in
@@ -618,17 +622,6 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
    targets), 3 stopped early (resume with --resume), 1 crashes found,
    0 clean. *)
 
-let priority_conv =
-  let parse s =
-    match Dart.Driver.Options.priority_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown priority %S (frontier|order)" s))
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Dart.Driver.Options.priority_to_string p)
-  in
-  Arg.conv (parse, print)
-
 let per_function_runs_arg =
   Arg.(
     value & opt int 200
@@ -644,16 +637,6 @@ let retire_after_arg =
         ~doc:
           "Retire a target as saturated after $(docv) consecutive slices without a new \
            branch direction.")
-
-let priority_arg =
-  Arg.(
-    value
-    & opt priority_conv Dart.Driver.Options.Frontier_first
-    & info [ "priority" ] ~docv:"POLICY"
-        ~doc:
-          "Round ordering: $(b,frontier) (most frontier sites first — where a refill is \
-           most likely to buy coverage) or $(b,order) (library declaration order). \
-           Results are identical either way; only wall-clock priority changes.")
 
 let campaign_max_runs_arg =
   Arg.(
@@ -782,7 +765,7 @@ let write_file_with_note ?fault ~what path content =
 exception Chaos_oracle_violation
 
 let run_campaign file jobs seed depth max_runs per_function_runs retire_after retry_limit
-    priority all_bugs time_budget solver_timeout json lcov html checkpoint resume
+    all_bugs time_budget solver_timeout json lcov html checkpoint resume
     resume_salvage chaos chaos_seed trace status list_only =
   try
     let src = Dart_util.Fileio.read_all file in
@@ -815,7 +798,8 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
         install_signal_handlers ();
         let options =
           Dart.Driver.Options.make ~seed ~depth ~max_runs ~per_function_runs
-            ~retire_after ~retry_limit ~priority ~stop_on_first_bug:(not all_bugs)
+            ~retire_after ~retry_limit ~stop_on_first_bug:(not all_bugs)
+            ?time_budget_ns:(Option.map ns_of_seconds time_budget)
             ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
             ~telemetry:
               { (Dart.Telemetry.with_sink sink) with
@@ -823,9 +807,7 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
             ~faultsim:fault ()
         in
         match
-          Dart.Campaign.run ~jobs ~options
-            ?time_budget_ns:(Option.map ns_of_seconds time_budget) ?checkpoint ?resume
-            ~salvage:resume_salvage ~file
+          Dart.Campaign.run ~jobs ~options ?checkpoint ?resume ~salvage:resume_salvage ~file
             ~progress:(fun line -> Printf.eprintf "dartc campaign: %s\n%!" line)
             src
         with
@@ -921,7 +903,7 @@ let campaign_cmd =
     Term.(
       const run_campaign $ file_arg $ jobs_arg $ seed_arg $ depth_arg
       $ campaign_max_runs_arg $ per_function_runs_arg $ retire_after_arg $ retry_limit_arg
-      $ priority_arg $ all_bugs_arg $ time_budget_arg $ solver_timeout_arg
+      $ all_bugs_arg $ time_budget_arg $ solver_timeout_arg
       $ campaign_json_arg $ campaign_lcov_arg $ campaign_html_arg
       $ campaign_checkpoint_arg $ campaign_resume_arg $ campaign_resume_salvage_arg
       $ chaos_arg $ chaos_seed_arg $ trace_arg $ status_arg

@@ -79,8 +79,9 @@ module C = Checkpoint
 
 (* Everything a target's deterministic result depends on, one line;
    [load] insists on byte equality, so a resumed campaign can only ever
-   continue the run it checkpointed. The priority policy is absent on
-   purpose: it reorders work without changing any result. *)
+   continue the run it checkpointed. The time budget is absent on
+   purpose: it can stop a campaign early but never changes a finished
+   target's result. *)
 let meta_line ~(options : Driver.options) ~library =
   Printf.sprintf
     "meta seed=%d depth=%d max_runs=%d per_function_runs=%d retire_after=%d \
@@ -219,15 +220,21 @@ type tstate = {
   mutable st_prog : Ram.Instr.program option; (* linked on the first slice *)
 }
 
+(* How a slice ended. One that raised anything but a front-end
+   rejection comes back from the fan-out as [Error reason] instead: a
+   fault, retried and then quarantined. *)
 type slice_outcome =
   | Sliced of Driver.report * Driver.snapshot option
   | Slice_failed of string (* front-end rejection: permanent, target dropped *)
-  | Slice_faulted of string (* escaped exception: retried, then quarantined *)
 
-let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpoint
-    ?resume ?(salvage = false) ?file ?(progress = fun _ -> ()) text =
+let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
+    ?(salvage = false) ?file ?(progress = fun _ -> ()) text =
   if jobs < 0 then invalid_arg "Campaign.run: jobs must be >= 0";
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
+  (* One deadline for the whole campaign: every slice's search gets it,
+     and the scheduler starts no slice past it. *)
+  let deadline = Driver.deadline_of_options options in
+  let halted () = Cancel.requested () || Driver.expired deadline in
   let ast = Minic.Parser.parse_program ?file text in
   let targets, skipped = discover ast in
   if targets = [] then
@@ -284,15 +291,6 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
           targets
       in
       let resumed_count = List.length (List.filter (fun st -> st.st_result <> None) states) in
-      let deadline =
-        Option.map (fun ns -> Int64.add (Telemetry.now ()) ns) time_budget_ns
-      in
-      let over_deadline () =
-        match deadline with
-        | None -> false
-        | Some d -> Int64.compare (Telemetry.now ()) d >= 0
-      in
-      let stop () = Cancel.requested () || over_deadline () in
       (* The campaign is the sole writer of the main sink and the status
          file: slices trace into private per-target rings replayed at
          settle, so worker domains never touch either. *)
@@ -303,13 +301,8 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
       let cap_total = options.O.budget.O.max_runs in
       let fault = options.O.fault in
       let retry_limit = max 1 options.O.campaign.O.retry_limit in
-      let run_slice st =
+      let run_slice st ring =
         let cap = min cap_total (st.st_runs + per_slice) in
-        let ring =
-          if tracing then
-            Telemetry.ring ~capacity:options.O.telemetry.Telemetry.worker_buffer
-          else Telemetry.null
-        in
         (* One breaker per target for the whole campaign: a site opened
            in slice k is still open (or cooling down) in slice k+1, and
            every slice boundary is one cooldown tick. *)
@@ -329,71 +322,61 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
               { options.O.telemetry with Telemetry.sink = ring; status_path = None } }
         in
         let latest = ref None in
-        let t0 = Telemetry.now () in
-        let outcome =
-          try
-            (* Chaos worker-crash probe at the slice boundary, keyed by
-               target index: models a slice's worker dying anywhere in
-               the slice (the parallel layer injects the same fault
-               mid-search inside single-shot workers). *)
-            if
-              Dart_util.Faultsim.is_on fault
-              && Dart_util.Faultsim.fire ~key:st.st_index fault Dart_util.Faultsim.Worker_crash
-            then Dart_util.Faultsim.inject_crash Dart_util.Faultsim.Worker_crash;
-            (* Linking the target's driver against the lowered library
-               lands in its first slice's Lower phase; later slices
-               reuse the program. *)
-            let metrics = Telemetry.create_metrics () in
-            let prog =
-              match st.st_prog with
-              | Some prog -> prog
-              | None ->
-                let prog =
-                  Driver.link ~metrics lib ~toplevel:st.st_name ~depth:options.O.search.O.depth
-                in
-                st.st_prog <- Some prog;
-                prog
-            in
-            let ctx =
-              Driver.make_ctx ~should_stop:over_deadline ~metrics
-                ?deadline:(Driver.deadline_of_options options)
-                ~incremental:options.O.accel.O.use_incremental
-                ~use_breaker:options.O.accel.O.use_breaker ?breaker
-                ~seed:options.O.search.O.seed ~max_runs:cap ()
-            in
-            let r =
-              Driver.search ?resume:st.st_snapshot
-                ~on_checkpoint:(fun sn -> latest := Some sn)
-                ~ctx ~options:slice_options prog
-            in
-            Sliced (r, !latest)
-          with
-          | Minic.Typecheck.Error (loc, msg) ->
-            Slice_failed (Printf.sprintf "%s: %s" (Minic.Loc.to_string loc) msg)
-          | Driver_gen.No_toplevel name ->
-            Slice_failed (Printf.sprintf "no function named %s with a body" name)
-          | e ->
-            (* Anything else that escapes a slice — an injected worker
-               crash, a defect in the search stack, Stack_overflow — is
-               a fault: the target is retried with backoff and
-               eventually quarantined, never the campaign's problem. *)
-            Slice_faulted (Printexc.to_string e)
-        in
-        (outcome, ring, Int64.sub (Telemetry.now ()) t0)
+        (* Chaos worker-crash probe at the slice boundary, keyed by
+           target index: models a slice's worker dying anywhere in the
+           slice (the parallel layer injects the same fault mid-search
+           inside single-shot workers). Like a defect in the search
+           stack or a Stack_overflow, it escapes the slice as a fault:
+           the target is retried with backoff and eventually
+           quarantined, never the campaign's problem. *)
+        if
+          Dart_util.Faultsim.is_on fault
+          && Dart_util.Faultsim.fire ~key:st.st_index fault Dart_util.Faultsim.Worker_crash
+        then Dart_util.Faultsim.inject_crash Dart_util.Faultsim.Worker_crash;
+        try
+          (* Linking the target's driver against the lowered library
+             lands in its first slice's Lower phase; later slices reuse
+             the program. *)
+          let metrics = Telemetry.create_metrics () in
+          let prog =
+            match st.st_prog with
+            | Some prog -> prog
+            | None ->
+              let prog =
+                Driver.link ~metrics lib ~toplevel:st.st_name ~depth:options.O.search.O.depth
+              in
+              st.st_prog <- Some prog;
+              prog
+          in
+          let ctx =
+            Driver.make_ctx ~metrics ?deadline
+              ~incremental:options.O.accel.O.use_incremental
+              ~use_breaker:options.O.accel.O.use_breaker ?breaker
+              ~seed:options.O.search.O.seed ~max_runs:cap ()
+          in
+          let r =
+            Driver.search ?resume:st.st_snapshot
+              ~on_checkpoint:(fun sn -> latest := Some sn)
+              ~ctx ~options:slice_options prog
+          in
+          Sliced (r, !latest)
+        with
+        | Minic.Typecheck.Error (loc, msg) ->
+          Slice_failed (Printf.sprintf "%s: %s" (Minic.Loc.to_string loc) msg)
+        | Driver_gen.No_toplevel name ->
+          Slice_failed (Printf.sprintf "no function named %s with a body" name)
       in
       let active () = List.filter (fun st -> st.st_result = None && st.st_failed = None) states in
+      (* Most frontier sites first, where a refill is most likely to buy
+         coverage; ties (round 1: everybody at 0) fall back to
+         declaration order. *)
       let order_round sts =
-        match options.O.campaign.O.priority with
-        | O.Declaration_order -> sts
-        | O.Frontier_first ->
-          (* Most frontier sites first — ties (round 1: everybody at 0)
-             fall back to declaration order. *)
-          List.stable_sort
-            (fun a b ->
-              match compare b.st_frontier a.st_frontier with
-              | 0 -> compare a.st_index b.st_index
-              | c -> c)
-            sts
+        List.stable_sort
+          (fun a b ->
+            match compare b.st_frontier a.st_frontier with
+            | 0 -> compare a.st_index b.st_index
+            | c -> c)
+          sts
       in
       let interim () =
         let results =
@@ -435,7 +418,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
       let status =
         Option.map
           (Status.publisher ~fault ~warn:progress ~mode:Status.Campaign
-             ~budget_ns:time_budget_ns ~max_runs:(cap_total * List.length states)
+             ~budget_ns:options.O.budget.O.time_budget_ns ~max_runs:(cap_total * List.length states)
              ~restored_runs:(List.fold_left (fun acc tr -> acc + tr.tr_runs) 0 restored))
           options.O.telemetry.Telemetry.status_path
       in
@@ -506,7 +489,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             end)
           checkpoint
       in
-      while active () <> [] && not (stop ()) do
+      while active () <> [] && not (halted ()) do
         incr round;
         let round_t0 = Telemetry.now () in
         (* Faulted targets back off in whole rounds: ready targets run,
@@ -525,38 +508,26 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
               | [] -> ""
               | l -> Printf.sprintf ", %d backing off" (List.length l)));
         write_status ~final:false ();
-        let outcomes = Array.make (Array.length tasks) None in
-        let next = Atomic.make 0 in
-        let worker () =
-          let continue = ref true in
-          while !continue do
-            let i = Atomic.fetch_and_add next 1 in
-            if i >= Array.length tasks || stop () then continue := false
-            else outcomes.(i) <- Some (run_slice tasks.(i))
-          done
+        let outcomes =
+          Parallel.fan_out ~jobs ~stop:halted
+            ~sink:(fun () -> Parallel.ring options.O.telemetry)
+            (Array.map run_slice tasks)
         in
-        (if jobs = 1 || Array.length tasks = 1 then worker ()
-         else begin
-           let n = min jobs (Array.length tasks) in
-           let domains = Array.init n (fun _ -> Domain.spawn worker) in
-           Array.iter Domain.join domains
-         end);
         (* Settle the round in declaration order, so crash attribution,
            progress lines and the replayed trace are deterministic: the
            event order per settled slice is Target_scheduled, the
            slice's ring, Slice_end, then Target_retired when the slice
            retired the target. *)
-        let settle st (outcome, ring, dur) =
+        let settle st { Parallel.sink = ring; result; dur_ns = dur } =
           st.st_ns <- Int64.add st.st_ns dur;
           let prev_runs = st.st_runs in
           if tracing then begin
             Telemetry.emit msink
               (Telemetry.Target_scheduled { target = st.st_name; round = !round });
-            Telemetry.replay ring ~into:msink;
-            dropped_events := !dropped_events + Telemetry.dropped ring
+            dropped_events := !dropped_events + Parallel.replay ~into:msink ring
           end;
-          match outcome with
-          | Slice_failed reason ->
+          match result with
+          | Ok (Slice_failed reason) ->
             st.st_failed <- Some reason;
             if tracing then begin
               Telemetry.emit msink
@@ -570,7 +541,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                 (Telemetry.Target_retired { target = st.st_name; reason = "failed" })
             end;
             progress (Printf.sprintf "dropped %s: %s" st.st_name reason)
-          | Slice_faulted reason ->
+          | Error reason ->
             st.st_slices <- st.st_slices + 1;
             st.st_faults <- st.st_faults + 1;
             let quarantined = st.st_faults >= retry_limit in
@@ -622,7 +593,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                 (Printf.sprintf "fault on %s (%d/%d): %s; backing off %d round%s" st.st_name
                    st.st_faults retry_limit reason st.st_backoff
                    (if st.st_backoff = 1 then "" else "s"))
-          | Sliced (r, snap) ->
+          | Ok (Sliced (r, snap)) ->
             Telemetry.add_metrics ~into:cam_metrics r.Driver.metrics;
             st.st_slices <- st.st_slices + 1;
             st.st_faults <- 0; (* quarantine counts *consecutive* faults *)
@@ -663,18 +634,6 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             (match r.Driver.verdict with
              | Driver.Bug_found _ -> retire Bug
              | Driver.Complete -> retire Complete
-             | Driver.Budget_exhausted when stop () ->
-               (* The campaign-level stop cuts slices at a run boundary,
-                  and the driver folds that cancellation into the budget
-                  check — so a cut slice still surfaces as
-                  [Budget_exhausted], with a runs count no uninterrupted
-                  campaign would reproduce. Retiring from it would
-                  checkpoint the tainted count as finished; leave the
-                  target unfinished instead, like an interrupt. (A slice
-                  that genuinely filled its cap just before the deadline
-                  is also left unfinished — the re-run on resume is pure,
-                  so correctness only costs the repeated slice.) *)
-               ()
              | Driver.Budget_exhausted ->
                if st.st_runs >= cap_total then retire Budget_capped
                else if st.st_stale >= options.O.campaign.O.retire_after then
@@ -689,9 +648,11 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                    retire Saturated
                end
              | Driver.Time_exhausted | Driver.Interrupted ->
-               (* Campaign-level stop observed mid-slice: the target
-                  stays unfinished; a checkpointed campaign re-runs it
-                  from scratch on resume. *)
+               (* The campaign's deadline or an interrupt cut the slice
+                  at a run boundary, with a runs count no uninterrupted
+                  campaign would reproduce: the target stays unfinished,
+                  and a checkpointed campaign re-runs it from scratch on
+                  resume. *)
                ());
             if tracing then begin
               Telemetry.emit msink
@@ -730,12 +691,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
         Telemetry.emit_phase_totals msink cam_metrics;
         Telemetry.flush msink
       end;
-      if !dropped_events > 0 then
-        progress
-          (Printf.sprintf
-             "trace: per-slice rings overflowed, %d oldest events dropped (raise the \
-              worker buffer)"
-             !dropped_events);
+      if !dropped_events > 0 then progress (Parallel.dropped_warning !dropped_events);
       let report = interim () in
       let report =
         if report.cam_unfinished = [] then report

@@ -22,11 +22,12 @@
     [Complete]), when it hits the per-target [budget.max_runs] cap, or
     as saturated after [options.campaign.retire_after] consecutive
     slices without a new branch direction. Active targets re-enter the
-    next round — a budget refill — ordered by
-    [options.campaign.priority]: [Frontier_first] ranks them by
-    frontier-site count ({!Coverage.frontier_count}: sites with exactly
-    one direction exercised) from their latest coverage, so refills flow to the functions where
-    the directed search still has branches to flip.
+    next round — a budget refill — ranked by frontier-site count
+    ({!Coverage.frontier_count}: sites with exactly one direction
+    exercised) from their latest coverage, so refills flow to the
+    functions where the directed search still has branches to flip.
+    Each round's slices run through {!Parallel.fan_out}, the fan-out
+    {!Parallel.run} uses for its workers.
 
     The library text is parsed, typechecked, lowered and compiled once
     ({!Driver.lower_library}). Each target links its generated driver
@@ -119,7 +120,6 @@ val discover : Minic.Ast.program -> string list * (string * string) list
 val run :
   ?jobs:int ->
   ?options:Driver.options ->
-  ?time_budget_ns:int64 ->
   ?checkpoint:string ->
   ?resume:string ->
   ?salvage:bool ->
@@ -129,9 +129,13 @@ val run :
   (report, string) result
 (** Run a campaign over MiniC source text. [jobs] (default 1, 0 = one
     per core) bounds the worker domains; [options] carries the
-    per-target budgets and the [campaign] sub-group; [time_budget_ns]
-    is the campaign-wide wall clock (checked between slices and at
-    every run boundary inside them); [checkpoint] persists finished
+    per-target budgets and the [campaign] sub-group. Its
+    [budget.time_budget_ns] is the campaign-wide wall clock: turned
+    into one deadline when the campaign starts, it is checked before
+    each slice starts and, through {!Driver.make_ctx}'s [deadline], at
+    every run boundary inside every slice. A slice the deadline cuts
+    ends [Time_exhausted] and leaves its target unfinished; the
+    campaign then stops early. [checkpoint] persists finished
     targets after every round; [resume] restores a prior checkpoint
     (its meta — seed, depth, budgets, strategy, library digest — must
     match); [salvage] (default false) makes a corrupted or truncated

@@ -19,13 +19,8 @@ module Options = struct
     use_breaker : bool;
   }
 
-  type priority =
-    | Frontier_first
-    | Declaration_order
-
   type campaign = {
     per_function_runs : int;
-    priority : priority;
     retire_after : int;
     retry_limit : int; (* consecutive slice faults before quarantine *)
   }
@@ -54,7 +49,6 @@ module Options = struct
           use_breaker = true };
       campaign =
         { per_function_runs = 200;
-          priority = Frontier_first;
           retire_after = 2;
           retry_limit = 3 };
       exec = Concolic.default_exec_options;
@@ -69,26 +63,16 @@ module Options = struct
       ?(use_incremental = default.accel.use_incremental)
       ?(use_breaker = default.accel.use_breaker)
       ?(per_function_runs = default.campaign.per_function_runs)
-      ?(priority = default.campaign.priority)
       ?(retire_after = default.campaign.retire_after)
       ?(retry_limit = default.campaign.retry_limit) ?(exec = default.exec)
       ?(telemetry = default.telemetry) ?(faultsim = Dart_util.Faultsim.off) () =
     { budget = { max_runs; stop_on_first_bug; time_budget_ns; solver_deadline_ns };
       search = { seed; depth; strategy };
       accel = { use_slicing; use_cache; use_incremental; use_breaker };
-      campaign = { per_function_runs; priority; retire_after; retry_limit };
+      campaign = { per_function_runs; retire_after; retry_limit };
       exec;
       telemetry;
       fault = faultsim }
-
-  let priority_to_string = function
-    | Frontier_first -> "frontier"
-    | Declaration_order -> "order"
-
-  let priority_of_string = function
-    | "frontier" -> Some Frontier_first
-    | "order" -> Some Declaration_order
-    | _ -> None
 end
 
 type options = Options.t
@@ -222,6 +206,10 @@ let deadline_of_options (options : Options.t) =
   Option.map
     (fun ns -> Int64.add (Telemetry.now ()) ns)
     options.Options.budget.Options.time_budget_ns
+
+let expired = function
+  | None -> false
+  | Some d -> Int64.compare (Telemetry.now ()) d >= 0
 
 type library = {
   lib_ast : Minic.Ast.program;
@@ -424,11 +412,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
         stop := `Interrupt;
         false
       end
-      else if
-        match ctx.sc_deadline with
-        | None -> false
-        | Some d -> Int64.compare (Telemetry.now ()) d >= 0
-      then begin
+      else if expired ctx.sc_deadline then begin
         stop := `Time;
         false
       end

@@ -24,7 +24,11 @@ module Options : sig
     time_budget_ns : int64 option;
         (* wall-clock budget for the whole search; [None] = unbounded.
            Checked at run boundaries: an over-budget search drains with
-           the [Time_exhausted] verdict and a complete partial report *)
+           the [Time_exhausted] verdict and a complete partial report.
+           {!Parallel.run} turns it into one deadline for all workers,
+           and {!Campaign.run} applies it once, campaign-wide: one
+           deadline from the campaign's start for every slice of every
+           target, not a fresh budget per slice *)
     solver_deadline_ns : int64 option;
         (* per-solver-query deadline; an overrunning query degrades to
            [Solver.Unknown] (counted in [Solver.deadline_overruns]) *)
@@ -56,24 +60,11 @@ module Options : sig
            byte-identical output — unless a solver deadline overruns) *)
   }
 
-  (** How a campaign orders the next scheduler round's slices. Results
-      (retired set, deduped crashes, aggregate coverage) are the same
-      under either policy — per-target searches are independent and
-      deterministic — so priority only decides which targets finish
-      first under a wall-clock budget. *)
-  type priority =
-    | Frontier_first
-        (* targets with the most frontier sites (one direction still
-           missing) after their last slice run first: they are where a
-           budget refill is most likely to buy new coverage *)
-    | Declaration_order (* the order the library declares its functions *)
-
   type campaign = {
     per_function_runs : int;
         (* the slice of instrumented runs a target gets per scheduler
            round; frontier-rich targets keep getting refills, one
            slice at a time *)
-    priority : priority;
     retire_after : int;
         (* consecutive slices without a new branch direction before a
            target is retired as saturated *)
@@ -100,7 +91,7 @@ module Options : sig
   (** seed 42, depth 1, 10_000 runs, DFS, stop on first bug, both
       accelerations on, default machine, tracing off, no time budget,
       no solver deadline, fault injection off; campaign: 200 runs per
-      slice, frontier-first priority, retire after 2 stale slices,
+      slice, retire after 2 stale slices,
       quarantine after 3 consecutive faults. *)
 
   val make :
@@ -116,7 +107,6 @@ module Options : sig
     ?use_incremental:bool ->
     ?use_breaker:bool ->
     ?per_function_runs:int ->
-    ?priority:priority ->
     ?retire_after:int ->
     ?retry_limit:int ->
     ?exec:Concolic.exec_options ->
@@ -126,10 +116,6 @@ module Options : sig
     t
   (** Smart constructor: every omitted argument takes {!default}'s
       value. *)
-
-  val priority_to_string : priority -> string
-  val priority_of_string : string -> priority option
-  (** ["frontier"] / ["order"]. *)
 end
 
 type options = Options.t
@@ -312,6 +298,10 @@ val deadline_of_options : options -> int64 option
 (** The absolute monotonic deadline [now + time_budget_ns], or [None]
     when the options carry no time budget. Compute it once and share it
     across worker contexts so every worker stops at the same instant. *)
+
+val expired : int64 option -> bool
+(** Whether an absolute deadline (as {!deadline_of_options} returns it)
+    has passed; never for [None]. The search's run-boundary check. *)
 
 type library
 (** A program under test, typechecked and lowered once, without a test

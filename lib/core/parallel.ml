@@ -9,9 +9,11 @@
    workers each search on their own. The domains share only the
    immutable program, one cancellation atomic, the work pool, and the
    two lock-free accelerators: the solve store and the run pool.
-   Telemetry is never shared: each worker traces into a private ring
-   buffer, replayed into the main sink in worker order at join, so the
-   main sink is only ever written from the joining domain. *)
+   Telemetry is never shared: with several workers each one traces
+   into a private ring buffer, replayed into the main sink in worker
+   order at join, so the main sink is only ever written from the
+   joining domain. [fan_out] below is the one place domains are
+   spawned, for these workers and for campaign rounds alike. *)
 
 module O = Driver.Options
 
@@ -47,6 +49,7 @@ type report = {
   merged : Driver.report;
   workers : worker_report list;
   crashes : crash list;
+  dropped : int;
 }
 
 let effective_jobs jobs =
@@ -155,6 +158,60 @@ let empty_report () =
     metrics = Telemetry.create_metrics ();
     bugs = [] }
 
+(* A task of {!fan_out}, as it came back: the sink it traced into, its
+   value or the exception that escaped it, and its wall clock. *)
+type 'a joined = {
+  sink : Telemetry.sink;
+  result : ('a, string) result;
+  dur_ns : int64;
+}
+
+(* The one place worker domains are spawned. Each domain claims tasks
+   from a shared counter until none is left. With as many domains as
+   tasks, no task ever waits for a domain: work-pool members rely on
+   that, since a member that runs out of work waits until every peer
+   has started. A task never lets an exception reach [Domain.join]: it comes
+   back as [Error reason], so every domain is always joined. *)
+let fan_out ~jobs ?(stop = fun () -> false) ~sink tasks =
+  let k = Array.length tasks in
+  let joined = Array.make k None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < k && not (stop ()) then begin
+      let sink = sink () in
+      let t0 = Telemetry.now () in
+      let result =
+        match tasks.(i) sink with
+        | v -> Ok v
+        | exception e -> Error (Printexc.to_string e)
+      in
+      joined.(i) <- Some { sink; result; dur_ns = Int64.sub (Telemetry.now ()) t0 };
+      work ()
+    end
+  in
+  (match min jobs k with
+   | 0 | 1 -> work ()
+   | d -> Array.iter Domain.join (Array.init d (fun _ -> Domain.spawn work)));
+  joined
+
+let ring (config : Telemetry.config) =
+  if Telemetry.enabled config.Telemetry.sink then
+    Telemetry.ring ~capacity:config.Telemetry.worker_buffer
+  else Telemetry.null
+
+(* A lone worker traces straight into the main sink: nothing to replay. *)
+let replay ~into sink =
+  if sink == into then 0
+  else begin
+    Telemetry.replay sink ~into;
+    Telemetry.dropped sink
+  end
+
+let dropped_warning n =
+  Printf.sprintf
+    "trace: worker rings overflowed, %d oldest events dropped (raise the worker buffer)" n
+
 let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   let t = options in
   let n = effective_jobs t.jobs in
@@ -194,10 +251,7 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   let workpool =
     if n >= 2 && strategy = Some Strategy.Dfs then Some (Workpool.create ~members:n) else None
   in
-  (* A worker body never lets an exception reach [Domain.join]: it
-     returns [Error reason] instead, so the supervisor always joins
-     every domain, replays the surviving rings and flushes the sink. *)
-  let worker ?(respawn = false) ~slot ~seed sink () =
+  let worker ~respawn ~slot ~seed sink =
     let seat =
       Option.map
         (fun wp ->
@@ -234,159 +288,114 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
             status_path =
               (if n = 1 then t.base.O.telemetry.Telemetry.status_path else None) } }
     in
-    match Driver.search ~ctx ~options prog with
-    | r ->
-      (* First finder flags the others; they drain at their next run
-         boundary (the [should_stop] poll in [Driver.search]). *)
-      if stop_on_first_bug && r.Driver.bugs <> [] then Atomic.set cancel true;
-      Ok
-        { w_id = slot;
-          w_seed = seed;
-          w_report = r;
-          w_jobs =
-            Option.map
-              (fun s ->
-                { j_taken = s.Driver.seat_taken; j_donated = s.Driver.seat_donated })
-              seat }
-    | exception e -> Error (Printexc.to_string e)
+    let r = Driver.search ~ctx ~options prog in
+    (* First finder flags the others; they drain at their next run
+       boundary (the [should_stop] poll in [Driver.search]). *)
+    if stop_on_first_bug && r.Driver.bugs <> [] then Atomic.set cancel true;
+    { w_id = slot;
+      w_seed = seed;
+      w_report = r;
+      w_jobs =
+        Option.map
+          (fun s -> { j_taken = s.Driver.seat_taken; j_donated = s.Driver.seat_donated })
+          seat }
   in
-  if n = 1 then begin
-    (* Single worker: no merge pass and the main sink is handed straight
-       to the search, so report and trace — field order of
-       coverage_sites included — are identical to [Driver.run]. *)
-    match worker ~slot:0 ~seed:seeds.(0) base_sink () with
-    | Ok w -> { jobs = 1; strategy; merged = w.w_report; workers = [ w ]; crashes = [] }
-    | Error reason ->
-      let crash1 =
-        { c_worker = 0; c_seed = seeds.(0); c_reason = reason; c_respawned = true }
-      in
-      if tracing then begin
-        Telemetry.emit base_sink
-          (Telemetry.Worker_crash { worker = 0; reason; respawned = true });
-        Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = 0; seed = seeds.(1) })
-      end;
-      (match worker ~slot:0 ~seed:seeds.(1) base_sink () with
-       | Ok w ->
-         { jobs = 1; strategy; merged = w.w_report; workers = [ w ]; crashes = [ crash1 ] }
-       | Error reason2 ->
-         if tracing then begin
-           Telemetry.emit base_sink
-             (Telemetry.Worker_crash { worker = 0; reason = reason2; respawned = false });
-           Telemetry.flush base_sink
-         end;
-         { jobs = 1;
-           strategy;
-           merged = empty_report ();
-           workers = [];
-           crashes =
-             [ crash1;
-               { c_worker = 0; c_seed = seeds.(1); c_reason = reason2; c_respawned = false }
-             ] })
-  end
-  else begin
-    (* Each worker traces into a private ring: domains never contend on
-       the main sink, and replaying the rings in worker order at join
-       makes the merged trace deterministic. *)
-    let ring () =
-      if tracing then Telemetry.ring ~capacity:t.base.O.telemetry.Telemetry.worker_buffer
-      else Telemetry.null
-    in
-    let wsinks = Array.init n (fun _ -> ring ()) in
+  (* A lone worker traces straight into the main sink, so its report
+     and trace are [Driver.run]'s. Every other task traces into a
+     private ring: domains never contend on the main sink, and
+     replaying the rings in worker order at join makes the trace
+     deterministic. *)
+  let ring () = ring t.base.O.telemetry in
+  if tracing && n > 1 then
+    for i = 0 to n - 1 do
+      Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = i; seed = seeds.(i) })
+    done;
+  let all_ran = Array.map (function Some j -> j | None -> assert false (* no [stop] *)) in
+  let primary =
+    all_ran
+      (fan_out ~jobs:n
+         ~sink:(if n = 1 then fun () -> base_sink else ring)
+         (Array.init n (fun i -> worker ~respawn:false ~slot:i ~seed:seeds.(i))))
+  in
+  (* Supervision pass: every crashed slot is respawned exactly once,
+     with a fresh derived seed and a fresh ring. With several workers
+     the respawn claims runs from what is left of the shared pool; the
+     crashed attempt's runs died with it, and its jobs went back to the
+     work pool. A lone worker's respawn re-runs its fixed budget. *)
+  let crashed =
+    List.filter (fun i -> Result.is_error primary.(i).result) (List.init n Fun.id)
+  in
+  let respawns =
+    all_ran
+      (fan_out ~jobs:n ~sink:ring
+         (Array.of_list
+            (List.map (fun i -> worker ~respawn:true ~slot:i ~seed:seeds.(n + i)) crashed)))
+  in
+  let respawn_of = Array.make n None in
+  List.iteri (fun j i -> respawn_of.(i) <- Some respawns.(j)) crashed;
+  let t0 = Telemetry.now () in
+  let workers = ref [] in
+  let crashes = ref [] in
+  let dropped = ref 0 in
+  let crash i ~seed reason ~respawned =
+    let c = { c_worker = i; c_seed = seed; c_reason = reason; c_respawned = respawned } in
+    crashes := c :: !crashes;
     if tracing then
-      Array.iteri
-        (fun i seed ->
-          if i < n then
-            Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = i; seed }))
-        seeds;
-    let domains =
-      Array.init n (fun i -> Domain.spawn (worker ~slot:i ~seed:seeds.(i) wsinks.(i)))
-    in
-    let primary = Array.map Domain.join domains in
-    (* Supervision pass: every crashed slot is respawned exactly once,
-       with a fresh derived seed and a fresh ring. The respawn claims
-       runs from what is left of the shared pool; the crashed attempt's
-       runs died with its domain, and its jobs went back to the work
-       pool. *)
-    let rsinks = Array.make n Telemetry.null in
-    let respawns =
-      Array.init n (fun i ->
-          match primary.(i) with
-          | Ok _ -> None
-          | Error _ ->
-            rsinks.(i) <- ring ();
-            Some
-              (Domain.spawn (worker ~respawn:true ~slot:i ~seed:seeds.(n + i) rsinks.(i))))
-    in
-    let respawns = Array.map (Option.map Domain.join) respawns in
-    let t0 = Telemetry.now () in
-    let workers = ref [] in
-    let crashes = ref [] in
-    let drain i (w : worker_report) sink =
-      if tracing then begin
-        Telemetry.replay sink ~into:base_sink;
-        Telemetry.emit base_sink
-          (Telemetry.Worker_drain { worker = i; runs = w.w_report.Driver.runs })
-      end;
-      workers := w :: !workers
-    in
-    Array.iteri
-      (fun i result ->
-        match result with
-        | Ok w -> drain i w wsinks.(i)
-        | Error reason ->
-          crashes :=
-            { c_worker = i; c_seed = seeds.(i); c_reason = reason; c_respawned = true }
-            :: !crashes;
-          if tracing then begin
-            Telemetry.emit base_sink
-              (Telemetry.Worker_crash { worker = i; reason; respawned = true });
-            Telemetry.emit base_sink
-              (Telemetry.Worker_spawn { worker = i; seed = seeds.(n + i) })
-          end;
-          (match respawns.(i) with
-           | Some (Ok w) -> drain i w rsinks.(i)
-           | Some (Error reason2) ->
-             crashes :=
-               { c_worker = i;
-                 c_seed = seeds.(n + i);
-                 c_reason = reason2;
-                 c_respawned = false }
-               :: !crashes;
-             if tracing then
-               Telemetry.emit base_sink
-                 (Telemetry.Worker_crash { worker = i; reason = reason2; respawned = false })
-           | None -> assert false))
-      primary;
-    let workers = List.rev !workers in
-    let crashes = List.rev !crashes in
-    (* A job a crashed member requeued after the pool terminated, whose
-       taker then crashed as well, was never walked: the members' own
-       [Complete] claims do not cover it. *)
-    let workers =
-      match workpool with
-      | Some wp when Workpool.stranded wp ->
-        List.map
-          (fun w ->
-            if w.w_report.Driver.verdict = Driver.Complete then
-              { w with w_report = { w.w_report with Driver.verdict = Driver.Budget_exhausted } }
-            else w)
-          workers
-      | _ -> workers
-    in
-    let merged =
-      match List.map (fun w -> w.w_report) workers with
-      | [] -> empty_report ()
-      | reports -> merge reports
-    in
+      Telemetry.emit base_sink (Telemetry.Worker_crash { worker = i; reason; respawned })
+  in
+  let drain i (w : worker_report) sink =
+    dropped := !dropped + replay ~into:base_sink sink;
+    if tracing && n > 1 then
+      Telemetry.emit base_sink
+        (Telemetry.Worker_drain { worker = i; runs = w.w_report.Driver.runs });
+    workers := w :: !workers
+  in
+  Array.iteri
+    (fun i (j : worker_report joined) ->
+      match j.result with
+      | Ok w -> drain i w j.sink
+      | Error reason ->
+        crash i ~seed:seeds.(i) reason ~respawned:true;
+        if tracing then
+          Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = i; seed = seeds.(n + i) });
+        let r = Option.get respawn_of.(i) in
+        (match r.result with
+         | Ok w -> drain i w r.sink
+         | Error reason2 -> crash i ~seed:seeds.(n + i) reason2 ~respawned:false))
+    primary;
+  let workers = List.rev !workers in
+  let crashes = List.rev !crashes in
+  (* A job a crashed member requeued after the pool terminated, whose
+     taker then crashed as well, was never walked: the members' own
+     [Complete] claims do not cover it. *)
+  let workers =
+    match workpool with
+    | Some wp when Workpool.stranded wp ->
+      List.map
+        (fun w ->
+          if w.w_report.Driver.verdict = Driver.Complete then
+            { w with w_report = { w.w_report with Driver.verdict = Driver.Budget_exhausted } }
+          else w)
+        workers
+    | _ -> workers
+  in
+  (* A lone worker's report is returned as it is, not merged, so that
+     its field order (coverage_sites included) is [Driver.run]'s. *)
+  let merged =
+    match List.map (fun w -> w.w_report) workers with
+    | [] -> empty_report ()
+    | [ r ] when n = 1 -> r
+    | reports -> merge reports
+  in
+  if n > 1 then begin
     let merge_ns = Int64.sub (Telemetry.now ()) t0 in
     Telemetry.add_phase merged.Driver.metrics Telemetry.Merge merge_ns;
-    if tracing then begin
+    if tracing then
       Telemetry.emit base_sink
-        (Telemetry.Phase_total { phase = Telemetry.Merge; dur_ns = merge_ns });
-      Telemetry.flush base_sink
-    end;
-    { jobs = n; strategy; merged; workers; crashes }
-  end
+        (Telemetry.Phase_total { phase = Telemetry.Merge; dur_ns = merge_ns })
+  end;
+  if tracing then Telemetry.flush base_sink;
+  { jobs = n; strategy; merged; workers; crashes; dropped = !dropped }
 
 let report_to_string r =
   let buf = Buffer.create 256 in

@@ -31,12 +31,13 @@ type options = {
       (** [base.budget.max_runs] is the {e total} budget, pooled
           across workers; [base.search.seed] seeds worker 0 directly
           and derives the other workers' streams.
-          [base.telemetry.sink] receives the merged trace: with more
-          than one worker each domain traces into a private ring of
+          [base.telemetry.sink] receives the merged trace: a lone
+          worker traces straight into it; with more than one worker
+          each one traces into a private ring of
           [base.telemetry.worker_buffer] events, replayed into the main
           sink in worker order at join (bracketed by [Worker_spawn] /
-          [Worker_drain] events). Every worker runs
-          [base.search.strategy]. *)
+          [Worker_drain] events). A respawned worker always traces
+          into a ring. Every worker runs [base.search.strategy]. *)
   jobs : int; (* 0 = [Domain.recommended_domain_count ()] *)
 }
 
@@ -74,6 +75,9 @@ type report = {
   workers : worker_report list;
       (* surviving workers (respawns included), in worker-id order *)
   crashes : crash list; (* in worker-id order; [] on a healthy run *)
+  dropped : int;
+      (* trace events the workers' rings overwrote before the join
+         replayed them (see {!replay}); 0 when nothing was lost *)
 }
 
 val worker_seeds : base_seed:int -> int -> int array
@@ -92,6 +96,42 @@ val merge : Driver.report list -> Driver.report
     [Time_exhausted], then [Budget_exhausted]).
     @raise Invalid_argument on the empty list. *)
 
+type 'a joined = {
+  sink : Telemetry.sink; (* the sink the task traced into *)
+  result : ('a, string) result; (* [Error] holds the printed exception *)
+  dur_ns : int64; (* the task's wall clock *)
+}
+
+val fan_out :
+  jobs:int ->
+  ?stop:(unit -> bool) ->
+  sink:(unit -> Telemetry.sink) ->
+  (Telemetry.sink -> 'a) array ->
+  'a joined option array
+(** [fan_out ~jobs ~sink tasks] runs the [k] tasks on [min jobs k]
+    domains, inline on the calling domain when that is 1, and returns
+    when all of them have. This is the one place worker domains are
+    spawned: {!run}'s workers and their respawns and every
+    {!Campaign.run} round go through it. Each task is called with a
+    fresh [sink ()] and claimed from a shared counter; with [jobs >= k]
+    no task waits for a domain. An exception that escapes a task becomes
+    [Error reason] and never reaches [Domain.join]. A task that is not
+    started because [stop ()] (polled before each start, default never)
+    returned [true] is [None]. *)
+
+val ring : Telemetry.config -> Telemetry.sink
+(** A private ring of [worker_buffer] events for one task, or the null
+    sink when the config's main sink is off. *)
+
+val replay : into:Telemetry.sink -> Telemetry.sink -> int
+(** Replay a task's ring into the main sink and return how many of its
+    oldest events the ring overwrote. A task that traced straight into
+    [into] has nothing to replay: 0. *)
+
+val dropped_warning : int -> string
+(** The warning for a trace that lost events to full rings, shared by
+    [dartc] and campaigns. *)
+
 val run : ?options:options -> Ram.Instr.program -> report
 (** Run the parallel search on a prepared program (entry point
     {!Driver_gen.wrapper_name}). With [stop_on_first_bug], the first
@@ -99,10 +139,17 @@ val run : ?options:options -> Ram.Instr.program -> report
     their next run boundary. [base.budget.time_budget_ns] is turned
     into one absolute deadline shared by every worker.
 
+    One supervision path serves every worker count: the workers run
+    through {!fan_out} (a lone worker inline, on the calling domain),
+    then the crashed slots' respawns do, then the join settles the
+    slots in worker order. At [jobs = 1] the surviving worker's report
+    is returned unmerged.
+
     Crash supervision: a worker whose search raises never takes the
     join down — the failure is recorded as a {!crash} (and a
     [Telemetry.Worker_crash] event), every domain is still joined, the
-    surviving workers' rings are replayed and the sink flushed. A
+    surviving workers' rings are replayed (their lost events counted
+    in [dropped]) and the sink flushed. A
     crashed work-pool member first requeues every job it took and
     leaves the pool's idle accounting, so its peers walk its subtrees
     again instead of waiting for it. Each crashed slot is respawned

@@ -529,6 +529,10 @@ let new_decls ~structs ~constants ~library =
 
 let is_library d name = List.exists (fun (l : Tast.fsig) -> l.sig_name = name) d.d_library
 
+let fsig_to_string (s : Tast.fsig) =
+  Printf.sprintf "%s %s(%s)" (Ctype.to_string s.sig_ret) s.sig_name
+    (String.concat ", " (List.map Ctype.to_string s.sig_params))
+
 (* Pass 1 for one function: record its signature and classify it. *)
 let declare_func d (f : Ast.func) =
   let signature =
@@ -541,7 +545,14 @@ let declare_func d (f : Ast.func) =
      (match Hashtbl.find_opt d.d_protos f.fname with
       | Some (prev, _) when prev <> signature ->
         err f.floc "conflicting declarations for '%s'" f.fname
-      | _ -> Hashtbl.replace d.d_protos f.fname (signature, f.floc))
+      | _ -> Hashtbl.replace d.d_protos f.fname (signature, f.floc));
+     (* Calls are typed against the prototype, but the host
+        implementation receives the arguments of its own signature. *)
+     (match List.find_opt (fun (l : Tast.fsig) -> l.sig_name = f.fname) d.d_library with
+      | Some l when l <> signature ->
+        err f.floc "prototype of library function '%s' does not match the host signature %s"
+          f.fname (fsig_to_string l)
+      | _ -> ())
    | Some _ ->
      if Hashtbl.mem d.d_defined f.fname then err f.floc "duplicate function '%s'" f.fname;
      Hashtbl.replace d.d_defined f.fname ());
@@ -654,7 +665,8 @@ let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
         declare_func d f;
         if f.fbody <> None then func_order := f :: !func_order)
     prog;
-  (* Library functions must have a matching prototype (or we add one). *)
+  (* A library function's prototype, if any, matched its host signature
+     in pass 1; without one, the host signature declares it. *)
   List.iter
     (fun (l : Tast.fsig) ->
       match Hashtbl.find_opt funcs l.sig_name with

@@ -10,8 +10,9 @@ exception Error of Loc.t * string
 
 val check : ?library:Tast.fsig list -> Ast.program -> Tast.tprogram
 (** [check ~library prog] elaborates [prog]. Functions whose name
-    appears in [library] must be declared as body-less prototypes with
-    a matching signature; they are classified {!Tast.Clibrary}
+    appears in [library] need no declaration; a body-less prototype of
+    one must match its host signature exactly, or [check] raises
+    [Error] at the prototype. They are classified {!Tast.Clibrary}
     (black-box, executed concretely). All other body-less prototypes
     and all [extern] variables form the program's external interface
     (paper §3.1).

@@ -19,3 +19,18 @@ let run args =
         | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
       in
       (code, Dart_util.Fileio.read_all out, Dart_util.Fileio.read_all err))
+
+(* [f] applied to [n] fresh temporary file names, removed afterwards. *)
+let with_temp_files n f =
+  let paths = List.init n (fun _ -> Filename.temp_file "dartc_cli" ".tmp") in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
+    (fun () -> f paths)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The seed-11 campaign over the oSIP simulacrum that the campaign
+   goldens pin. *)
+let osip_campaign =
+  [ "campaign"; "../examples/osip_library.mc"; "--seed"; "11"; "--max-runs"; "600";
+    "--per-function-runs"; "150" ]

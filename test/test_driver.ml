@@ -493,7 +493,8 @@ let test_dartc_ablation_flags () =
     (List.map
        (fun flag -> [ "../examples/ac_controller.mc"; "--toplevel"; "ac_controller"; flag ])
        [ "--no-compile"; "--no-slicing"; "--no-incremental"; "--no-breaker" ]
-    @ [ [ "campaign"; "../examples/osip_library.mc"; "--no-breaker" ] ])
+    @ [ [ "campaign"; "../examples/osip_library.mc"; "--no-breaker" ];
+        [ "campaign"; "../examples/osip_library.mc"; "--priority"; "order" ] ])
 
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;

@@ -308,6 +308,29 @@ int top(int x) { return lib_hash(x) + ext_fn(x) + defined(x) + (int)malloc(1); }
     Alcotest.(check bool) "program" true (kind "defined" = Tast.Cprogram);
     Alcotest.(check bool) "builtin" true (kind "malloc" = Tast.Cbuiltin Tast.Bmalloc)
 
+(* A source prototype of a host library function must match the host's
+   signature: calls are typed against the prototype, while the host
+   implementation receives the arguments of its own signature. *)
+let test_library_prototype_must_match () =
+  let lib = [ Workloads.Paper_examples.lib_hash_sig ] in
+  let check src = Typecheck.check ~library:lib (Parser.parse_program src) in
+  ignore (check "int lib_hash(int x);\nint g(int x) { return lib_hash(x); }\n");
+  ignore (check "int g(int x) { return lib_hash(x); }\n");
+  List.iter
+    (fun proto ->
+      let src = proto ^ "\nint g(int x) { return lib_hash(0, x); }\n" in
+      match check src with
+      | _ -> Alcotest.failf "accepted a mismatched library prototype: %s" proto
+      | exception Typecheck.Error (loc, msg) ->
+        Alcotest.(check int) "reported at the prototype" 1 loc.Loc.line;
+        Alcotest.(check bool) "names the function" true (Str_contains.contains msg "lib_hash"))
+    [ "char lib_hash(char *p, int q);"; "int lib_hash(int x, int y);" ];
+  match
+    Typecheck.check ~library:lib (Parser.parse_program "char lib_hash(int x);\n")
+  with
+  | _ -> Alcotest.fail "accepted a prototype whose return type differs"
+  | exception Typecheck.Error _ -> ()
+
 let test_interface_extraction () =
   let tp =
     tc
@@ -357,5 +380,7 @@ let suite =
     Alcotest.test_case "enum values" `Quick test_enum_values;
     Alcotest.test_case "typecheck desugaring" `Quick test_typecheck_desugar;
     Alcotest.test_case "call classification" `Quick test_typecheck_call_kinds;
+    Alcotest.test_case "library prototype matches the host" `Quick
+      test_library_prototype_must_match;
     Alcotest.test_case "interface extraction" `Quick test_interface_extraction;
     Alcotest.test_case "driver generation" `Quick test_driver_gen ]

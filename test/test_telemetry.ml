@@ -295,6 +295,109 @@ let test_parallel_trace_merge () =
   Alcotest.(check int) "jobs=1: run_start per run" r1.Dart.Parallel.merged.Dart.Driver.runs
     (count (function T.Run_start _ -> true | _ -> false) (T.events ring1))
 
+(* A worker ring that fills up overwrites its oldest events: the join
+   counts what was lost, so that the caller can say the trace is
+   incomplete. *)
+let test_parallel_dropped_count () =
+  let prog =
+    Dart.Driver.prepare ~toplevel:"ac_controller" ~depth:3
+      (Minic.Parser.parse_program (Example_programs.read "ac_controller.mc"))
+  in
+  let dropped worker_buffer =
+    let base =
+      Dart.Driver.Options.make ~depth:3 ~stop_on_first_bug:false
+        ~telemetry:{ (T.with_sink (T.ring ~capacity:(1 lsl 16))) with T.worker_buffer }
+        ()
+    in
+    (Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:2 base) prog).Dart.Parallel.dropped
+  in
+  Alcotest.(check bool) "64-event rings overflow" true (dropped 64 > 0);
+  Alcotest.(check int) "nothing lost under the cap" 0 (dropped (1 lsl 16))
+
+(* ---- dartc observability end to end ------------------------------------------------ *)
+
+(* A trace line with every wall-clock ["ns"] value set to 0. *)
+let zero_ns line =
+  let key = "\"ns\":" in
+  let n = String.length line and k = String.length key in
+  let buf = Buffer.create n in
+  let rec go i =
+    if i < n then
+      if i + k <= n && String.sub line i k = key then begin
+        Buffer.add_string buf (key ^ "0");
+        let j = ref (i + k) in
+        while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
+          incr j
+        done;
+        go !j
+      end
+      else begin
+        Buffer.add_char buf line.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents buf
+
+let check_exit what want (code, _, err) =
+  Alcotest.(check int) (Printf.sprintf "%s (stderr: %s)" what err) want code
+
+(* A traced run prints what an untraced one does; its status snapshot
+   and trace render; malformed inputs to the readers are usage errors
+   that name the file. *)
+let test_dartc_single_run_observability () =
+  let ac = [ "../examples/ac_controller.mc"; "--toplevel"; "ac_controller"; "--depth"; "2" ] in
+  Dartc_cli.with_temp_files 4 (function
+    | [ status; trace; bad_trace; bad_status ] ->
+      let ((_, plain, _) as r) = Dartc_cli.run ac in
+      check_exit "plain run finds the bug" 1 r;
+      let ((_, traced, _) as r) =
+        Dartc_cli.run (ac @ [ "--status"; status; "--trace"; trace ])
+      in
+      check_exit "traced run finds the bug" 1 r;
+      Alcotest.(check string) "--status and --trace leave stdout as it was" plain traced;
+      let ((_, watch, _) as r) = Dartc_cli.run [ "watch"; status; "--once" ] in
+      check_exit "watch renders the snapshot" 0 r;
+      Alcotest.(check bool) "status header" true
+        (String.starts_with ~prefix:"DART run status" watch);
+      Alcotest.(check bool) "one bug" true (Str_contains.contains watch "bugs       1");
+      check_exit "profile reads the trace" 0 (Dartc_cli.run [ "profile"; trace ]);
+      Out_channel.with_open_bin bad_trace (fun oc ->
+          output_string oc "{\"ev\":\"warp_drive\"}\n");
+      let ((_, _, err) as r) = Dartc_cli.run [ "profile"; bad_trace ] in
+      check_exit "profile refuses an unknown event" 2 r;
+      Alcotest.(check bool) "the error names file and line" true
+        (Str_contains.contains err (bad_trace ^ ":1"));
+      Out_channel.with_open_bin bad_status (fun oc ->
+          output_string oc "{\"schema\":\"dart-status\"\n");
+      check_exit "watch refuses a torn snapshot" 2
+        (Dartc_cli.run [ "watch"; bad_status; "--once" ])
+    | _ -> assert false)
+
+(* A campaign's trace replays deterministically: at jobs 1 and jobs 2
+   the same seed gives the same event stream once the wall-clock "ns"
+   fields are zeroed. The jobs-2 run also keeps a status snapshot, and
+   every reader renders what it wrote. *)
+let test_dartc_campaign_trace_jobs_invariant () =
+  Dartc_cli.with_temp_files 3 (function
+    | [ status; trace2; trace1 ] ->
+      check_exit "jobs 2 campaign finds bugs" 1
+        (Dartc_cli.run
+           (Dartc_cli.osip_campaign
+           @ [ "--jobs"; "2"; "--status"; status; "--trace"; trace2 ]));
+      check_exit "watch renders the campaign snapshot" 0
+        (Dartc_cli.run [ "watch"; status; "--once" ]);
+      check_exit "profile reads the campaign trace" 0
+        (Dartc_cli.run [ "profile"; trace2; "--top"; "5" ]);
+      check_exit "trace-stats reads the campaign trace" 0
+        (Dartc_cli.run [ "trace-stats"; trace2 ]);
+      check_exit "jobs 1 campaign finds bugs" 1
+        (Dartc_cli.run (Dartc_cli.osip_campaign @ [ "--jobs"; "1"; "--trace"; trace1 ]));
+      let lines path = List.map zero_ns (String.split_on_char '\n' (Dartc_cli.read_file path)) in
+      Alcotest.(check (list string)) "jobs 1 and jobs 2 traces agree" (lines trace1)
+        (lines trace2)
+    | _ -> assert false)
+
 (* ---- latency histograms ----------------------------------------------------------- *)
 
 let test_hist_buckets () =
@@ -391,4 +494,9 @@ let suite =
     Alcotest.test_case "tracing does not perturb search" `Quick test_tracing_off_and_on_agree;
     Alcotest.test_case "jsonl trace counts" `Quick test_jsonl_trace_counts;
     Alcotest.test_case "parallel trace merge" `Quick test_parallel_trace_merge;
+    Alcotest.test_case "parallel dropped-event count" `Quick test_parallel_dropped_count;
+    Alcotest.test_case "dartc single-run observability" `Quick
+      test_dartc_single_run_observability;
+    Alcotest.test_case "dartc campaign trace is jobs-invariant" `Quick
+      test_dartc_campaign_trace_jobs_invariant;
     Alcotest.test_case "plateau over two targets" `Quick test_plateau_two_targets ]
