@@ -843,12 +843,12 @@ let experiment_chaos_soak () =
     ~measured:(describe clean t_clean);
   List.iter
     (fun bp ->
-      let fs = Dart_util.Faultsim.chaos ~seed:23 [ (Dart_util.Faultsim.Worker_crash, bp) ] in
+      let fs = Dart_util.Faultsim.(make ~seed:23 [ (Worker_crash, None, Rate bp) ]) in
       let r, t = campaign ~faultsim:fs () in
       row
         ~id:(Printf.sprintf "e19-chaos-%d" bp)
         ~desc:
-          (Printf.sprintf "worker_crash at %.1f%% of slices, retry_limit 2, chaos-seed 23"
+          (Printf.sprintf "worker_crash at %.1f%% of slices, retry_limit 2, faultsim seed 23"
              (float_of_int bp /. 100.))
         ~paper:"no lost targets, no invented bugs"
         ~measured:(describe r t))

@@ -188,27 +188,30 @@ let faultsim_arg =
     & info [ "faultsim" ] ~docv:"SPEC"
         ~doc:
           "Deterministic fault injection for resilience testing: comma-separated rules \
-           $(i,point[@key][:nth]) with points solver_deadline, worker_crash (parallel \
-           workers only, so not at $(b,--jobs) 1) and machine_step_limit (\":?\" draws \
-           the occurrence from $(b,--faultsim-seed)).")
+           $(i,point[@key][:nth]) (fire once, on the nth probe; \":?\" draws nth from \
+           $(b,--faultsim-seed)) or $(i,point[@key]=rate) (fire on each probe with \
+           probability rate in (0,1], drawn from $(b,--faultsim-seed)). Points: \
+           solver_deadline, worker_crash (parallel workers and campaign slices, so not a \
+           single run at $(b,--jobs) 1), machine_step_limit and io_error — e.g. \
+           $(b,worker_crash=0.05,io_error=0.02). A campaign degrades, never fails: \
+           faulted targets are retried, then quarantined.")
 
 let faultsim_seed_arg =
   Arg.(
     value & opt int 0
     & info [ "faultsim-seed" ] ~docv:"N"
-        ~doc:"Seed for the \":?\" occurrence draws in $(b,--faultsim) rules.")
+        ~doc:"Seed for the \":?\" occurrence and rate draws in $(b,--faultsim) rules.")
 
 let usage_error msg =
   Printf.eprintf "dartc: %s\n" msg;
   2
 
-(* Whether a --faultsim spec arms worker_crash, a point that only
-   parallel workers probe. A malformed spec is reported once the plan
-   is built. *)
-let arms_worker_crash spec =
-  match Dart_util.Faultsim.of_spec spec with
-  | Ok fs -> Dart_util.Faultsim.arms fs Dart_util.Faultsim.Worker_crash
-  | Error _ -> false
+(* The --faultsim plan: off without a spec, else the parsed spec or
+   the usage error that names the flag. *)
+let faultsim_plan ~seed = function
+  | None -> Ok Dart_util.Faultsim.off
+  | Some spec ->
+    Result.map_error (Printf.sprintf "--faultsim: %s") (Dart_util.Faultsim.of_spec ~seed spec)
 
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
@@ -238,7 +241,7 @@ let validate ~jobs ~strategy ~random_mode ~no_cache ~time_budget ~solver_timeout
         "--checkpoint/--resume require --jobs 1" );
       ( random_mode && solver_timeout <> None,
         "--solver-timeout has no effect with --random-testing (no solver)" );
-      ( jobs = 1 && Option.fold ~none:false ~some:arms_worker_crash faultsim,
+      ( jobs = 1 && Dart_util.Faultsim.arms faultsim Dart_util.Faultsim.Worker_crash,
         "--faultsim worker_crash requires --jobs other than 1 (only parallel workers \
          crash)" );
       (* The status file has one writer: the sequential search.
@@ -281,148 +284,14 @@ let install_signal_handlers () =
   (try Sys.set_signal Sys.sigint handle with Invalid_argument _ | Sys_error _ -> ());
   try Sys.set_signal Sys.sigterm handle with Invalid_argument _ | Sys_error _ -> ()
 
-let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_ptrs all_bugs
-    jobs no_cache time_budget solver_timeout checkpoint checkpoint_every resume faultsim
-    faultsim_seed trace status metrics_flag show_interface show_driver dump_ram coverage =
-  try
-    let src = Dart_util.Fileio.read_all file in
-    let ast = Minic.Parser.parse_program ~file src in
-    if show_interface then begin
-      let typed = Minic.Typecheck.check ast in
-      print_string (Dart.Interface.to_string (Dart.Interface.extract typed ~toplevel));
-      0
-    end
-    else if show_driver then begin
-      print_string (Dart.Driver_gen.driver_source ast ~toplevel ~depth);
-      0
-    end
-    else begin
-      match
-        validate ~jobs ~strategy ~random_mode ~no_cache ~time_budget ~solver_timeout
-          ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
-      with
-      | Some msg -> usage_error msg
-      | None ->
-        if dump_ram then begin
-          let prog = Dart.Driver.prepare ~toplevel ~depth ast in
-          Hashtbl.iter
-            (fun _ f -> print_string (Ram.Instr.func_to_string f))
-            prog.Ram.Instr.funcs;
-          0
-        end
-        else begin
-          match
-            match faultsim with
-            | None -> Ok Dart_util.Faultsim.off
-            | Some spec -> Dart_util.Faultsim.of_spec ~seed:faultsim_seed spec
-          with
-          | Error msg -> usage_error (Printf.sprintf "--faultsim: %s" msg)
-          | Ok fs ->
-            with_trace_sink trace @@ fun sink ->
-            install_signal_handlers ();
-            (* Preparation (driver generation, typecheck, lowering) is
-               timed into the Lower phase of the same metrics record the
-               search will use, so --metrics accounts for the whole
-               pipeline. *)
-            let prep = Dart.Telemetry.create_metrics () in
-            let print_metrics m =
-              if metrics_flag then begin
-                print_endline (Dart.Telemetry.metrics_to_string m);
-                (* Latency distributions ride with --metrics only: the
-                   plain report stays byte-identical. *)
-                print_endline (Dart.Telemetry.latency_to_string m)
-              end
-            in
-            let options =
-              Dart.Driver.Options.make ~seed ~depth ~max_runs
-                ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
-                ~stop_on_first_bug:(not all_bugs) ~use_cache:(not no_cache)
-                ?time_budget_ns:(Option.map ns_of_seconds time_budget)
-                ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
-                ~exec:
-                  { Dart.Concolic.default_exec_options with
-                    symbolic_pointers = symbolic_ptrs;
-                    symbolic = not random_mode }
-                ~telemetry:
-                  { (Dart.Telemetry.with_sink sink) with
-                    Dart.Telemetry.status_path = status }
-                ~faultsim:fs ()
-            in
-            let prog = Dart.Driver.prepare ~metrics:prep ~toplevel ~depth ast in
-            let resume_snapshot =
-              match resume with
-              | None -> Ok None
-              | Some path ->
-                (match Dart.Checkpoint.load ~path ~options with
-                 | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
-                 | Ok snap -> Ok (Some snap))
-            in
-            match resume_snapshot with
-            | Error msg -> usage_error msg
-            | Ok resume_snapshot ->
-              let on_checkpoint =
-                Option.map
-                  (fun path snapshot -> Dart.Checkpoint.save ~path ~options snapshot)
-                  checkpoint
-              in
-              let report =
-                if jobs = 1 then begin
-                  let report =
-                    Dart.Driver.run ?resume:resume_snapshot ?on_checkpoint
-                      ?checkpoint_every ~metrics:prep ~options prog
-                  in
-                  print_endline (Dart.Driver.report_to_string report);
-                  report
-                end
-                else begin
-                  let r =
-                    Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs options) prog
-                  in
-                  (* Workers never see preparation time: fold it into
-                     the merged metrics (and the trace) here. *)
-                  Dart.Telemetry.add_metrics ~into:r.Dart.Parallel.merged.Dart.Driver.metrics
-                    prep;
-                  if Dart.Telemetry.enabled sink then begin
-                    Dart.Telemetry.emit sink
-                      (Dart.Telemetry.Phase_total
-                         { phase = Dart.Telemetry.Lower;
-                           dur_ns = prep.Dart.Telemetry.lower_ns });
-                    Dart.Telemetry.flush sink
-                  end;
-                  print_endline (Dart.Parallel.report_to_string r);
-                  if r.Dart.Parallel.dropped > 0 then
-                    Printf.eprintf "dartc: %s\n"
-                      (Dart.Parallel.dropped_warning r.Dart.Parallel.dropped);
-                  r.Dart.Parallel.merged
-                end
-              in
-              print_metrics report.Dart.Driver.metrics;
-              (* Incremental/shared-store counters ride with --metrics:
-                 the plain report stays byte-identical whether or not
-                 incremental solving ([accel.use_incremental]) is on. *)
-              if metrics_flag then begin
-                let st = report.Dart.Driver.solver_stats in
-                Printf.printf
-                  "incremental: %d prepared-state hits, %d pops saved, %d shared-store hits\n"
-                  (Solver.incremental_hits st) (Solver.pops_saved st)
-                  (Solver.shared_hits st)
-              end;
-              if coverage then print_coverage prog report.Dart.Driver.coverage_sites;
-              List.iter
-                (fun (b : Dart.Driver.bug) ->
-                  Printf.printf "  - %s in %s at %s (run %d)\n"
-                    (Machine.fault_to_string b.bug_fault)
-                    b.bug_site.Machine.site_fn
-                    (Minic.Loc.to_string b.bug_site.Machine.site_loc)
-                    b.bug_run)
-                report.Dart.Driver.bugs;
-              match report.Dart.Driver.verdict with
-              | Dart.Driver.Bug_found _ -> 1
-              | Dart.Driver.Complete | Dart.Driver.Budget_exhausted -> 0
-              | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> 3
-        end
-    end
-  with
+exception Malformed of string
+
+(* The front-end error handler of every subcommand: a lexer, parser or
+   typechecker error, a missing toplevel, a malformed trace and an
+   unreadable file each print one line on stderr and exit 2. [cmd]
+   names the subcommand on the malformed-trace line. *)
+let with_front_end_errors cmd f =
+  try f () with
   | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
   | Minic.Typecheck.Error (loc, msg) ->
     Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
@@ -430,13 +299,154 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
   | Dart.Driver_gen.No_toplevel name ->
     Printf.eprintf "error: no function named %s with a body\n" name;
     2
+  | Malformed msg ->
+    Printf.eprintf "%s: %s\n" cmd msg;
+    2
   | Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
     2
 
-(* ---- trace-stats ----------------------------------------------------------------- *)
+let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_ptrs all_bugs
+    jobs no_cache time_budget solver_timeout checkpoint checkpoint_every resume faultsim
+    faultsim_seed trace status metrics_flag show_interface show_driver dump_ram coverage =
+  with_front_end_errors "dartc" @@ fun () ->
+  let src = Dart_util.Fileio.read_all file in
+  let ast = Minic.Parser.parse_program ~file src in
+  if show_interface then begin
+    let typed = Minic.Typecheck.check ast in
+    print_string (Dart.Interface.to_string (Dart.Interface.extract typed ~toplevel));
+    0
+  end
+  else if show_driver then begin
+    print_string (Dart.Driver_gen.driver_source ast ~toplevel ~depth);
+    0
+  end
+  else begin
+    match
+      Result.bind (faultsim_plan ~seed:faultsim_seed faultsim) (fun fs ->
+          match
+            validate ~jobs ~strategy ~random_mode ~no_cache ~time_budget ~solver_timeout
+              ~checkpoint ~checkpoint_every ~resume ~faultsim:fs ~status
+          with
+          | Some msg -> Error msg
+          | None -> Ok fs)
+    with
+    | Error msg -> usage_error msg
+    | Ok fs ->
+      if dump_ram then begin
+        let prog = Dart.Driver.prepare ~toplevel ~depth ast in
+        Hashtbl.iter
+          (fun _ f -> print_string (Ram.Instr.func_to_string f))
+          prog.Ram.Instr.funcs;
+        0
+      end
+      else begin
+        with_trace_sink trace @@ fun sink ->
+        install_signal_handlers ();
+        (* Preparation (driver generation, typecheck, lowering) is
+           timed into the Lower phase of the same metrics record the
+           search will use, so --metrics accounts for the whole
+           pipeline. *)
+        let prep = Dart.Telemetry.create_metrics () in
+        let print_metrics m =
+          if metrics_flag then begin
+            print_endline (Dart.Telemetry.metrics_to_string m);
+            (* Latency distributions ride with --metrics only: the
+               plain report stays byte-identical. *)
+            print_endline (Dart.Telemetry.latency_to_string m)
+          end
+        in
+        let options =
+          Dart.Driver.Options.make ~seed ~depth ~max_runs
+            ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
+            ~stop_on_first_bug:(not all_bugs) ~use_cache:(not no_cache)
+            ?time_budget_ns:(Option.map ns_of_seconds time_budget)
+            ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
+            ~exec:
+              { Dart.Concolic.default_exec_options with
+                symbolic_pointers = symbolic_ptrs;
+                symbolic = not random_mode }
+            ~telemetry:
+              { (Dart.Telemetry.with_sink sink) with
+                Dart.Telemetry.status_path = status }
+            ~faultsim:fs ()
+        in
+        let prog = Dart.Driver.prepare ~metrics:prep ~toplevel ~depth ast in
+        let resume_snapshot =
+          match resume with
+          | None -> Ok None
+          | Some path ->
+            (match Dart.Checkpoint.load ~path ~options with
+             | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
+             | Ok snap -> Ok (Some snap))
+        in
+        match resume_snapshot with
+        | Error msg -> usage_error msg
+        | Ok resume_snapshot ->
+          let on_checkpoint =
+            Option.map
+              (fun path snapshot -> Dart.Checkpoint.save ~path ~options snapshot)
+              checkpoint
+          in
+          let report =
+            if jobs = 1 then begin
+              let report =
+                Dart.Driver.run ?resume:resume_snapshot ?on_checkpoint
+                  ?checkpoint_every ~metrics:prep ~options prog
+              in
+              print_endline (Dart.Driver.report_to_string report);
+              report
+            end
+            else begin
+              let r =
+                Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs options) prog
+              in
+              (* Workers never see preparation time: fold it into
+                 the merged metrics (and the trace) here. *)
+              Dart.Telemetry.add_metrics ~into:r.Dart.Parallel.merged.Dart.Driver.metrics
+                prep;
+              if Dart.Telemetry.enabled sink then begin
+                Dart.Telemetry.emit sink
+                  (Dart.Telemetry.Phase_total
+                     { phase = Dart.Telemetry.Lower;
+                       dur_ns = prep.Dart.Telemetry.lower_ns });
+                Dart.Telemetry.flush sink
+              end;
+              print_endline (Dart.Parallel.report_to_string r);
+              if r.Dart.Parallel.dropped > 0 then
+                Printf.eprintf "dartc: %s\n"
+                  (Dart.Parallel.dropped_warning r.Dart.Parallel.dropped);
+              r.Dart.Parallel.merged
+            end
+          in
+          print_metrics report.Dart.Driver.metrics;
+          (* Incremental/shared-store counters ride with --metrics:
+             the plain report stays byte-identical whether or not
+             incremental solving ([accel.use_incremental]) is on. *)
+          if metrics_flag then begin
+            let st = report.Dart.Driver.solver_stats in
+            Printf.printf
+              "incremental: %d prepared-state hits, %d pops saved, %d shared-store hits\n"
+              (Solver.incremental_hits st) (Solver.pops_saved st)
+              (Solver.shared_hits st)
+          end;
+          if coverage then print_coverage prog report.Dart.Driver.coverage_sites;
+          List.iter
+            (fun (b : Dart.Driver.bug) ->
+              Printf.printf "  - %s in %s at %s (run %d)\n"
+                (Machine.fault_to_string b.bug_fault)
+                b.bug_site.Machine.site_fn
+                (Minic.Loc.to_string b.bug_site.Machine.site_loc)
+                b.bug_run)
+            report.Dart.Driver.bugs;
+          match report.Dart.Driver.verdict with
+          | Dart.Driver.Bug_found _ -> 1
+          | Dart.Driver.Complete | Dart.Driver.Budget_exhausted -> 0
+          | Dart.Driver.Time_exhausted | Dart.Driver.Interrupted -> 3
+      end
+  end
 
-exception Malformed of string
+(* ---- trace-stats ----------------------------------------------------------------- *)
 
 let trace_file_arg =
   Arg.(
@@ -466,18 +476,10 @@ let read_trace_events file =
       List.rev !events)
 
 let run_trace_stats file =
-  try
-    print_string
-      (Dart.Telemetry.summary_to_string
-         (Dart.Telemetry.summarize (read_trace_events file)));
-    0
-  with
-  | Malformed msg ->
-    Printf.eprintf "dartc trace-stats: %s\n" msg;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+  with_front_end_errors "dartc trace-stats" @@ fun () ->
+  print_string
+    (Dart.Telemetry.summary_to_string (Dart.Telemetry.summarize (read_trace_events file)));
+  0
 
 (* ---- cover ----------------------------------------------------------------------- *)
 
@@ -554,65 +556,51 @@ let print_timeline summary =
 
 let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out html_out
     timeline =
-  try
-    let src = Dart_util.Fileio.read_all file in
-    let ast = Minic.Parser.parse_program ~file src in
-    let prog = Dart.Driver.prepare ~toplevel ~depth ast in
-    let summary, covered =
-      match from_trace with
-      | Some trace ->
-        (* A recorded trace carries both the per-site directions (from
-           Branch_taken, user sites only) and the cover-point curve. *)
-        let summary = Dart.Telemetry.summarize (read_trace_events trace) in
-        (summary, summary.Dart.Telemetry.covered)
-      | None ->
-        install_signal_handlers ();
-        let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
-        let options =
-          Dart.Driver.Options.make ~seed ~depth ~max_runs ~stop_on_first_bug:false
-            ~telemetry:(Dart.Telemetry.with_sink sink) ()
-        in
-        let report = Dart.Driver.run ~options prog in
-        ( Dart.Telemetry.summarize (Dart.Telemetry.events sink),
-          report.Dart.Driver.coverage_sites )
-    in
-    let t = Dart.Cover_report.compute prog ~covered in
-    let explicit_output = annotate || timeline || lcov_out <> None || html_out <> None in
-    if annotate || not explicit_output then
-      print_string (Dart.Cover_report.annotate t ~source:src);
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Dart.Cover_report.to_lcov t));
-        Printf.eprintf "dartc cover: wrote %s\n" path)
-      lcov_out;
-    Option.iter
-      (fun path ->
-        let title = Printf.sprintf "%s \u{2014} %s" (Filename.basename file) toplevel in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Dart.Cover_report.to_html t ~source:src ~title));
-        Printf.eprintf "dartc cover: wrote %s\n" path)
-      html_out;
-    if timeline then print_timeline summary;
-    0
-  with
-  | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
-  | Minic.Typecheck.Error (loc, msg) ->
-    Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
-    2
-  | Dart.Driver_gen.No_toplevel name ->
-    Printf.eprintf "error: no function named %s with a body\n" name;
-    2
-  | Malformed msg ->
-    Printf.eprintf "dartc cover: %s\n" msg;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+  with_front_end_errors "dartc cover" @@ fun () ->
+  let src = Dart_util.Fileio.read_all file in
+  let ast = Minic.Parser.parse_program ~file src in
+  let prog = Dart.Driver.prepare ~toplevel ~depth ast in
+  let summary, covered =
+    match from_trace with
+    | Some trace ->
+      (* A recorded trace carries both the per-site directions (from
+         Branch_taken, user sites only) and the cover-point curve. *)
+      let summary = Dart.Telemetry.summarize (read_trace_events trace) in
+      (summary, summary.Dart.Telemetry.covered)
+    | None ->
+      install_signal_handlers ();
+      let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
+      let options =
+        Dart.Driver.Options.make ~seed ~depth ~max_runs ~stop_on_first_bug:false
+          ~telemetry:(Dart.Telemetry.with_sink sink) ()
+      in
+      let report = Dart.Driver.run ~options prog in
+      ( Dart.Telemetry.summarize (Dart.Telemetry.events sink),
+        report.Dart.Driver.coverage_sites )
+  in
+  let t = Dart.Cover_report.compute prog ~covered in
+  let explicit_output = annotate || timeline || lcov_out <> None || html_out <> None in
+  if annotate || not explicit_output then
+    print_string (Dart.Cover_report.annotate t ~source:src);
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> output_string oc (Dart.Cover_report.to_lcov t));
+      Printf.eprintf "dartc cover: wrote %s\n" path)
+    lcov_out;
+  Option.iter
+    (fun path ->
+      let title = Printf.sprintf "%s \u{2014} %s" (Filename.basename file) toplevel in
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> output_string oc (Dart.Cover_report.to_html t ~source:src ~title));
+      Printf.eprintf "dartc cover: wrote %s\n" path)
+    html_out;
+  if timeline then print_timeline summary;
+  0
 
 (* ---- campaign -------------------------------------------------------------------- *)
 
@@ -708,28 +696,9 @@ let retry_limit_arg =
            injected fault); between faults it retries with deterministic exponential \
            backoff. Default 3.")
 
-let chaos_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos" ] ~docv:"SPEC"
-        ~doc:
-          "Chaos soak: inject faults at the given rates, as comma-separated \
-           $(i,point=rate) pairs with rate in (0,1] and points solver_deadline, \
-           worker_crash, machine_step_limit and io_error — e.g. \
-           $(b,worker_crash=0.05,io_error=0.01). Draws are deterministic from \
-           $(b,--chaos-seed). The campaign must degrade, never fail: faulted targets are \
-           retried then quarantined, and the run asserts no target is lost.")
-
-let chaos_seed_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "chaos-seed" ] ~docv:"N"
-        ~doc:"Seed for the $(b,--chaos) fault draws (default 0).")
-
 let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
-    ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
-    ~json ~lcov ~html ~trace ~status =
+    ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~json ~lcov
+    ~html ~trace ~status =
   let table =
     [ (jobs < 0, "--jobs must be >= 0");
       (per_function_runs <= 0, "--per-function-runs must be positive");
@@ -737,8 +706,6 @@ let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_r
       (retry_limit <= 0, "--retry-limit must be positive");
       (max_runs <= 0, "--max-runs must be positive");
       (resume_salvage && resume = None, "--resume-salvage requires --resume");
-      ( (match chaos with Some s -> String.trim s = "" | None -> false),
-        "--chaos needs a non-empty point=rate list" );
       ( (match time_budget with Some s -> s <= 0.0 | None -> false),
         "--time-budget must be positive" );
       ( (match solver_timeout with Some ms -> ms <= 0.0 | None -> false),
@@ -752,7 +719,7 @@ let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_r
   List.find_opt fst table |> Option.map snd
 
 (* Report outputs are observability, not the verdict: a full disk or a
-   read-only directory (or an injected io_error under --chaos) must not
+   read-only directory (or an injected io_error under --faultsim) must not
    turn a finished campaign into a crash. The write is atomic and any
    Sys_error degrades to a warning on stderr. *)
 let write_file_with_note ?fault ~what path content =
@@ -762,136 +729,122 @@ let write_file_with_note ?fault ~what path content =
   with Sys_error msg ->
     Printf.eprintf "dartc campaign: warning: could not write %s: %s\n" what msg
 
-exception Chaos_oracle_violation
-
 let run_campaign file jobs seed depth max_runs per_function_runs retire_after retry_limit
     all_bugs time_budget solver_timeout json lcov html checkpoint resume
-    resume_salvage chaos chaos_seed trace status list_only =
-  try
-    let src = Dart_util.Fileio.read_all file in
-    match
-      validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
-        ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
-        ~json ~lcov ~html ~trace ~status
-    with
-    | Some msg -> usage_error msg
-    | None ->
-      if list_only then begin
-        let ast = Minic.Parser.parse_program ~file src in
-        let targets, skipped = Dart.Campaign.discover ast in
-        List.iter print_endline targets;
-        List.iter
-          (fun (name, reason) ->
-            Printf.eprintf "dartc campaign: skipped %s: %s\n" name reason)
-          skipped;
-        if targets = [] then usage_error "no testable targets discovered" else 0
-      end
-      else begin
+    resume_salvage faultsim faultsim_seed trace status list_only =
+  with_front_end_errors "dartc campaign" @@ fun () ->
+  let src = Dart_util.Fileio.read_all file in
+  match
+    Result.bind (faultsim_plan ~seed:faultsim_seed faultsim) (fun fault ->
         match
-          match chaos with
-          | None -> Ok Dart_util.Faultsim.off
-          | Some spec -> Dart_util.Faultsim.chaos_of_spec ~seed:chaos_seed spec
+          validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
+            ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage
+            ~json ~lcov ~html ~trace ~status
         with
-        | Error msg -> usage_error (Printf.sprintf "--chaos: %s" msg)
-        | Ok fault ->
-        with_trace_sink trace @@ fun sink ->
-        install_signal_handlers ();
-        let options =
-          Dart.Driver.Options.make ~seed ~depth ~max_runs ~per_function_runs
-            ~retire_after ~retry_limit ~stop_on_first_bug:(not all_bugs)
-            ?time_budget_ns:(Option.map ns_of_seconds time_budget)
-            ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
-            ~telemetry:
-              { (Dart.Telemetry.with_sink sink) with
-                Dart.Telemetry.status_path = status }
-            ~faultsim:fault ()
-        in
-        match
-          Dart.Campaign.run ~jobs ~options ?checkpoint ?resume ~salvage:resume_salvage ~file
-            ~progress:(fun line -> Printf.eprintf "dartc campaign: %s\n%!" line)
-            src
-        with
-        | Error msg -> usage_error msg
-        | Ok report ->
-          (* Chaos oracle: whatever was injected, the ledger must
-             balance — a fault may quarantine a target but can never
-             lose one. A violation is a harness bug, reported loudly. *)
-          if chaos <> None && not (Dart.Campaign.no_lost_targets report) then begin
-            Printf.eprintf
-              "dartc campaign: CHAOS ORACLE VIOLATION: a discovered target is missing \
-               from the results/skipped/unfinished ledger\n";
-            raise Chaos_oracle_violation
-          end;
-          print_string (Dart.Campaign.report_to_string report);
-          Option.iter
-            (fun path ->
-              write_file_with_note ~fault ~what:"JSON" path (Dart.Campaign.to_json report))
-            json;
-          if lcov <> None || html <> None then begin
-            (* Any one prepared program of the library carries every
-               non-driver function, so the first target's program is the
-               site universe for the aggregate view. *)
-            match report.Dart.Campaign.cam_targets with
-            | [] -> ()
-            | first :: _ ->
-              let ast = Minic.Parser.parse_program ~file src in
-              let prog = Dart.Driver.prepare ~toplevel:first ~depth ast in
-              let t =
-                Dart.Cover_report.compute prog
-                  ~covered:(Dart.Campaign.aggregate_sites report)
-              in
-              Option.iter
-                (fun path ->
-                  write_file_with_note ~fault ~what:"lcov" path
-                    (Dart.Cover_report.to_lcov t))
-                lcov;
-              Option.iter
-                (fun path ->
-                  let title =
-                    Printf.sprintf "%s \u{2014} campaign" (Filename.basename file)
-                  in
-                  (* The per-target time/outcome heatmap: cumulative
-                     slice wall clock from cam_times, outcome and run
-                     count joined from the finished results (a target
-                     the campaign stopped before retiring shows as
-                     "unfinished"). *)
-                  let heatmap =
-                    Dart.Cover_report.campaign_heatmap
-                      (List.map
-                         (fun (name, ns) ->
-                           match
-                             List.find_opt
-                               (fun (r : Dart.Campaign.target_result) ->
-                                 r.Dart.Campaign.tr_name = name)
-                               report.Dart.Campaign.cam_results
-                           with
-                           | Some r ->
-                             ( name,
-                               Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
-                               ns,
-                               r.Dart.Campaign.tr_runs,
-                               r.Dart.Campaign.tr_overruns )
-                           | None -> (name, "unfinished", ns, 0, 0))
-                         report.Dart.Campaign.cam_times)
-                  in
-                  write_file_with_note ~fault ~what:"HTML" path
-                    (Dart.Cover_report.to_html ~extra:heatmap t ~source:src ~title))
-                html
-          end;
-          (match report.Dart.Campaign.cam_status with
-           | Dart.Campaign.Stopped_early _ -> 3
-           | Dart.Campaign.Finished ->
-             if report.Dart.Campaign.cam_crashes <> [] then 1 else 0)
-      end
+        | Some msg -> Error msg
+        | None -> Ok fault)
   with
-  | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
-  | Minic.Typecheck.Error (loc, msg) ->
-    Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
-    2
-  | Chaos_oracle_violation -> 2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+  | Error msg -> usage_error msg
+  | Ok fault ->
+    if list_only then begin
+      let ast = Minic.Parser.parse_program ~file src in
+      let targets, skipped = Dart.Campaign.discover ast in
+      List.iter print_endline targets;
+      List.iter
+        (fun (name, reason) ->
+          Printf.eprintf "dartc campaign: skipped %s: %s\n" name reason)
+        skipped;
+      if targets = [] then usage_error "no testable targets discovered" else 0
+    end
+    else begin
+      with_trace_sink trace @@ fun sink ->
+      install_signal_handlers ();
+      let options =
+        Dart.Driver.Options.make ~seed ~depth ~max_runs ~per_function_runs
+          ~retire_after ~retry_limit ~stop_on_first_bug:(not all_bugs)
+          ?time_budget_ns:(Option.map ns_of_seconds time_budget)
+          ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
+          ~telemetry:
+            { (Dart.Telemetry.with_sink sink) with
+              Dart.Telemetry.status_path = status }
+          ~faultsim:fault ()
+      in
+      match
+        Dart.Campaign.run ~jobs ~options ?checkpoint ?resume ~salvage:resume_salvage ~file
+          ~progress:(fun line -> Printf.eprintf "dartc campaign: %s\n%!" line)
+          src
+      with
+      | Error msg -> usage_error msg
+      | Ok report when not (Dart.Campaign.no_lost_targets report) ->
+        (* Whatever was injected, the ledger must balance: a fault may
+           quarantine a target but can never lose one. A violation is
+           a scheduler bug, reported loudly. *)
+        Printf.eprintf
+          "dartc campaign: LEDGER VIOLATION: a discovered target is missing from the \
+           results/skipped/unfinished ledger\n";
+        2
+      | Ok report ->
+        print_string (Dart.Campaign.report_to_string report);
+        Option.iter
+          (fun path ->
+            write_file_with_note ~fault ~what:"JSON" path (Dart.Campaign.to_json report))
+          json;
+        if lcov <> None || html <> None then begin
+          (* Any one prepared program of the library carries every
+             non-driver function, so the first target's program is the
+             site universe for the aggregate view. *)
+          match report.Dart.Campaign.cam_targets with
+          | [] -> ()
+          | first :: _ ->
+            let ast = Minic.Parser.parse_program ~file src in
+            let prog = Dart.Driver.prepare ~toplevel:first ~depth ast in
+            let t =
+              Dart.Cover_report.compute prog
+                ~covered:(Dart.Campaign.aggregate_sites report)
+            in
+            Option.iter
+              (fun path ->
+                write_file_with_note ~fault ~what:"lcov" path
+                  (Dart.Cover_report.to_lcov t))
+              lcov;
+            Option.iter
+              (fun path ->
+                let title =
+                  Printf.sprintf "%s \u{2014} campaign" (Filename.basename file)
+                in
+                (* The per-target time/outcome heatmap: cumulative
+                   slice wall clock from cam_times, outcome and run
+                   count joined from the finished results (a target
+                   the campaign stopped before retiring shows as
+                   "unfinished"). *)
+                let heatmap =
+                  Dart.Cover_report.campaign_heatmap
+                    (List.map
+                       (fun (name, ns) ->
+                         match
+                           List.find_opt
+                             (fun (r : Dart.Campaign.target_result) ->
+                               r.Dart.Campaign.tr_name = name)
+                             report.Dart.Campaign.cam_results
+                         with
+                         | Some r ->
+                           ( name,
+                             Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
+                             ns,
+                             r.Dart.Campaign.tr_runs,
+                             r.Dart.Campaign.tr_overruns )
+                         | None -> (name, "unfinished", ns, 0, 0))
+                       report.Dart.Campaign.cam_times)
+                in
+                write_file_with_note ~fault ~what:"HTML" path
+                  (Dart.Cover_report.to_html ~extra:heatmap t ~source:src ~title))
+              html
+        end;
+        (match report.Dart.Campaign.cam_status with
+         | Dart.Campaign.Stopped_early _ -> 3
+         | Dart.Campaign.Finished ->
+           if report.Dart.Campaign.cam_crashes <> [] then 1 else 0)
+    end
 
 let campaign_cmd =
   let doc =
@@ -906,7 +859,7 @@ let campaign_cmd =
       $ all_bugs_arg $ time_budget_arg $ solver_timeout_arg
       $ campaign_json_arg $ campaign_lcov_arg $ campaign_html_arg
       $ campaign_checkpoint_arg $ campaign_resume_arg $ campaign_resume_salvage_arg
-      $ chaos_arg $ chaos_seed_arg $ trace_arg $ status_arg
+      $ faultsim_arg $ faultsim_seed_arg $ trace_arg $ status_arg
       $ campaign_list_arg)
 
 (* ---- watch / profile ------------------------------------------------------------- *)
@@ -978,20 +931,13 @@ let profile_top_arg =
         ~doc:"How many hottest solver sites to list (default 10).")
 
 let run_profile file top =
-  try
-    if top <= 0 then usage_error "--top must be positive"
-    else begin
-      print_string
-        (Dart.Profile.to_string ~top (Dart.Telemetry.summarize (read_trace_events file)));
-      0
-    end
-  with
-  | Malformed msg ->
-    Printf.eprintf "dartc profile: %s\n" msg;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+  with_front_end_errors "dartc profile" @@ fun () ->
+  if top <= 0 then usage_error "--top must be positive"
+  else begin
+    print_string
+      (Dart.Profile.to_string ~top (Dart.Telemetry.summarize (read_trace_events file)));
+    0
+  end
 
 let watch_cmd =
   let doc = "render a live status snapshot maintained with --status" in

@@ -322,7 +322,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
               { options.O.telemetry with Telemetry.sink = ring; status_path = None } }
         in
         let latest = ref None in
-        (* Chaos worker-crash probe at the slice boundary, keyed by
+        (* Worker-crash probe at the slice boundary, keyed by
            target index: models a slice's worker dying anywhere in the
            slice (the parallel layer injects the same fault mid-search
            inside single-shot workers). Like a defect in the search
@@ -718,8 +718,9 @@ let retire_histogram results =
 
 let no_lost_targets r =
   (* Every discovered target is accounted for exactly once: tested,
-     skipped, or unfinished. The chaos soak asserts this — faults may
-     quarantine a target but must never drop it from the ledger. *)
+     skipped, or unfinished. dartc checks this after every campaign —
+     faults may quarantine a target but must never drop it from the
+     ledger. *)
   let tbl = Hashtbl.create 64 in
   let bump name = Hashtbl.replace tbl name (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name)) in
   List.iter (fun tr -> bump tr.tr_name) r.cam_results;
@@ -792,7 +793,7 @@ let to_json r =
         | Finished -> "finished"
         | Stopped_early reason -> "stopped early: " ^ reason));
   add "  \"resumed\": %d,\n" r.cam_resumed;
-  (* "quarantined" appears only when nonzero, so chaos-off aggregate
+  (* "quarantined" appears only when nonzero, so fault-free aggregate
      JSON stays byte-identical to pre-quarantine campaigns. *)
   add "  \"retired\": {\"bug\": %d, \"complete\": %d, \"saturated\": %d, \"capped\": %d%s},\n"
     bug complete saturated capped

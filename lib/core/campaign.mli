@@ -175,9 +175,9 @@ val aggregate_sites : report -> (string * int * bool) list
 
 val no_lost_targets : report -> bool
 (** Ledger invariant: every discovered target appears exactly once
-    across results, skipped and unfinished. The chaos soak (and its CI
-    leg) asserts this — injected faults may quarantine a target but
-    must never lose it. *)
+    across results, skipped and unfinished. [dartc campaign] checks it
+    after every campaign (exit 2 on a violation) — injected faults may
+    quarantine a target but must never lose it. *)
 
 val report_to_string : report -> string
 (** Deterministic aggregate text report (no wall-clock content): totals,

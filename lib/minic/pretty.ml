@@ -188,5 +188,3 @@ let global_to_string = function
 
 let program_to_string (p : Ast.program) =
   String.concat "\n\n" (List.map global_to_string p) ^ "\n"
-
-let pp_program fmt p = Format.pp_print_string fmt (program_to_string p)

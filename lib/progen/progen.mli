@@ -2,8 +2,8 @@
 
     Produces closed programs (integer and in-bounds array operations
     only) whose executions are deterministic given their inputs, for
-    differential and robustness testing: pretty/parse round-trips,
-    optimizer equivalence, concolic replay of bug witnesses. Programs
+    property and robustness testing: pretty/parse round-trips and
+    concolic replay of bug witnesses. Programs
     may abort, divide by zero or loop past the step budget — those are
     legitimate, comparable outcomes, not generator bugs. *)
 

@@ -525,7 +525,6 @@ module Incr = struct
   let create () = { ic_prepared = P_tbl.create 256; ic_stack = [] }
 
   let depth t = List.length t.ic_stack
-  let prepared_count t = P_tbl.length t.ic_prepared
 
   let reset t = t.ic_stack <- []
 

@@ -59,7 +59,10 @@ module Store : sig
       worker's later lookup of the same key. Cells are immutable, the
       first publisher of a key wins, and cells are never removed. With
       a single worker the store is a plain memo, so a solo search's
-      hits depend only on its own queries. *)
+      hits depend only on its own queries. There is no in-flight
+      claim: two workers that miss a key before either publishes both
+      solve it, so at jobs > 1 the merged query and hit counts vary
+      with scheduling, while the verdicts agree. *)
 
   type t
 
@@ -221,9 +224,6 @@ module Incr : sig
 
   val depth : t -> int
   (** Current assertion-stack depth. *)
-
-  val prepared_count : t -> int
-  (** Memoised prepared states (diagnostics). *)
 
   val reset : t -> unit
   (** Drop the assertion stack (the prepared memo survives: its entries

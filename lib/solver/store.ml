@@ -10,7 +10,10 @@
    immutable cells; cells are never removed, and the first publisher of
    a key wins. With a single worker, lookup/publish is a plain memo: a
    miss, then a hit on every later lookup of a Sat/Unsat key, so a solo
-   search's hit sequence is a pure function of its own queries. *)
+   search's hit sequence is a pure function of its own queries. There
+   is no in-flight claim: two workers that miss a key before either
+   publishes both solve it, so shared-store query and hit counts vary
+   with scheduling (the verdicts agree). *)
 
 type cell = {
   c_key : Cache.Key.t;

@@ -2,10 +2,14 @@
 
     A plan arms a set of injection {e points} scattered through the
     search stack (solver deadlines, parallel workers, the machine's
-    step budget). Each armed point fires {e exactly once}, on a chosen
-    occurrence of its probe, so the failure paths of the supervisor can
-    be exercised by ordinary unit tests instead of flaky
-    timing-dependent ones.
+    step budget, observability writes). Each rule of the plan names a
+    point, optionally a probe key, and a {!schedule}: fire once, on a
+    chosen occurrence of the probe, or fire on each probe with a fixed
+    probability drawn from the rule's own seeded stream. Either way the
+    injection sequence is a pure function of the plan, so the failure
+    paths of the supervisor are exercised by ordinary unit tests — a
+    single run or a whole campaign — instead of flaky timing-dependent
+    ones.
 
     The disabled plan ({!off}, the default everywhere) is a constant:
     probing it is a single pattern match and allocates nothing, keeping
@@ -20,6 +24,12 @@ type point =
 val point_to_string : point -> string
 val point_of_string : string -> point option
 
+type schedule =
+  | Nth of int  (** fire once, on the [n]-th (1-based) matching probe *)
+  | Rate of int
+      (** fire on each matching probe with probability [bp] basis points
+          (1..10000, so 500 = 5%) *)
+
 type t
 
 val off : t
@@ -27,53 +37,41 @@ val off : t
 
 val is_on : t -> bool
 
-val make : (point * int option * int) list -> t
-(** [make rules] arms one rule per triple [(point, key, nth)]: the
-    point fires on the [nth] (1-based) occurrence of a probe for that
-    [(point, key)] pair, exactly once. [key] narrows the rule to probes
-    carrying the same [~key] (e.g. a worker id); [None] matches any
-    probe of the point. Probing is serialized by a mutex, so plans are
-    safe to share across domains. *)
+val make : ?seed:int -> (point * int option * schedule) list -> t
+(** [make ~seed rules] arms one rule per triple [(point, key, schedule)].
+    [key] narrows the rule to probes carrying the same [~key] (e.g. a
+    worker id); [None] matches any probe of the point. Each [Rate] rule
+    draws from its own stream, seeded in rule order from one stream
+    over [seed] (default 0), so adding a rule never perturbs the draws
+    of the rules before it. Probing is serialized by a mutex, so plans
+    are safe to share across domains.
 
-val chaos : ?seed:int -> (point * int) list -> t
-(** [chaos ~seed rates] arms a recurring fault {e schedule}: each
-    [(point, bp)] pair fires on any given probe of [point] with
-    probability [bp] basis points (1..10000, so 500 = 5%). Each rule
-    draws from its own splitmix stream seeded from [seed], so the
-    schedule is deterministic and adding a rule never perturbs the
-    others. Chaos rules ignore probe keys and never exhaust.
-
-    Raises [Invalid_argument] on a rate outside 1..10000. *)
+    Raises [Invalid_argument] on an [Nth] below 1 or a [Rate] outside
+    1..10000. *)
 
 val of_spec : ?seed:int -> string -> (t, string) result
 (** Parse a plan from a comma-separated spec, one rule per entry:
 
-    {v point[@key][:nth]  e.g.  solver_deadline:3,worker_crash@1:2 v}
+    {v point[@key][:nth|:?]  or  point[@key]=RATE
+    e.g.  solver_deadline:3,worker_crash@1:2   worker_crash=0.1,io_error=0.02 v}
 
     [point] is [solver_deadline], [worker_crash], [machine_step_limit]
-    or [io_error]; [@key] narrows to a probe key; [:nth] picks
-    the firing occurrence (default 1). [:?] draws the occurrence
-    deterministically from [seed] (uniform in 1..8), so the same seed
-    always injects at the same place and two seeds exercise two
-    schedules. *)
-
-val chaos_of_spec : ?seed:int -> string -> (t, string) result
-(** Parse a chaos schedule from a comma-separated spec, one rate per
-    entry:
-
-    {v point=RATE  e.g.  worker_crash=0.05,solver_deadline=0.05 v}
-
-    [RATE] is a decimal probability in (0, 1], resolved to basis points
-    (so the finest grain is 0.0001). See {!chaos} for the firing
-    semantics. *)
+    or [io_error]; [@key] narrows to a probe key. [:nth] fires once on
+    that occurrence (default 1); [:?] draws the occurrence uniformly in
+    1..8. [=RATE] fires on each probe with the decimal probability
+    [RATE] in (0, 1], resolved to basis points. The [:?] draws and the
+    rate streams' seeds come, in entry order, from one stream over
+    [seed], so the same spec and seed always inject at the same places
+    and two seeds exercise two schedules. Never raises: a bad spec is
+    an [Error]. *)
 
 val arms : t -> point -> bool
 (** Whether some rule of the plan targets [point]. *)
 
 val fire : ?key:int -> t -> point -> bool
 (** Record one occurrence of [point] (with optional [key]) and report
-    whether an armed rule fires now. A rule that has already fired
-    never fires again. *)
+    whether a rule fires now. Every matching rule sees the occurrence;
+    an [Nth] rule that has fired never fires again. *)
 
 exception Injected of string
 (** The exception raised by injected crashes, so supervisors (and

@@ -6,7 +6,6 @@ type t = { mutable state : int64 }
 let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 let state t = t.state
-let of_state s = { state = s }
 let set_state t s = t.state <- s
 
 let golden = 0x9E3779B97F4A7C15L

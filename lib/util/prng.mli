@@ -16,10 +16,6 @@ val copy : t -> t
 val state : t -> int64
 (** The full internal state, for checkpointing. *)
 
-val of_state : int64 -> t
-(** Rebuild a generator from {!state}'s value: the stream continues
-    exactly where the checkpointed one left off. *)
-
 val set_state : t -> int64 -> unit
 (** Overwrite the state in place (checkpoint resume into an existing
     generator). *)

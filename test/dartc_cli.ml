@@ -3,6 +3,16 @@
 
 let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe"
 
+let spawn args outfd errfd =
+  Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin outfd errfd
+
+(* The exit code of a started dartc, once it has ended; -1 if a signal
+   killed it. *)
+let wait pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED n -> n
+  | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+
 let run args =
   let out = Filename.temp_file "dartc" ".out" and err = Filename.temp_file "dartc" ".err" in
   Fun.protect
@@ -10,15 +20,19 @@ let run args =
     (fun () ->
       let open_w p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
       let outfd = open_w out and errfd = open_w err in
-      let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin outfd errfd in
+      let pid = spawn args outfd errfd in
       Unix.close outfd;
       Unix.close errfd;
-      let code =
-        match Unix.waitpid [] pid with
-        | _, Unix.WEXITED n -> n
-        | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
-      in
+      let code = wait pid in
       (code, Dart_util.Fileio.read_all out, Dart_util.Fileio.read_all err))
+
+(* Start dartc in the background with its output discarded, for a test
+   that signals it; reap it with [wait]. *)
+let start args =
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid = spawn args null null in
+  Unix.close null;
+  pid
 
 (* [f] applied to [n] fresh temporary file names, removed afterwards. *)
 let with_temp_files n f =

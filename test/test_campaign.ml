@@ -439,9 +439,9 @@ let test_quarantine () =
     O.make ~seed:7 ~max_runs:400 ~per_function_runs:100 ~retry_limit:3
       ~faultsim:
         (Faultsim.make
-           [ (Faultsim.Worker_crash, Some 0, 1);
-             (Faultsim.Worker_crash, Some 0, 2);
-             (Faultsim.Worker_crash, Some 0, 3) ])
+           [ (Faultsim.Worker_crash, Some 0, Faultsim.Nth 1);
+             (Faultsim.Worker_crash, Some 0, Faultsim.Nth 2);
+             (Faultsim.Worker_crash, Some 0, Faultsim.Nth 3) ])
       ()
   in
   let r = run_campaign ~options lib_src in
@@ -480,7 +480,7 @@ let test_fault_retry_recovers () =
   let clean = run_campaign ~options:(opts ()) lib_src in
   let options =
     O.make ~seed:7 ~max_runs:400 ~per_function_runs:100 ~retry_limit:3
-      ~faultsim:(Faultsim.make [ (Faultsim.Worker_crash, Some 0, 1) ])
+      ~faultsim:(Faultsim.make [ (Faultsim.Worker_crash, Some 0, Faultsim.Nth 1) ])
       ()
   in
   let r = run_campaign ~options lib_src in
@@ -510,7 +510,7 @@ let test_chaos_oracle () =
   in
   let clean = run () in
   let chaotic =
-    run ~faultsim:(Faultsim.chaos ~seed:11 [ (Faultsim.Worker_crash, 2500) ])
+    run ~faultsim:(Faultsim.make ~seed:11 [ (Faultsim.Worker_crash, None, Faultsim.Rate 2500) ])
       ~retry_limit:2 ()
   in
   Alcotest.(check bool) "clean oracle holds" true (Campaign.no_lost_targets clean);
@@ -552,7 +552,7 @@ let test_io_error_degrades_to_warning () =
       let warnings = ref [] in
       let options =
         O.make ~seed:7 ~max_runs:400 ~per_function_runs:100
-          ~faultsim:(Faultsim.chaos ~seed:1 [ (Faultsim.Io_error, 10000) ])
+          ~faultsim:(Faultsim.make ~seed:1 [ (Faultsim.Io_error, None, Faultsim.Rate 10000) ])
           ~telemetry:{ Dart.Telemetry.default_config with
                        Dart.Telemetry.status_path = Some status_path }
           ()
@@ -910,6 +910,84 @@ let test_dartc_list_and_resume () =
       Alcotest.(check int) "wrong checkpoint kind: usage error" 2 code
     | _ -> assert false)
 
+(* Fault schedules on the seed-11 campaign: each seed x schedule pair
+   costs retries and warnings, never a target or the verdict (a lost
+   target would exit 2). *)
+let test_dartc_fault_schedules () =
+  Dartc_cli.with_temp_files 1 (function
+    | [ json ] ->
+      List.iter
+        (fun (spec, seed) ->
+          let code, _, err =
+            Dartc_cli.run
+              (Dartc_cli.osip_campaign
+              @ [ "--retry-limit"; "2"; "--faultsim"; spec; "--faultsim-seed";
+                  string_of_int seed; "--json"; json ])
+          in
+          Alcotest.(check int) (Printf.sprintf "%s at seed %d: exit 1 (%s)" spec seed err) 1
+            code)
+        (List.concat_map
+           (fun seed ->
+             [ ("worker_crash=0.05", seed); ("worker_crash=0.1,io_error=0.02", seed) ])
+           [ 3; 5; 7 ])
+    | _ -> assert false)
+
+(* A hostile schedule against a tight retry limit quarantines targets,
+   visibly in the report and the aggregate JSON, and still exits 1. *)
+let test_dartc_hostile_schedule () =
+  Dartc_cli.with_temp_files 1 (function
+    | [ json ] ->
+      let code, out, _ =
+        Dartc_cli.run
+          (Dartc_cli.osip_campaign
+          @ [ "--retry-limit"; "1"; "--faultsim"; "worker_crash=0.2"; "--faultsim-seed"; "7";
+              "--json"; json ])
+      in
+      Alcotest.(check int) "exit 1" 1 code;
+      Alcotest.(check bool) "the report names quarantined targets" true
+        (Str_contains.contains out "quarantined");
+      Alcotest.(check bool) "the JSON counts them" true
+        (Str_contains.contains (Dartc_cli.read_file json) "\"quarantined\":")
+    | _ -> assert false)
+
+(* A checkpoint torn inside its 21st record: everything up to the 20th
+   record's crc line, then the first line of the next record. *)
+let tear_after k text =
+  let rec go seen = function
+    | [] -> []
+    | line :: _ when seen = k -> [ line ]
+    | line :: rest ->
+      line :: go (if String.starts_with ~prefix:"crc " line then seen + 1 else seen) rest
+  in
+  String.concat "\n" (go 0 (String.split_on_char '\n' text)) ^ "\n"
+
+(* The degradation ladder of a torn checkpoint: strict --resume refuses
+   it, --resume-salvage restores the 20 intact records with a warning
+   and finishes with the uninterrupted campaign's aggregate. *)
+let test_dartc_salvage_ladder () =
+  Dartc_cli.with_temp_files 4 (function
+    | [ ck; base_json; cut_ck; salvaged_json ] ->
+      let code, _, _ =
+        Dartc_cli.run (Dartc_cli.osip_campaign @ [ "--json"; base_json; "--checkpoint"; ck ])
+      in
+      Alcotest.(check int) "uninterrupted campaign finds bugs" 1 code;
+      Out_channel.with_open_bin cut_ck (fun oc ->
+          output_string oc (tear_after 20 (Dartc_cli.read_file ck)));
+      let code, _, _ = Dartc_cli.run (Dartc_cli.osip_campaign @ [ "--resume"; cut_ck ]) in
+      Alcotest.(check int) "strict resume refuses a torn checkpoint" 2 code;
+      let code, _, err =
+        Dartc_cli.run
+          (Dartc_cli.osip_campaign
+          @ [ "--resume"; cut_ck; "--resume-salvage"; "--json"; salvaged_json ])
+      in
+      Alcotest.(check int) "salvaged campaign finds bugs" 1 code;
+      Alcotest.(check bool) "warns what it salvaged" true
+        (Str_contains.contains err "salvaged 20 of 62 records");
+      Alcotest.(check (list string)) "the salvaged aggregate is the uninterrupted one"
+        (json_lines_sans ~keys:[ "\"resumed\""; "\"phases\"" ] base_json)
+        (json_lines_sans ~keys:[ "\"resumed\""; "\"phases\"" ] salvaged_json)
+    | _ -> assert false)
+
 let suite =
   [ Alcotest.test_case "discover: scalar signatures in declaration order" `Quick
       test_discover;
@@ -961,4 +1039,9 @@ let suite =
     Alcotest.test_case "dartc campaign time budget exits 3" `Quick
       test_dartc_time_budget_exit;
     Alcotest.test_case "dartc campaign list, resume, wrong kind" `Quick
-      test_dartc_list_and_resume ]
+      test_dartc_list_and_resume;
+    Alcotest.test_case "dartc campaign fault schedules exit 1" `Quick
+      test_dartc_fault_schedules;
+    Alcotest.test_case "dartc campaign hostile schedule quarantines" `Quick
+      test_dartc_hostile_schedule;
+    Alcotest.test_case "dartc campaign salvage ladder" `Quick test_dartc_salvage_ladder ]

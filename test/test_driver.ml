@@ -484,7 +484,8 @@ let test_dartc_random_testing_no_pool () =
 
 (* The ablation switches are library options ([Driver.Options.accel],
    [Concolic.exec_options.compile]), not command-line flags: dartc and
-   dartc campaign refuse them as usage errors. *)
+   dartc campaign refuse them as usage errors. So do the retired
+   campaign fault flags: rate rules go through --faultsim. *)
 let test_dartc_ablation_flags () =
   List.iter
     (fun args ->
@@ -494,7 +495,9 @@ let test_dartc_ablation_flags () =
        (fun flag -> [ "../examples/ac_controller.mc"; "--toplevel"; "ac_controller"; flag ])
        [ "--no-compile"; "--no-slicing"; "--no-incremental"; "--no-breaker" ]
     @ [ [ "campaign"; "../examples/osip_library.mc"; "--no-breaker" ];
-        [ "campaign"; "../examples/osip_library.mc"; "--priority"; "order" ] ])
+        [ "campaign"; "../examples/osip_library.mc"; "--priority"; "order" ];
+        [ "campaign"; "../examples/osip_library.mc"; "--chaos"; "x" ];
+        [ "campaign"; "../examples/osip_library.mc"; "--chaos-seed"; "1" ] ])
 
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;

@@ -150,6 +150,14 @@ let test_jobs1_equals_sequential () =
 let bug_keys (r : Dart.Driver.report) =
   List.sort_uniq compare (List.map Dart.Driver.bug_key r.Dart.Driver.bugs)
 
+let verdict_tag (r : Dart.Driver.report) =
+  match r.Dart.Driver.verdict with
+  | Dart.Driver.Bug_found _ -> "bug"
+  | Dart.Driver.Complete -> "complete"
+  | Dart.Driver.Budget_exhausted -> "budget"
+  | Dart.Driver.Time_exhausted -> "time"
+  | Dart.Driver.Interrupted -> "interrupted"
+
 let test_jobs4_same_bug_set () =
   List.iter
     (fun (workload, depth) ->
@@ -157,15 +165,8 @@ let test_jobs4_same_bug_set () =
       let base = Dart.Driver.Options.make ~depth ~max_runs:2_000 () in
       let r1 = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:1 base) prog in
       let r4 = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:4 base) prog in
-      let tag (r : Dart.Parallel.report) =
-        match r.Dart.Parallel.merged.Dart.Driver.verdict with
-        | Dart.Driver.Bug_found _ -> "bug"
-        | Dart.Driver.Complete -> "complete"
-        | Dart.Driver.Budget_exhausted -> "budget"
-        | Dart.Driver.Time_exhausted -> "time"
-        | Dart.Driver.Interrupted -> "interrupted"
-      in
-      Alcotest.(check string) "same verdict" (tag r1) (tag r4);
+      Alcotest.(check string) "same verdict" (verdict_tag r1.Dart.Parallel.merged)
+        (verdict_tag r4.Dart.Parallel.merged);
       Alcotest.(check bool) "same deduped bug set" true
         (bug_keys r1.Dart.Parallel.merged = bug_keys r4.Dart.Parallel.merged))
     [ (Workloads.Paper_examples.section_2_1, 1); (Workloads.Paper_examples.section_2_4, 1);
@@ -210,6 +211,24 @@ let test_shared_store_ablation () =
   in
   Alcotest.(check bool) "peers answer each other" true
     (Solver.shared_hits ns.Dart.Parallel.merged.Dart.Driver.solver_stats > 0)
+
+(* The shared store has no in-flight claim: two workers that miss the
+   same key before either publishes both solve it, so the merged
+   solver/accel counters of identical jobs-2 runs may differ. The
+   verdict, the deduped bug set and the coverage may not. *)
+let test_jobs2_repeats_agree () =
+  let prog = prepare_workload Workloads.Paper_examples.ac_controller ~depth:2 in
+  let base = Dart.Driver.Options.make ~depth:2 ~stop_on_first_bug:false () in
+  let observe () =
+    let m =
+      (Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:2 base) prog).Dart.Parallel.merged
+    in
+    (verdict_tag m, bug_keys m, sorted_sites m)
+  in
+  let first = observe () in
+  for i = 2 to 10 do
+    Alcotest.(check bool) (Printf.sprintf "run %d agrees with run 1" i) true (observe () = first)
+  done
 
 let test_parallel_divides_tree () =
   (* Every feasible path is run once, by some worker: an exhausted
@@ -442,6 +461,8 @@ let suite =
     Alcotest.test_case "jobs=1 = sequential" `Quick test_jobs1_equals_sequential;
     Alcotest.test_case "jobs=4 same bug set" `Quick test_jobs4_same_bug_set;
     Alcotest.test_case "shared store ablation" `Quick test_shared_store_ablation;
+    Alcotest.test_case "jobs=2 repeats agree on verdict, bugs, coverage" `Quick
+      test_jobs2_repeats_agree;
     Alcotest.test_case "parallel divides the tree" `Quick test_parallel_divides_tree;
     Alcotest.test_case "crash while holding a job" `Quick test_crash_holding_job;
     Alcotest.test_case "parallel non-DFS workers" `Quick test_parallel_non_dfs;

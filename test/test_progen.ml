@@ -1,35 +1,10 @@
-(* Random-program differential testing: the generator, the optimizer's
-   semantics preservation, round-trips, and the soundness of DART's bug
-   witnesses (Theorem 1(a): every reported bug replays concretely). *)
+(* Random-program testing: the generator, round-trips, and the
+   soundness of DART's bug witnesses (Theorem 1(a): every reported bug
+   replays concretely). *)
 
 let gen_at seed =
   let rng = Dart_util.Prng.create seed in
   Progen.generate rng
-
-(* Run [entry] with the given args on a program, returning the outcome
-   kind and the final values of all globals. *)
-let observe prog args =
-  let m = Machine.load prog in
-  let outcome = Machine.run ~args m ~entry:Progen.toplevel_name in
-  let globals =
-    List.map
-      (fun (g : Minic.Tast.tglobal) ->
-        match Machine.read_word m (Machine.global_addr m g.gl_name) with
-        | Ok v -> (g.gl_name, Some v)
-        | Error _ -> (g.gl_name, None))
-      prog.Ram.Instr.globals
-  in
-  let outcome_kind =
-    match outcome with
-    | Machine.Halted -> "halted"
-    | Machine.Faulted (f, _) -> Machine.fault_to_string f
-  in
-  (outcome_kind, globals)
-
-let nparams prog =
-  match Ram.Instr.find_func prog Progen.toplevel_name with
-  | Some f -> f.Ram.Instr.nparams
-  | None -> Alcotest.fail "no toplevel in generated program"
 
 let test_generator_typechecks () =
   for seed = 0 to 199 do
@@ -59,62 +34,6 @@ let test_generator_deterministic () =
   let s1 = Progen.generate_source (Dart_util.Prng.create 5) in
   let s2 = Progen.generate_source (Dart_util.Prng.create 5) in
   Alcotest.(check string) "same seed, same program" s1 s2
-
-let test_optimizer_equivalence () =
-  (* For each generated program and several argument vectors, the
-     optimized code must produce the same outcome kind and the same
-     final global values. *)
-  let arg_rng = Dart_util.Prng.create 999 in
-  for seed = 0 to 149 do
-    let ast = gen_at seed in
-    let tp = Minic.Typecheck.check ast in
-    let prog = Ram.Lower.lower_program tp in
-    let opt = Ram.Opt.optimize_program prog in
-    let n = nparams prog in
-    for trial = 0 to 4 do
-      let args = List.init n (fun _ -> Dart_util.Prng.bits32 arg_rng) in
-      let o1 = observe prog args in
-      let o2 = observe opt args in
-      if o1 <> o2 then
-        Alcotest.failf "seed %d trial %d: optimizer changed behaviour (%s vs %s)" seed trial
-          (fst o1) (fst o2)
-    done
-  done
-
-let test_optimizer_golden () =
-  let fold = Ram.Opt.fold_rexpr in
-  let open Ram.Instr in
-  let b op a b = Binop (op, a, b) in
-  Alcotest.(check string) "1+2 folds" "3" (rexpr_to_string (fold (b Minic.Ast.Add (Const 1) (Const 2))));
-  Alcotest.(check string) "x+0 folds" "[local+0]"
-    (rexpr_to_string (fold (b Minic.Ast.Add (Load (Addr_local 0)) (Const 0))));
-  Alcotest.(check string) "x*1 folds" "[local+0]"
-    (rexpr_to_string (fold (b Minic.Ast.Mul (Load (Addr_local 0)) (Const 1))));
-  (* x*0 must NOT fold when x can fault. *)
-  let trapping = b Minic.Ast.Div (Const 1) (Load (Addr_local 0)) in
-  Alcotest.(check bool) "trapping*0 not folded" true
-    (fold (b Minic.Ast.Mul trapping (Const 0)) <> Const 0);
-  (* 1/0 must not fold either. *)
-  Alcotest.(check bool) "1/0 kept" true (fold (b Minic.Ast.Div (Const 1) (Const 0)) <> Const 0);
-  (* wraparound folding *)
-  Alcotest.(check string) "max+1 wraps" (string_of_int Dart_util.Word32.min_value)
-    (rexpr_to_string (fold (b Minic.Ast.Add (Const Dart_util.Word32.max_value) (Const 1))));
-  (* double negation *)
-  Alcotest.(check string) "neg neg x" "[local+0]"
-    (rexpr_to_string (fold (Unop (Minic.Ast.Neg, Unop (Minic.Ast.Neg, Load (Addr_local 0))))))
-
-let test_optimizer_shrinks_while_true () =
-  (* while (1) { } lowers with a conditional on a constant; the
-     optimizer turns it into a goto. *)
-  let prog = Ram.Lower.lower_source "void f() { int n = 0; while (1) { n = n + 1; if (n > 5) break; } }" in
-  let opt = Ram.Opt.optimize_program prog in
-  let f = Hashtbl.find opt.Ram.Instr.funcs "f" in
-  let const_ifs =
-    Array.to_list f.Ram.Instr.code
-    |> List.filter (fun i ->
-           match i with Ram.Instr.Iif (Ram.Instr.Const _, _) -> true | _ -> false)
-  in
-  Alcotest.(check int) "no constant conditionals left" 0 (List.length const_ifs)
 
 let test_witness_replay_soundness () =
   (* Theorem 1(a): when DART reports a bug, replaying the recorded
@@ -169,9 +88,5 @@ let suite =
   [ Alcotest.test_case "generated programs typecheck" `Quick test_generator_typechecks;
     Alcotest.test_case "generated programs roundtrip" `Quick test_generator_roundtrip;
     Alcotest.test_case "generator determinism" `Quick test_generator_deterministic;
-    Alcotest.test_case "optimizer equivalence (differential)" `Slow test_optimizer_equivalence;
-    Alcotest.test_case "optimizer golden folds" `Quick test_optimizer_golden;
-    Alcotest.test_case "optimizer removes constant branches" `Quick
-      test_optimizer_shrinks_while_true;
     Alcotest.test_case "witness replay soundness" `Slow test_witness_replay_soundness;
     Alcotest.test_case "engine robustness" `Slow test_dart_never_crashes_on_generated ]

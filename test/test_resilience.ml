@@ -30,21 +30,32 @@ let test_faultsim_off () =
   done
 
 let test_faultsim_one_shot () =
-  let fs = Faultsim.make [ (Faultsim.Solver_deadline, None, 3) ] in
+  let fs = Faultsim.make [ (Faultsim.Solver_deadline, None, Faultsim.Nth 3) ] in
   Alcotest.(check bool) "armed plan is on" true (Faultsim.is_on fs);
   let fired = List.init 5 (fun _ -> Faultsim.fire fs Faultsim.Solver_deadline) in
   Alcotest.(check (list bool)) "fires exactly on the 3rd occurrence, once"
-    [ false; false; true; false; false ] fired
+    [ false; false; true; false; false ] fired;
+  Alcotest.check_raises "nth 0 rejected"
+    (Invalid_argument "Faultsim.make: occurrence 0 must be >= 1") (fun () ->
+      ignore (Faultsim.make [ (Faultsim.Io_error, None, Faultsim.Nth 0) ]))
 
 let test_faultsim_key_narrowing () =
-  let fs = Faultsim.make [ (Faultsim.Worker_crash, Some 2, 1) ] in
+  let fs = Faultsim.make [ (Faultsim.Worker_crash, Some 2, Faultsim.Nth 1) ] in
   Alcotest.(check bool) "other key never fires" false
     (Faultsim.fire ~key:1 fs Faultsim.Worker_crash);
   Alcotest.(check bool) "other point never fires" false
     (Faultsim.fire ~key:2 fs Faultsim.Solver_deadline);
   Alcotest.(check bool) "matching key fires" true
     (Faultsim.fire ~key:2 fs Faultsim.Worker_crash);
-  Alcotest.(check bool) "only once" false (Faultsim.fire ~key:2 fs Faultsim.Worker_crash)
+  Alcotest.(check bool) "only once" false (Faultsim.fire ~key:2 fs Faultsim.Worker_crash);
+  (* A keyed rate rule narrows the same way. *)
+  let fs = Faultsim.make [ (Faultsim.Io_error, Some 4, Faultsim.Rate 10000) ] in
+  Alcotest.(check bool) "keyed rate: other key never fires" false
+    (Faultsim.fire ~key:3 fs Faultsim.Io_error);
+  Alcotest.(check bool) "keyed rate: unkeyed probe never fires" false
+    (Faultsim.fire fs Faultsim.Io_error);
+  Alcotest.(check bool) "keyed rate: matching key fires" true
+    (Faultsim.fire ~key:4 fs Faultsim.Io_error)
 
 let test_faultsim_spec () =
   (match Faultsim.of_spec "solver_deadline:2,worker_crash@1" with
@@ -78,36 +89,78 @@ let test_faultsim_spec () =
   Alcotest.(check int) "seeded draw is deterministic" (nth_fired 11) (nth_fired 11);
   Alcotest.(check bool) "seeded draw is in 1..8" true (nth_fired 11 < 8)
 
-(* ---- chaos schedules -------------------------------------------------------- *)
+(* Random and mutated specs: the parser answers [Ok] or [Error] and
+   never raises, whatever the text. *)
+let test_faultsim_spec_total =
+  let valid =
+    [ "solver_deadline:3"; "worker_crash@1:?"; "machine_step_limit"; "io_error=0.02";
+      "worker_crash=0.1,io_error=0.02"; "worker_crash@2=1"; "solver_deadline:1,io_error=0.5" ]
+  in
+  let gen =
+    let open QCheck2.Gen in
+    let alphabet = oneofl [ '@'; ':'; '='; ','; '?'; '.'; '-'; ' '; '0'; '1'; '9'; 'e'; 'x' ] in
+    let mutate s =
+      let* i = int_bound (String.length s) and* c = alphabet and* op = int_bound 2 in
+      let n = String.length s in
+      return
+        (match op with
+         | 0 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+         | 1 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+         | _ -> String.sub s 0 i)
+    in
+    let rec mutations k s = if k = 0 then return s else mutate s >>= mutations (k - 1) in
+    pair (int_bound 1000)
+      (oneof
+         [ string_size ~gen:alphabet (int_range 0 12);
+           string_size ~gen:printable (int_range 0 24);
+           (let* s = oneofl valid and* k = int_range 1 4 in
+            mutations k s) ])
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |])
+    (QCheck2.Test.make ~name:"faultsim: spec parser is total" ~count:2000
+       ~print:(fun (seed, s) -> Printf.sprintf "seed %d, spec %S" seed s)
+       gen
+       (fun (seed, spec) ->
+         match Faultsim.of_spec ~seed spec with
+         | Ok _ | Error _ -> true))
+
+(* ---- rate schedules --------------------------------------------------------- *)
 
 let fire_seq fs point n = List.init n (fun _ -> Faultsim.fire fs point)
+let rate ?seed rates =
+  Faultsim.make ?seed (List.map (fun (p, bp) -> (p, None, Faultsim.Rate bp)) rates)
 
 let test_chaos_determinism () =
-  let plan () = Faultsim.chaos ~seed:5 [ (Faultsim.Worker_crash, 2000) ] in
+  let plan () = rate ~seed:5 [ (Faultsim.Worker_crash, 2000) ] in
   let a = fire_seq (plan ()) Faultsim.Worker_crash 200 in
   Alcotest.(check (list bool)) "same seed, same schedule" a
     (fire_seq (plan ()) Faultsim.Worker_crash 200);
   Alcotest.(check bool) "different seed, different schedule" true
-    (a <> fire_seq (Faultsim.chaos ~seed:6 [ (Faultsim.Worker_crash, 2000) ])
-           Faultsim.Worker_crash 200);
+    (a <> fire_seq (rate ~seed:6 [ (Faultsim.Worker_crash, 2000) ]) Faultsim.Worker_crash 200);
   (* 20% of 200 draws: enough hits to be a schedule, not a constant. *)
   let hits = List.length (List.filter Fun.id a) in
   Alcotest.(check bool) "rate is roughly honoured" true (hits > 10 && hits < 90);
-  (* Per-rule streams are seeded left to right from a master stream, so
+  (* Per-rule streams are seeded left to right from one stream, so
      appending a rule never perturbs the schedules of the ones before
      it — a soak under worker_crash=r stays comparable when io_error is
      added next to it. *)
   let b =
     fire_seq
-      (Faultsim.chaos ~seed:5 [ (Faultsim.Worker_crash, 2000); (Faultsim.Io_error, 9000) ])
+      (rate ~seed:5 [ (Faultsim.Worker_crash, 2000); (Faultsim.Io_error, 9000) ])
       Faultsim.Worker_crash 200
   in
-  Alcotest.(check (list bool)) "appended rule leaves the first stream intact" a b
+  Alcotest.(check (list bool)) "appended rule leaves the first stream intact" a b;
+  (* The spec names the same plan as the constructor. *)
+  match Faultsim.of_spec ~seed:5 "worker_crash=0.2,io_error=0.9" with
+  | Error e -> Alcotest.failf "spec rejected: %s" e
+  | Ok fs ->
+    Alcotest.(check (list bool)) "spec and constructor agree" a
+      (fire_seq fs Faultsim.Worker_crash 200)
 
 let test_chaos_semantics () =
-  (* Chaos rules ignore probe keys: every probe of the point is one
-     Bernoulli draw, whichever slice or worker probes. *)
-  let fs = Faultsim.chaos ~seed:1 [ (Faultsim.Io_error, 10000) ] in
+  (* An unkeyed rate rule ignores probe keys: every probe of the point
+     is one Bernoulli draw, whichever slice or worker probes. *)
+  let fs = rate ~seed:1 [ (Faultsim.Io_error, 10000) ] in
   Alcotest.(check bool) "rate 1.0 fires unkeyed" true (Faultsim.fire fs Faultsim.Io_error);
   Alcotest.(check bool) "rate 1.0 fires keyed" true
     (Faultsim.fire ~key:7 fs Faultsim.Io_error);
@@ -115,32 +168,42 @@ let test_chaos_semantics () =
     (Faultsim.fire fs Faultsim.Io_error);
   Alcotest.(check bool) "other points untouched" false
     (Faultsim.fire fs Faultsim.Worker_crash);
-  Alcotest.check_raises "rate 0 rejected"
-    (Invalid_argument "Faultsim.chaos: rate must be in 1..10000 basis points") (fun () ->
-      ignore (Faultsim.chaos [ (Faultsim.Io_error, 0) ]));
-  Alcotest.check_raises "rate > 1 rejected"
-    (Invalid_argument "Faultsim.chaos: rate must be in 1..10000 basis points") (fun () ->
-      ignore (Faultsim.chaos [ (Faultsim.Io_error, 10001) ]))
+  let msg bp =
+    Printf.sprintf "Faultsim.make: rate of %d basis points is outside 1..10000 (0.0001..1)" bp
+  in
+  Alcotest.check_raises "rate 0 rejected" (Invalid_argument (msg 0)) (fun () ->
+      ignore (rate [ (Faultsim.Io_error, 0) ]));
+  Alcotest.check_raises "rate > 1 rejected" (Invalid_argument (msg 10001)) (fun () ->
+      ignore (rate [ (Faultsim.Io_error, 10001) ]))
 
 let test_chaos_spec () =
-  (match Faultsim.chaos_of_spec ~seed:3 "worker_crash=0.05, io_error=1" with
+  (match Faultsim.of_spec ~seed:3 "worker_crash=0.05, io_error=1" with
    | Error e -> Alcotest.failf "spec rejected: %s" e
    | Ok fs ->
      Alcotest.(check bool) "plan is on" true (Faultsim.is_on fs);
      Alcotest.(check bool) "rate-1 rule fires" true (Faultsim.fire fs Faultsim.Io_error));
+  (* One-shot and rate rules mix in one plan. *)
+  (match Faultsim.of_spec "solver_deadline:2,io_error=1" with
+   | Error e -> Alcotest.failf "mixed spec rejected: %s" e
+   | Ok fs ->
+     Alcotest.(check (list bool)) "one-shot rule" [ false; true; false ]
+       (fire_seq fs Faultsim.Solver_deadline 3);
+     Alcotest.(check (list bool)) "rate rule" [ true; true ] (fire_seq fs Faultsim.Io_error 2));
   List.iter
     (fun (spec, what) ->
-      match Faultsim.chaos_of_spec spec with
+      match Faultsim.of_spec spec with
       | Ok _ -> Alcotest.failf "%s accepted: %S" what spec
       | Error _ -> ())
     [ ("", "empty spec");
-      ("worker_crash", "missing rate");
+      ("worker_crash=", "missing rate");
       ("no_such_point=0.5", "unknown point");
       ("worker_crash=0", "zero rate");
       ("worker_crash=1.5", "rate above 1");
       ("worker_crash=-0.1", "negative rate");
       ("worker_crash=0.00001", "rate below one basis point");
-      ("worker_crash=lots", "non-numeric rate") ]
+      ("worker_crash=nan", "NaN rate");
+      ("worker_crash=lots", "non-numeric rate");
+      ("worker_crash:2=0.5", "occurrence and rate together") ]
 
 (* ---- solver circuit breaker ------------------------------------------------- *)
 
@@ -190,7 +253,7 @@ let test_breaker_under_forced_overruns () =
     prepare ("int hit;\nvoid g(int x) { if (x == 5) { hit = 1; } else { hit = 0; } }", "g")
   in
   let forced_overruns () =
-    Faultsim.make (List.init 40 (fun i -> (Faultsim.Solver_deadline, None, i + 1)))
+    Faultsim.make (List.init 40 (fun i -> (Faultsim.Solver_deadline, None, Faultsim.Nth (i + 1))))
   in
   let run ~use_breaker =
     let options =
@@ -301,7 +364,7 @@ let test_step_limit_is_not_a_bug () =
   let prog = prepare Workloads.Paper_examples.ac_controller in
   let options =
     Dart.Driver.Options.make ~depth:1 ~max_runs:50 ~stop_on_first_bug:false
-      ~faultsim:(Faultsim.make [ (Faultsim.Machine_step_limit, None, 1) ])
+      ~faultsim:(Faultsim.make [ (Faultsim.Machine_step_limit, None, Faultsim.Nth 1) ])
       ()
   in
   let r = Dart.Driver.run ~options prog in
@@ -323,7 +386,7 @@ let test_forced_unknown_is_retriable () =
   let sink = Dart.Telemetry.ring ~capacity:4096 in
   let options =
     Dart.Driver.Options.make ~seed:3 ~max_runs:100 ~use_cache:true
-      ~faultsim:(Faultsim.make [ (Faultsim.Solver_deadline, None, 1) ])
+      ~faultsim:(Faultsim.make [ (Faultsim.Solver_deadline, None, Faultsim.Nth 1) ])
       ~telemetry:(Dart.Telemetry.with_sink sink) ()
   in
   let r = Dart.Driver.run ~options prog in
@@ -358,7 +421,7 @@ let test_forced_unknown_incremental_matches_fresh () =
   let run ~use_incremental =
     let options =
       Dart.Driver.Options.make ~seed:3 ~max_runs:100 ~use_cache:false ~use_incremental
-        ~faultsim:(Faultsim.make [ (Faultsim.Solver_deadline, None, 1) ])
+        ~faultsim:(Faultsim.make [ (Faultsim.Solver_deadline, None, Faultsim.Nth 1) ])
         ()
     in
     Dart.Driver.run ~options prog
@@ -722,6 +785,125 @@ let test_dartc_worker_crash_needs_jobs () =
       let code, _, _ = dartc [ "--faultsim"; "worker_crash@0"; "--jobs"; "2" ] in
       Alcotest.(check int) "jobs 2: the crash is injected and the bug still found" 1 code)
 
+(* ---- dartc end to end ------------------------------------------------------ *)
+
+let ac_cli depth =
+  [ "../examples/ac_controller.mc"; "--toplevel"; "ac_controller"; "--depth";
+    string_of_int depth ]
+
+let churn_cli = [ "../examples/churn.mc"; "--toplevel"; "step"; "--depth"; "6" ]
+
+(* The documented exit codes: 0 clean, 1 bug, 2 usage error (a flag
+   conflict, a missing file), 3 time budget. *)
+let test_dartc_exit_codes () =
+  List.iter
+    (fun (want, what, args) ->
+      let code, _, err = Dartc_cli.run args in
+      Alcotest.(check int) (Printf.sprintf "%s (%s)" what err) want code)
+    [ (0, "no bug at depth 1", ac_cli 1);
+      (1, "bug at depth 2", ac_cli 2);
+      (2, "--checkpoint-every without --checkpoint", ac_cli 1 @ [ "--checkpoint-every"; "5" ]);
+      (2, "missing source file", [ "no_such_file.mc"; "--toplevel"; "f" ]);
+      (3, "time budget", churn_cli @ [ "--max-runs"; "10000000"; "--time-budget"; "0.3" ]) ]
+
+(* One of four workers is killed at an occurrence drawn from the seed:
+   the search still completes, with exactly one crash line, and the
+   respawn claims what is left of the pooled budget. *)
+let test_dartc_worker_crash_respawn () =
+  List.iter
+    (fun seed ->
+      let code, out, _ =
+        Dartc_cli.run
+          (ac_cli 1
+          @ [ "--jobs"; "4"; "--faultsim"; "worker_crash@1:?"; "--faultsim-seed";
+              string_of_int seed ])
+      in
+      let name = Printf.sprintf "seed %d: " seed in
+      Alcotest.(check int) (name ^ "exit 0") 0 code;
+      Alcotest.(check bool) (name ^ "COMPLETE") true (String.starts_with ~prefix:"COMPLETE" out);
+      match
+        List.filter (fun l -> Str_contains.contains l "crashed") (String.split_on_char '\n' out)
+      with
+      | [ line ] ->
+        Alcotest.(check bool) (name ^ "respawned") true
+          (Str_contains.contains line "respawned with a fresh seed")
+      | lines -> Alcotest.failf "%sexpected one crash line, got %d" name (List.length lines))
+    [ 1; 2 ]
+
+(* An injected solver-deadline overrun rides the real degradation path:
+   one Unknown, reported, and the bug is still reached. *)
+let test_dartc_solver_deadline () =
+  let code, out, _ = Dartc_cli.run (ac_cli 2 @ [ "--faultsim"; "solver_deadline:1" ]) in
+  Alcotest.(check int) "bug still found" 1 code;
+  Alcotest.(check bool) "overrun reported" true
+    (Str_contains.contains out "\nsolver deadline overruns: 1\n")
+
+(* Checkpoint then resume, at run boundaries the budget fixes rather
+   than a clock: stopping at 3000 runs and resuming to 4000 prints the
+   report of a direct 4000-run search (exact with --no-cache). *)
+let test_dartc_resume_golden_pairs () =
+  List.iter
+    (fun (name, args, want) ->
+      Dartc_cli.with_temp_files 1 (function
+        | [ ck ] ->
+          let run extra = Dartc_cli.run (args @ ("--no-cache" :: extra)) in
+          let code, _, _ = run [ "--max-runs"; "3000"; "--checkpoint"; ck ] in
+          Alcotest.(check int) (name ^ ": checkpointed exit") want code;
+          let code, resumed, err = run [ "--resume"; ck; "--max-runs"; "4000" ] in
+          Alcotest.(check int) (name ^ ": resumed exit (" ^ err ^ ")") want code;
+          let code, direct, _ = run [ "--max-runs"; "4000" ] in
+          Alcotest.(check int) (name ^ ": direct exit") want code;
+          Alcotest.(check string) (name ^ ": resumed report is the direct one") direct resumed
+        | _ -> assert false))
+    [ ("churn d6", churn_cli, 0);
+      ("mix d6", [ "../examples/mix.mc"; "--toplevel"; "mix"; "--depth"; "6" ], 0);
+      ("ac_controller d8", ac_cli 8 @ [ "--all-bugs" ], 1) ]
+
+(* One flipped digit of the PRNG state is still a well-formed record:
+   the record's checksum refuses it. *)
+let test_dartc_flipped_rng_refused () =
+  Dartc_cli.with_temp_files 2 (function
+    | [ ck; bad ] ->
+      let args = churn_cli @ [ "--no-cache"; "--max-runs"; "3000" ] in
+      let code, _, _ = Dartc_cli.run (args @ [ "--checkpoint"; ck ]) in
+      Alcotest.(check int) "checkpointed search exits 0" 0 code;
+      let flip line =
+        if String.starts_with ~prefix:"rng " line then begin
+          let n = String.length line in
+          String.sub line 0 (n - 1) ^ if line.[n - 1] = '0' then "1" else "0"
+        end
+        else line
+      in
+      let text = Dartc_cli.read_file ck in
+      let flipped = String.concat "\n" (List.map flip (String.split_on_char '\n' text)) in
+      Alcotest.(check bool) "a digit was flipped" true (flipped <> text);
+      Out_channel.with_open_bin bad (fun oc -> output_string oc flipped);
+      let code, _, err = Dartc_cli.run (args @ [ "--resume"; bad ]) in
+      Alcotest.(check int) "refused: usage error" 2 code;
+      Alcotest.(check bool) "names the checksum" true
+        (Str_contains.contains err "checksum mismatch")
+    | _ -> assert false)
+
+(* SIGINT once the first periodic checkpoint lands: the search drains,
+   exits 3, and leaves a checkpoint that --resume accepts (the resumed
+   search runs until its own time budget). *)
+let test_dartc_sigint_checkpoint () =
+  Dartc_cli.with_temp_files 1 (function
+    | [ ck ] ->
+      Sys.remove ck;
+      let args = churn_cli @ [ "--no-cache"; "--max-runs"; "10000000" ] in
+      let pid = Dartc_cli.start (args @ [ "--checkpoint"; ck; "--checkpoint-every"; "200" ]) in
+      let give_up = Unix.gettimeofday () +. 60. in
+      while (not (Sys.file_exists ck)) && Unix.gettimeofday () < give_up do
+        Unix.sleepf 0.01
+      done;
+      (try Unix.kill pid Sys.sigint with Unix.Unix_error _ -> ());
+      let code = Dartc_cli.wait pid in
+      Alcotest.(check int) "interrupted: exit 3" 3 code;
+      let code, _, err = Dartc_cli.run (args @ [ "--resume"; ck; "--time-budget"; "0.2" ]) in
+      Alcotest.(check int) ("resumed until the time budget (" ^ err ^ ")") 3 code
+    | _ -> assert false)
+
 (* ---- telemetry codec for the new events ------------------------------------ *)
 
 let test_new_event_codec () =
@@ -739,6 +921,7 @@ let suite =
     Alcotest.test_case "faultsim: one-shot nth" `Quick test_faultsim_one_shot;
     Alcotest.test_case "faultsim: key narrowing" `Quick test_faultsim_key_narrowing;
     Alcotest.test_case "faultsim: spec parsing" `Quick test_faultsim_spec;
+    test_faultsim_spec_total;
     Alcotest.test_case "chaos: schedules are seed-deterministic" `Quick
       test_chaos_determinism;
     Alcotest.test_case "chaos: recurring, key-blind, rate-checked" `Quick
@@ -771,4 +954,13 @@ let suite =
     Alcotest.test_case "crash at jobs=1" `Quick test_crash_single_worker;
     Alcotest.test_case "dartc: worker_crash needs --jobs" `Quick
       test_dartc_worker_crash_needs_jobs;
+    Alcotest.test_case "dartc: exit codes" `Quick test_dartc_exit_codes;
+    Alcotest.test_case "dartc: worker crash respawns" `Quick test_dartc_worker_crash_respawn;
+    Alcotest.test_case "dartc: solver deadline overrun" `Quick test_dartc_solver_deadline;
+    Alcotest.test_case "dartc: checkpoint, resume, direct" `Quick
+      test_dartc_resume_golden_pairs;
+    Alcotest.test_case "dartc: flipped rng digit refused" `Quick
+      test_dartc_flipped_rng_refused;
+    Alcotest.test_case "dartc: SIGINT leaves a resumable checkpoint" `Quick
+      test_dartc_sigint_checkpoint;
     Alcotest.test_case "new event json codec" `Quick test_new_event_codec ]
