@@ -418,6 +418,30 @@ let test_solver_mix () =
      | _ -> Alcotest.fail "witness did not replay the fault")
   | bugs -> Alcotest.failf "expected one bug, got %d" (List.length bugs)
 
+let test_deep_chain () =
+  (* A 100-deep conditional chain over one input has 101 feasible
+     paths; exploring them all asks the solver 1 + 2 + ... + 100
+     queries, most of them infeasible flips. A change in candidate
+     selection or in what a flip asks the solver moves a count. *)
+  let src =
+    "int deep(int x) {\n\
+    \  int acc = 0;\n\
+    \  int i = 0;\n\
+    \  while (i < 100) {\n\
+    \    if (x > i) acc = acc + 1;\n\
+    \    i = i + 1;\n\
+    \  }\n\
+    \  return acc;\n\
+     }\n"
+  in
+  let r =
+    Dart.Driver.test_source ~options:(Dart.Driver.Options.make ~max_runs:200 ()) ~toplevel:"deep"
+      src
+  in
+  Alcotest.(check bool) "complete" true (r.Dart.Driver.verdict = Dart.Driver.Complete);
+  Alcotest.(check (list int)) "runs, solver queries" [ 101; 5_050 ]
+    [ r.Dart.Driver.runs; Solver.queries r.Dart.Driver.solver_stats ]
+
 (* dartc --random-testing runs the directed search with the shadow off,
    so --jobs, --all-bugs and the report format are the directed
    search's. Flags that steer the solver or the branch choice, and the
@@ -521,6 +545,7 @@ let suite =
     Alcotest.test_case "minimal bug witness replays" `Quick test_bug_witness_minimal_and_replays;
     Alcotest.test_case "unknown voids complete" `Quick test_unknown_voids_complete;
     Alcotest.test_case "solver mix" `Quick test_solver_mix;
+    Alcotest.test_case "deep chain explored fully" `Quick test_deep_chain;
     Alcotest.test_case "dartc random testing" `Quick test_dartc_random_testing;
     Alcotest.test_case "dartc random testing joins no work pool" `Quick
       test_dartc_random_testing_no_pool;
