@@ -172,14 +172,16 @@ let experiment_osip_sweep () =
   let n = if !quick then 40 else 120 in
   let per_function_budget = if !quick then 300 else 1_000 in
   let src, funcs = Workloads.Osip_sim.generate ~seed:7 ~n in
-  let ast = Minic.Parser.parse_program src in
+  (* One typecheck and lowering for the whole library; each target only
+     links its driver, as campaigns do. *)
+  let library = Dart.Driver.lower_library (Minic.Parser.parse_program src) in
   let crashed = ref 0 and vulnerable = ref 0 and dart_tp = ref 0 in
   let random_crashed = ref 0 in
   let faults : (string, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (f : Workloads.Osip_sim.gen_func) ->
       if f.gf_vulnerable then incr vulnerable;
-      let prog = Dart.Driver.prepare ~toplevel:f.gf_toplevel ~depth:1 ast in
+      let prog = Dart.Driver.link library ~toplevel:f.gf_toplevel ~depth:1 in
       let options = Dart.Driver.Options.make ~max_runs:per_function_budget () in
       let r = Dart.Driver.run ~options prog in
       (match r.Dart.Driver.verdict with

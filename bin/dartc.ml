@@ -12,10 +12,10 @@
 
    Subcommands: `dartc campaign library.mc` tests every discoverable
    function of a library in one invocation (see run_campaign below for
-   its exit codes); `dartc trace-stats trace.jsonl` inspects traces
-   written with --trace; `dartc profile trace.jsonl` attributes wall
-   clock across phases/targets/solver sites; `dartc watch status.json`
-   follows a --status snapshot; `dartc cover` explores coverage. *)
+   its exit codes); `dartc profile trace.jsonl` summarizes a trace
+   written with --trace and attributes wall clock across
+   phases/targets/solver sites; `dartc watch status.json` follows a
+   --status snapshot; `dartc cover` explores coverage. *)
 
 open Cmdliner
 
@@ -115,7 +115,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a structured event trace (one JSON object per line) of the whole search \
-           to $(docv); inspect it with $(b,dartc trace-stats).")
+           to $(docv); inspect it with $(b,dartc profile).")
 
 let status_arg =
   Arg.(
@@ -348,14 +348,6 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
            search will use, so --metrics accounts for the whole
            pipeline. *)
         let prep = Dart.Telemetry.create_metrics () in
-        let print_metrics m =
-          if metrics_flag then begin
-            print_endline (Dart.Telemetry.metrics_to_string m);
-            (* Latency distributions ride with --metrics only: the
-               plain report stays byte-identical. *)
-            print_endline (Dart.Telemetry.latency_to_string m)
-          end
-        in
         let options =
           Dart.Driver.Options.make ~seed ~depth ~max_runs
             ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
@@ -419,11 +411,12 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
               r.Dart.Parallel.merged
             end
           in
-          print_metrics report.Dart.Driver.metrics;
-          (* Incremental/shared-store counters ride with --metrics:
+          (* Phase timings, latency distributions and the
+             incremental/shared-store counters ride with --metrics:
              the plain report stays byte-identical whether or not
              incremental solving ([accel.use_incremental]) is on. *)
           if metrics_flag then begin
+            print_string (Dart.Profile.metrics_to_string report.Dart.Driver.metrics);
             let st = report.Dart.Driver.solver_stats in
             Printf.printf
               "incremental: %d prepared-state hits, %d pops saved, %d shared-store hits\n"
@@ -446,7 +439,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
       end
   end
 
-(* ---- trace-stats ----------------------------------------------------------------- *)
+(* ---- trace files ----------------------------------------------------------------- *)
 
 let trace_file_arg =
   Arg.(
@@ -474,12 +467,6 @@ let read_trace_events file =
          done
        with End_of_file -> ());
       List.rev !events)
-
-let run_trace_stats file =
-  with_front_end_errors "dartc trace-stats" @@ fun () ->
-  print_string
-    (Dart.Telemetry.summary_to_string (Dart.Telemetry.summarize (read_trace_events file)));
-  0
 
 (* ---- cover ----------------------------------------------------------------------- *)
 
@@ -539,20 +526,7 @@ let print_timeline summary =
           p.Dart.Telemetry.cp_covered
           (Int64.to_float p.Dart.Telemetry.cp_ns /. 1e6))
       points;
-    (match summary.Dart.Telemetry.plateau with
-     | Some (runs, stale) ->
-       Printf.printf "plateau: %d runs total, %d since the last new direction\n" runs stale
-     | None -> ());
-    (match Dart.Telemetry.frontier_sites summary with
-     | [] -> ()
-     | fs ->
-       print_endline "frontier sites (one direction missing, by solver attempts):";
-       List.iter
-         (fun ((fn, pc), missing_taken, attempts) ->
-           Printf.printf "  %s:%d  missing %s  %d solve attempts\n" fn pc
-             (if missing_taken then "taken-dir" else "fall-dir")
-             attempts)
-         fs)
+    print_string (Dart.Profile.coverage_to_string summary)
 
 let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out html_out
     timeline =
@@ -947,8 +921,8 @@ let watch_cmd =
 
 let profile_cmd =
   let doc =
-    "attribute wall clock across phases, campaign targets and solver sites from a JSONL \
-     trace"
+    "summarize a JSONL trace written with --trace: event counts, wall clock across phases, \
+     campaign targets and solver sites, and the coverage plateau"
   in
   Cmd.v
     (Cmd.info "dartc profile" ~doc)
@@ -962,10 +936,6 @@ let run_term =
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ faultsim_arg
     $ faultsim_seed_arg $ trace_arg $ status_arg $ metrics_arg $ show_interface_arg
     $ show_driver_arg $ dump_ram_arg $ coverage_arg)
-
-let trace_stats_cmd =
-  let doc = "summarize a JSONL trace written with --trace" in
-  Cmd.v (Cmd.info "dartc trace-stats" ~doc) Term.(const run_trace_stats $ trace_file_arg)
 
 let cover_cmd =
   let doc =
@@ -996,7 +966,6 @@ let eval ?argv cmd =
 
 let subcommands =
   [ ("campaign", campaign_cmd);
-    ("trace-stats", trace_stats_cmd);
     ("cover", cover_cmd);
     ("watch", watch_cmd);
     ("profile", profile_cmd) ]

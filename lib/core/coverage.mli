@@ -36,7 +36,7 @@ type status =
 type directions
 (** Which directions of each (function, pc) site ran: the one direction
     table behind {!compute}, {!Cover_report} and
-    {!Telemetry.frontier_sites}. *)
+    {!Profile.frontier_sites}. *)
 
 val directions : (string * int * bool) list -> directions
 (** Built from the (function, pc, direction) triples a search reports

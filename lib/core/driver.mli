@@ -401,4 +401,4 @@ val verdict_tag : verdict -> string
 
 val report_to_string : report -> string
 (** Byte-stable end-of-run summary (phase metrics are deliberately
-    excluded: print them with {!Telemetry.metrics_to_string}). *)
+    excluded: print them with {!Profile.metrics_to_string}). *)

@@ -607,31 +607,8 @@ let timed m phase f =
   add_phase m phase (Int64.sub (now ()) t0);
   r
 
-let seconds ns = Int64.to_float ns /. 1e9
-
-let metrics_to_assoc m =
-  List.map (fun p -> (phase_to_string p ^ "_s", seconds (phase_ns m p))) phases
-  @ [ ("total_s", seconds (total_ns m)) ]
-
-let metrics_to_string m =
-  Printf.sprintf
-    "phase timings: execute %.3fs  solve %.3fs  lower %.3fs  merge %.3fs  (total %.3fs)"
-    (seconds m.execute_ns) (seconds m.solve_ns) (seconds m.lower_ns) (seconds m.merge_ns)
-    (seconds (total_ns m))
-
 let emit_phase_totals sink m =
   List.iter (fun p -> emit sink (Phase_total { phase = p; dur_ns = phase_ns m p })) phases
-
-let hist_line name h =
-  Printf.sprintf "%s latency: p50 <=%s  p90 <=%s  p99 <=%s  max %s  (%d samples)" name
-    (ns_to_string (Hist.p50 h))
-    (ns_to_string (Hist.p90 h))
-    (ns_to_string (Hist.p99 h))
-    (ns_to_string (Hist.max_ns h))
-    (Hist.count h)
-
-let latency_to_string m =
-  hist_line "solve" m.solve_hist ^ "\n" ^ hist_line "run" m.run_hist
 
 (* ---- trace summaries ------------------------------------------------------------ *)
 
@@ -816,92 +793,6 @@ let summarize evs =
     timeline = List.rev !points;
     covered = List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) covered []);
     plateau = (if !run_ends = 0 then None else Some (!run_ends, !run_ends - !last_gain)) }
-
-(* ---- coverage-over-time views ------------------------------------------------- *)
-
-let frontier_sites s =
-  List.filter_map
-    (fun (site, status) ->
-      if not (Coverage.is_frontier status) then None
-      else
-        let attempts =
-          match List.assoc_opt site s.sites with
-          | Some a -> a.s_count
-          | None -> 0
-        in
-        (* The missing direction is the one not yet seen. *)
-        Some (site, status = Coverage.Fall_only, attempts))
-    (Coverage.sites (Coverage.directions s.covered))
-  |> List.sort (fun (sa, _, a) (sb, _, b) ->
-         match compare b a with 0 -> compare sa sb | c -> c)
-
-let distinct_branch_dirs s = List.length s.covered
-
-let summary_to_string s =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "trace: %d events (%d runs, %d branches + %d driver branches, %d solver queries, %d \
-        inputs updated, %d restarts, %d bugs, %d workers)\n"
-       s.total_events s.runs s.branches s.driver_branches s.solves s.inputs_updated
-       s.restarts s.bugs s.workers);
-  (* Crash count only appears when something actually crashed, keeping
-     crash-free trace summaries byte-identical to earlier builds. *)
-  if s.crashes > 0 then
-    Buffer.add_string buf (Printf.sprintf "worker crashes: %d\n" s.crashes);
-  Buffer.add_string buf
-    (Printf.sprintf "solver: %d real queries + %d cache hits (%d sat, %d unsat, %d unknown)\n"
-       (s.solves - s.solve_hits) s.solve_hits s.solve_sat s.solve_unsat s.solve_unknown);
-  let total = List.fold_left (fun acc (_, ns) -> Int64.add acc ns) 0L s.phase_ns in
-  Buffer.add_string buf "phases:\n";
-  List.iter
-    (fun (p, ns) ->
-      let pct =
-        if Int64.compare total 0L > 0 then
-          100.0 *. Int64.to_float ns /. Int64.to_float total
-        else 0.0
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-8s %10.3fms  (%5.1f%%)\n" (phase_to_string p) (seconds ns *. 1e3)
-           pct))
-    s.phase_ns;
-  Buffer.add_string buf
-    (Printf.sprintf "per-run execution time (from run_end): %.3fms\n"
-       (seconds (Hist.sum_ns s.run_hist) *. 1e3));
-  if s.sites <> [] then begin
-    Buffer.add_string buf "solve sites (by total solver time):\n";
-    List.iter
-      (fun ((fn, pc), a) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  %-28s %5d queries (%d sat, %d unsat, %d unknown), %d hits, %d sliced, \
-              %.3fms\n"
-             (Printf.sprintf "%s:%d" fn pc)
-             a.s_count a.s_sat a.s_unsat a.s_unknown a.s_hits a.s_sliced
-             (seconds a.s_ns *. 1e3)))
-      s.sites
-  end;
-  (match s.plateau with
-   | None -> ()
-   | Some (runs, stale) ->
-     Buffer.add_string buf
-       (Printf.sprintf
-          "coverage: %d branch directions after %d runs (%d cover points); plateau: %d \
-           runs since the last new direction\n"
-          (distinct_branch_dirs s) runs (List.length s.timeline) stale));
-  (match frontier_sites s with
-   | [] -> ()
-   | frontier ->
-     Buffer.add_string buf "frontier sites (one direction missing, by solver attempts):\n";
-     List.iter
-       (fun ((fn, pc), missing_taken, attempts) ->
-         Buffer.add_string buf
-           (Printf.sprintf "  %-28s missing %s, %d solve attempts\n"
-              (Printf.sprintf "%s:%d" fn pc)
-              (if missing_taken then "taken-dir" else "fall-dir")
-              attempts))
-       frontier);
-  Buffer.contents buf
 
 (* ---- configuration --------------------------------------------------------------- *)
 

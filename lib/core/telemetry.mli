@@ -13,9 +13,8 @@
       buffer of {!Parallel} workers, whose events are replayed into the
       main sink in worker order at join.
     - {!jsonl}: one JSON object per line on an output channel, the
-      stable on-disk trace format that [dartc trace-stats], [dartc
-      profile] and [dartc cover --from-trace] read back through
-      {!summarize}.
+      stable on-disk trace format that [dartc profile] and [dartc
+      cover --from-trace] read back through {!summarize}.
 
     Orthogonally, {!metrics} accumulates monotonic per-phase wall-clock
     time (execute / solve / lower / merge); a metrics record rides in
@@ -245,6 +244,7 @@ val create_metrics : unit -> metrics
 val add_metrics : into:metrics -> metrics -> unit
 val add_phase : metrics -> phase -> int64 -> unit
 val total_ns : metrics -> int64
+val phase_ns : metrics -> phase -> int64
 
 val timed : metrics -> phase -> (unit -> 'a) -> 'a
 (** Run the thunk, attributing its wall-clock time to the phase. *)
@@ -254,19 +254,10 @@ val now : unit -> int64
     noalloc stub). Differences are meaningful; absolute values are
     not. *)
 
-val metrics_to_assoc : metrics -> (string * float) list
-(** Per-phase seconds plus a ["total_s"] entry, stable key order. *)
-
-val metrics_to_string : metrics -> string
-
-val latency_to_string : metrics -> string
-(** Two lines — solve and run latency percentiles — for
-    [dartc --metrics]. *)
-
 val emit_phase_totals : sink -> metrics -> unit
 (** One {!Phase_total} event per phase, in declaration order. *)
 
-(** {1 Trace summaries ([trace-stats], [profile], [cover --from-trace])} *)
+(** {1 Trace summaries ([profile], [cover --from-trace])} *)
 
 type site_agg = {
   s_count : int;
@@ -317,7 +308,10 @@ type summary = {
          Target_retired, sorted by tg_ns descending, first-seen order
          on ties; empty for single-target traces *)
   rounds : int; (* Round_end events *)
-  timeline : cover_point list; (* Cover_point events, trace order *)
+  timeline : cover_point list;
+      (* Cover_point events, trace order. In a multi-worker trace they
+         appear in worker-replay order: each worker's segment is
+         monotone, the concatenation is not a single global curve. *)
   covered : (string * int * bool) list;
       (* distinct (fn, pc, dir) user branch directions across every
          Branch_taken event, sorted — the shape of
@@ -339,32 +333,9 @@ and cover_point = {
 }
 
 val summarize : event list -> summary
-(** The one pass over a recorded event list: [dartc trace-stats],
-    [dartc profile] ({!Profile.to_string}) and [dartc cover
-    --from-trace] all render this record. *)
-
-val summary_to_string : summary -> string
-
-(** {1 Coverage-over-time}
-
-    Derived views of a summary's [timeline] and [covered] fields used
-    by [dartc cover --timeline], [dartc trace-stats] and the bench
-    trajectory artifact. In a multi-worker trace the cover points
-    appear in worker-replay order: each worker's segment is monotone,
-    the concatenation is not a single global curve. *)
-
-val frontier_sites : summary -> ((string * int) * bool * int) list
-(** {!Coverage.is_frontier} user branch sites of [covered] — the
-    candidates a directed search can still force. Each entry is
-    [(site, missing_dir, solve_attempts)] where [missing_dir] is the
-    machine direction not yet exercised ([true] = jump taken), ranked
-    by solver attempts at that site (descending), i.e. by how hard the
-    search is already trying: a high-attempt frontier site is where the
-    search plateaued. *)
-
-val distinct_branch_dirs : summary -> int
-(** [List.length covered]: the trace-side counterpart of
-    [Driver.report.branches_covered]. *)
+(** The one pass over a recorded event list: [dartc profile]
+    ({!Profile.to_string}) and [dartc cover --from-trace] both render
+    this record. *)
 
 (** {1 Configuration} *)
 

@@ -145,8 +145,8 @@ val breaker_skips : stats -> int
 
 val to_assoc : stats -> (string * int) list
 (** Every report-visible counter as [(name, value)], stable declaration
-    order; the single source of truth for report printing, bench JSON
-    and merge code, so a new counter shows up everywhere at once. The
+    order; the single source of truth for report printing and merge
+    code, so a new counter shows up everywhere at once. The
     acceleration meters ({!incremental_hits}, {!pops_saved},
     {!shared_hits}) and the breaker meters ({!breaker_opens},
     {!breaker_skips}) are deliberately excluded: they measure work

@@ -195,7 +195,7 @@ let test_lcov_parser_rejects () =
 
 let test_trace_timeline_replay () =
   let src, toplevel = Workloads.Paper_examples.ac_controller in
-  let _, r, events = search ~depth:2 ~toplevel src in
+  let prog, r, events = search ~depth:2 ~toplevel src in
   (* Serialize the live events exactly as --trace writes them, parse
      them back, and the derived timeline must be identical — including
      the recorded timestamps. *)
@@ -217,11 +217,22 @@ let test_trace_timeline_replay () =
      Alcotest.(check bool) "stale-run count within the run budget" true
        (stale >= 0 && stale < r.Dart.Driver.runs)
    | None -> Alcotest.fail "trace has cover points, plateau must exist");
+  Alcotest.(check bool) "profile coverage line counts the report's directions" true
+    (contains (Dart.Profile.to_string s)
+       (Printf.sprintf "coverage: %d branch directions after %d runs (%d cover points)"
+          r.Dart.Driver.branches_covered r.Dart.Driver.runs r.Dart.Driver.runs));
   (* Frontier sites from the trace agree with the site classification
      from the coverage report. *)
   let s_live = T.summarize events in
   Alcotest.(check int) "trace dirs = report coverage" r.Dart.Driver.branches_covered
-    (T.distinct_branch_dirs s_live)
+    (List.length s_live.T.covered);
+  Alcotest.(check (list (pair string int))) "trace frontier = report frontier"
+    (List.sort compare
+       (List.map
+          (fun site -> (site.C.cs_fn, site.C.cs_pc))
+          (C.frontier (C.compute prog ~covered:r.Dart.Driver.coverage_sites))))
+    (List.sort compare
+       (List.map (fun (site, _, _) -> site) (Dart.Profile.frontier_sites s_live)))
 
 let test_random_search_timeline () =
   let src, toplevel = Workloads.Paper_examples.ac_controller in
@@ -257,7 +268,7 @@ let test_random_search_timeline () =
   Alcotest.(check bool) "some site reached" true
     (List.exists (fun site -> site.C.cs_status <> C.Unreached) from_trace.C.sites);
   Alcotest.(check bool) "summary coverage line counts the trace's directions" true
-    (contains (T.summary_to_string s)
+    (contains (Dart.Profile.to_string s)
        (Printf.sprintf "coverage: %d branch directions after %d runs"
           r.Dart.Driver.branches_covered r.Dart.Driver.runs))
 

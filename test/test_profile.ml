@@ -7,9 +7,10 @@ module T = Dart.Telemetry
 module P = Dart.Profile
 
 (* A hand-built campaign-shaped trace: two targets over one round,
-   three solver sites, phase totals at the end. *)
+   three solver sites, one branch direction, phase totals at the end. *)
 let events =
   [ T.Target_scheduled { target = "alpha"; round = 0 };
+    T.Branch_taken { fn = "alpha"; pc = 3; dir = true };
     T.Run_end { run = 1; outcome = "halted"; steps = 10; dur_ns = 1_000L };
     T.Solve_query
       { fn = "alpha"; pc = 3; result = T.R_sat; dur_ns = 100L; cache_hit = false;
@@ -68,15 +69,25 @@ let test_aggregation () =
 let test_render_golden () =
   let out = P.to_string ~top:2 (T.summarize events) in
   let expect_lines =
-    [ "profile: 17 events";
+    [ "trace: 18 events (0 runs, 1 branches + 0 driver branches, 4 solver queries, 0 inputs \
+       updated, 0 restarts, 0 bugs, 0 workers)";
+      "solver: 3 real queries + 1 cache hits (3 sat, 1 unsat, 0 unknown)";
       "phases:";
       "  execute         6.0us  ( 67.0%)";
       "  solve           950ns  ( 10.6%)";
+      "run latency (3 samples, total 6.0us, mean 2.0us, max 3.0us):";
       "hottest solver sites (top 2 of 3, by total time):";
-      "  beta:1                            1 queries  total      500ns  mean      500ns";
+      "  beta:1                            1 queries  total      500ns  mean      500ns  (1 sat, \
+       0 unsat, 0 unknown), 0 hits, 0 sliced";
+      "  alpha:3                           2 queries  total      400ns  mean      200ns  (1 sat, \
+       1 unsat, 0 unknown), 0 hits, 0 sliced";
       "campaign targets (2, 1 rounds, by total time):";
       "  beta                           1 slices      1 runs      30.0us  ( 75.0%)  unfinished";
-      "  alpha                          1 slices      2 runs      10.0us  ( 25.0%)  retired: bug" ]
+      "  alpha                          1 slices      2 runs      10.0us  ( 25.0%)  retired: bug";
+      "coverage: 1 branch directions after 3 runs (0 cover points); plateau: 2 runs since the \
+       last new direction";
+      "frontier sites (one direction missing, by solver attempts):";
+      "  alpha:3                      missing fall-dir, 2 solve attempts" ]
   in
   List.iter
     (fun line ->

@@ -130,10 +130,6 @@ let test_metrics () =
   T.add_phase m2 T.Lower 1_000L;
   T.add_metrics ~into:m m2;
   Alcotest.(check int64) "add_metrics folds in" 1_175L (T.total_ns m);
-  let assoc = T.metrics_to_assoc m in
-  Alcotest.(check (list string)) "stable assoc keys"
-    [ "execute_s"; "solve_s"; "lower_s"; "merge_s"; "total_s" ]
-    (List.map fst assoc);
   let x = T.timed m T.Merge (fun () -> 17) in
   Alcotest.(check int) "timed returns the thunk's value" 17 x;
   Alcotest.(check bool) "timed attributed time" true (Int64.compare m.T.merge_ns 0L >= 0);
@@ -245,7 +241,7 @@ let test_jsonl_trace_counts () =
        r.Dart.Driver.branches_covered last.T.cp_covered
    | [] -> Alcotest.fail "no cover points in trace");
   Alcotest.(check int) "distinct trace dirs = report coverage"
-    r.Dart.Driver.branches_covered (T.distinct_branch_dirs s)
+    r.Dart.Driver.branches_covered (List.length s.T.covered)
 
 (* ---- parallel trace merging ------------------------------------------------------ *)
 
@@ -389,13 +385,42 @@ let test_dartc_campaign_trace_jobs_invariant () =
         (Dartc_cli.run [ "watch"; status; "--once" ]);
       check_exit "profile reads the campaign trace" 0
         (Dartc_cli.run [ "profile"; trace2; "--top"; "5" ]);
-      check_exit "trace-stats reads the campaign trace" 0
-        (Dartc_cli.run [ "trace-stats"; trace2 ]);
       check_exit "jobs 1 campaign finds bugs" 1
         (Dartc_cli.run (Dartc_cli.osip_campaign @ [ "--jobs"; "1"; "--trace"; trace1 ]));
       let lines path = List.map zero_ns (String.split_on_char '\n' (Dartc_cli.read_file path)) in
       Alcotest.(check (list string)) "jobs 1 and jobs 2 traces agree" (lines trace1)
         (lines trace2)
+    | _ -> assert false)
+
+(* --metrics prints the profile's phase table and histograms; the trace
+   it records renders with profile and cover, a live cover run writes
+   lcov and HTML, and the deleted trace-stats subcommand is a usage
+   error. *)
+let test_dartc_metrics_trace_cover () =
+  let ac = [ "../examples/ac_controller.mc"; "--toplevel"; "ac_controller" ] in
+  Dartc_cli.with_temp_files 3 (function
+    | [ trace; lcov; html ] ->
+      let ((_, out, _) as r) =
+        Dartc_cli.run (ac @ [ "--depth"; "1"; "--metrics"; "--trace"; trace ])
+      in
+      check_exit "depth 1 explores every path clean" 0 r;
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (Printf.sprintf "--metrics prints %S" line) true
+            (Str_contains.contains out line))
+        [ "phases:\n  execute "; "\nrun latency ("; "\nsolve latency ("; "\nincremental: " ];
+      check_exit "profile reads the trace" 0 (Dartc_cli.run [ "profile"; trace ]);
+      check_exit "trace-stats is gone" 2 (Dartc_cli.run [ "trace-stats"; trace ]);
+      check_exit "live cover writes lcov and HTML" 0
+        (Dartc_cli.run
+           (("cover" :: ac) @ [ "--depth"; "2"; "--timeline"; "--lcov"; lcov; "--html"; html ]));
+      Alcotest.(check bool) "HTML report is non-empty" true (Dartc_cli.read_file html <> "");
+      (match Dart.Cover_report.parse_lcov (Dartc_cli.read_file lcov) with
+       | Ok _ -> ()
+       | Error msg -> Alcotest.failf "lcov rejected: %s" msg);
+      check_exit "cover annotates from the trace" 0
+        (Dartc_cli.run
+           (("cover" :: ac) @ [ "--depth"; "1"; "--from-trace"; trace; "--annotate" ]))
     | _ -> assert false)
 
 (* ---- latency histograms ----------------------------------------------------------- *)
@@ -476,7 +501,7 @@ let test_plateau_two_targets () =
   let s = T.summarize events in
   Alcotest.(check (option (pair int int))) "plateau" (Some (5, 1)) s.T.plateau;
   Alcotest.(check bool) "summary line" true
-    (Str_contains.contains (T.summary_to_string s)
+    (Str_contains.contains (Dart.Profile.to_string s)
        "coverage: 3 branch directions after 5 runs (5 cover points); plateau: 1 runs");
   Alcotest.(check (option (pair int int))) "no runs, no plateau" None
     (T.summarize [ T.Cover_point { run = 1; covered = 1; elapsed_ns = 1L } ]).T.plateau
@@ -499,4 +524,5 @@ let suite =
       test_dartc_single_run_observability;
     Alcotest.test_case "dartc campaign trace is jobs-invariant" `Quick
       test_dartc_campaign_trace_jobs_invariant;
+    Alcotest.test_case "dartc metrics, trace and cover" `Quick test_dartc_metrics_trace_cover;
     Alcotest.test_case "plateau over two targets" `Quick test_plateau_two_targets ]
