@@ -549,8 +549,18 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
           ~telemetry:(Dart.Telemetry.with_sink sink) ()
       in
       let report = Dart.Driver.run ~options prog in
-      ( Dart.Telemetry.summarize (Dart.Telemetry.events sink),
-        report.Dart.Driver.coverage_sites )
+      let summary = Dart.Telemetry.summarize (Dart.Telemetry.events sink) in
+      (* A long search overflows the ring: the curve keeps only its
+         latest runs. A recorded trace is never cut. *)
+      (match summary.Dart.Telemetry.timeline with
+       | first :: _ when timeline && Dart.Telemetry.dropped sink > 0 ->
+         Printf.eprintf
+           "dartc cover: warning: trace ring overflowed, %d early events dropped; the curve \
+            starts at run %d (for the full curve, record the search with dartc --all-bugs \
+            --trace FILE and run dartc cover --from-trace FILE)\n"
+           (Dart.Telemetry.dropped sink) first.Dart.Telemetry.cp_run
+       | _ -> ());
+      (summary, report.Dart.Driver.coverage_sites)
   in
   let t = Dart.Cover_report.compute prog ~covered in
   let explicit_output = annotate || timeline || lcov_out <> None || html_out <> None in
@@ -764,55 +774,52 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
             write_file_with_note ~fault ~what:"JSON" path (Dart.Campaign.to_json report))
           json;
         if lcov <> None || html <> None then begin
-          (* Any one prepared program of the library carries every
-             non-driver function, so the first target's program is the
-             site universe for the aggregate view. *)
-          match report.Dart.Campaign.cam_targets with
-          | [] -> ()
-          | first :: _ ->
-            let ast = Minic.Parser.parse_program ~file src in
-            let prog = Dart.Driver.prepare ~toplevel:first ~depth ast in
-            let t =
-              Dart.Cover_report.compute prog
-                ~covered:(Dart.Campaign.aggregate_sites report)
-            in
-            Option.iter
-              (fun path ->
-                write_file_with_note ~fault ~what:"lcov" path
-                  (Dart.Cover_report.to_lcov t))
-              lcov;
-            Option.iter
-              (fun path ->
-                let title =
-                  Printf.sprintf "%s \u{2014} campaign" (Filename.basename file)
-                in
-                (* The per-target time/outcome heatmap: cumulative
-                   slice wall clock from cam_times, outcome and run
-                   count joined from the finished results (a target
-                   the campaign stopped before retiring shows as
-                   "unfinished"). *)
-                let heatmap =
-                  Dart.Cover_report.campaign_heatmap
-                    (List.map
-                       (fun (name, ns) ->
-                         match
-                           List.find_opt
-                             (fun (r : Dart.Campaign.target_result) ->
-                               r.Dart.Campaign.tr_name = name)
-                             report.Dart.Campaign.cam_results
-                         with
-                         | Some r ->
-                           ( name,
-                             Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
-                             ns,
-                             r.Dart.Campaign.tr_runs,
-                             r.Dart.Campaign.tr_overruns )
-                         | None -> (name, "unfinished", ns, 0, 0))
-                       report.Dart.Campaign.cam_times)
-                in
-                write_file_with_note ~fault ~what:"HTML" path
-                  (Dart.Cover_report.to_html ~extra:heatmap t ~source:src ~title))
-              html
+          (* The lowered library, with no driver linked, is the site
+             universe for the aggregate view. *)
+          let prog =
+            Dart.Driver.library_program
+              (Dart.Driver.lower_library (Minic.Parser.parse_program ~file src))
+          in
+          let t =
+            Dart.Cover_report.compute prog ~covered:(Dart.Campaign.aggregate_sites report)
+          in
+          Option.iter
+            (fun path ->
+              write_file_with_note ~fault ~what:"lcov" path
+                (Dart.Cover_report.to_lcov t))
+            lcov;
+          Option.iter
+            (fun path ->
+              let title =
+                Printf.sprintf "%s \u{2014} campaign" (Filename.basename file)
+              in
+              (* The per-target time/outcome heatmap: cumulative
+                 slice wall clock from cam_times, outcome and run
+                 count joined from the finished results (a target
+                 the campaign stopped before retiring shows as
+                 "unfinished"). *)
+              let heatmap =
+                Dart.Cover_report.campaign_heatmap
+                  (List.map
+                     (fun (name, ns) ->
+                       match
+                         List.find_opt
+                           (fun (r : Dart.Campaign.target_result) ->
+                             r.Dart.Campaign.tr_name = name)
+                           report.Dart.Campaign.cam_results
+                       with
+                       | Some r ->
+                         ( name,
+                           Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
+                           ns,
+                           r.Dart.Campaign.tr_runs,
+                           r.Dart.Campaign.tr_overruns )
+                       | None -> (name, "unfinished", ns, 0, 0))
+                     report.Dart.Campaign.cam_times)
+              in
+              write_file_with_note ~fault ~what:"HTML" path
+                (Dart.Cover_report.to_html ~extra:heatmap t ~source:src ~title))
+            html
         end;
         (match report.Dart.Campaign.cam_status with
          | Dart.Campaign.Stopped_early _ -> 3

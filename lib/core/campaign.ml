@@ -199,26 +199,50 @@ let aggregate_sites report =
 
 (* ---- the scheduler --------------------------------------------------------------- *)
 
+(* A target's place in the campaign: still being sliced, dropped with
+   the front end's reason (listed as skipped), or retired with its
+   result (settled this session or restored from a checkpoint). *)
+type phase = Active | Dropped of string | Retired of target_result
+
 type tstate = {
   st_name : string;
   st_index : int;
+  mutable st_phase : phase;
   mutable st_runs : int;
   mutable st_slices : int;
   mutable st_stale : int; (* consecutive slices without a new direction *)
-  mutable st_covered : int;
   mutable st_frontier : int;
   mutable st_ns : int64; (* cumulative slice wall clock this session *)
   mutable st_sites : (string * int * bool) list; (* latest slice coverage *)
   mutable st_snapshot : Driver.snapshot option;
-  mutable st_result : target_result option;
-  mutable st_failed : string option; (* a slice raised: dropped with the reason *)
   mutable st_faults : int; (* consecutive faulted slices (quarantine counter) *)
   mutable st_backoff : int; (* rounds to sit out before the next retry *)
   mutable st_bugs : Driver.bug list; (* last successful slice's cumulative bugs *)
   mutable st_overruns : int; (* cumulative solver deadline overruns *)
-  mutable st_breaker : Solver.Breaker.t option; (* shared across this target's slices *)
+  st_breaker : Solver.Breaker.t option; (* shared across this target's slices *)
   mutable st_prog : Ram.Instr.program option; (* linked on the first slice *)
 }
+
+let is_active st = match st.st_phase with Active -> true | Dropped _ | Retired _ -> false
+
+let result_of st = match st.st_phase with Retired tr -> Some tr | Active | Dropped _ -> None
+
+(* Retire a target with everything its successful slices earned (a
+   quarantined target keeps its runs, coverage and bugs too); returns
+   the tag its Target_retired event carries. *)
+let retire st reason =
+  st.st_phase <-
+    Retired
+      { tr_name = st.st_name;
+        tr_index = st.st_index;
+        tr_runs = st.st_runs;
+        tr_slices = st.st_slices;
+        tr_retired = reason;
+        tr_coverage = List.sort compare st.st_sites;
+        tr_bugs = st.st_bugs;
+        tr_overruns = st.st_overruns;
+        tr_bopens = Option.fold ~none:0 ~some:Solver.Breaker.opens st.st_breaker };
+  retire_tag reason
 
 (* How a slice ended. One that raised anything but a front-end
    rejection comes back from the fan-out as [Error reason] instead: a
@@ -251,18 +275,18 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
        drivers all build on one compiled library instead of racing to
        compile their own. *)
     if options.O.exec.Concolic.compile then Machine.precompile (Driver.library_program lib);
-    match
+    let restored =
       match resume with
       | None -> Ok []
-      | Some path -> (
+      | Some path ->
         let salvage =
           if salvage then Some (fun msg -> progress (Printf.sprintf "salvage: %s" msg))
           else None
         in
-        match load ?salvage ~path ~options ~library:text () with
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-        | Ok results -> Ok results)
-    with
+        Result.map_error (Printf.sprintf "%s: %s" path)
+          (load ?salvage ~path ~options ~library:text ())
+    in
+    match restored with
     | Error msg -> Error msg
     | Ok restored ->
       let restored_tbl = Hashtbl.create 16 in
@@ -270,27 +294,36 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
       let states =
         List.mapi
           (fun i name ->
+            let st_phase, st_runs, st_sites =
+              match Hashtbl.find_opt restored_tbl name with
+              | Some tr -> (Retired tr, tr.tr_runs, tr.tr_coverage)
+              | None -> (Active, 0, [])
+            in
             { st_name = name;
               st_index = i;
-              st_runs = 0;
+              st_phase;
+              st_runs;
               st_slices = 0;
               st_stale = 0;
-              st_covered = 0;
               st_frontier = 0;
               st_ns = 0L;
-              st_sites = [];
+              st_sites;
               st_snapshot = None;
-              st_result = Hashtbl.find_opt restored_tbl name;
-              st_failed = None;
               st_faults = 0;
               st_backoff = 0;
               st_bugs = [];
               st_overruns = 0;
-              st_breaker = None;
+              (* One breaker per target for the whole campaign: a site
+                 opened in slice k is still open (or cooling down) in
+                 slice k+1, and every slice boundary is one cooldown
+                 tick. *)
+              st_breaker =
+                (if options.O.accel.O.use_breaker then Some (Solver.Breaker.create ())
+                 else None);
               st_prog = None })
           targets
       in
-      let resumed_count = List.length (List.filter (fun st -> st.st_result <> None) states) in
+      let resumed_count = List.length (List.filter_map result_of states) in
       (* The campaign is the sole writer of the main sink and the status
          file: slices trace into private per-target rings replayed at
          settle, so worker domains never touch either. *)
@@ -303,18 +336,6 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
       let retry_limit = max 1 options.O.campaign.O.retry_limit in
       let run_slice st ring =
         let cap = min cap_total (st.st_runs + per_slice) in
-        (* One breaker per target for the whole campaign: a site opened
-           in slice k is still open (or cooling down) in slice k+1, and
-           every slice boundary is one cooldown tick. *)
-        let breaker =
-          if options.O.accel.O.use_breaker then begin
-            (match st.st_breaker with
-             | Some _ -> ()
-             | None -> st.st_breaker <- Some (Solver.Breaker.create ()));
-            st.st_breaker
-          end
-          else None
-        in
         let slice_options =
           { options with
             O.budget = { options.O.budget with O.max_runs = cap };
@@ -351,7 +372,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
           let ctx =
             Driver.make_ctx ~metrics ?deadline
               ~incremental:options.O.accel.O.use_incremental
-              ~use_breaker:options.O.accel.O.use_breaker ?breaker
+              ~use_breaker:options.O.accel.O.use_breaker ?breaker:st.st_breaker
               ~seed:options.O.search.O.seed ~max_runs:cap ()
           in
           let r =
@@ -366,7 +387,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
         | Driver_gen.No_toplevel name ->
           Slice_failed (Printf.sprintf "no function named %s with a body" name)
       in
-      let active () = List.filter (fun st -> st.st_result = None && st.st_failed = None) states in
+      let active () = List.filter is_active states in
       (* Most frontier sites first, where a refill is most likely to buy
          coverage; ties (round 1: everybody at 0) fall back to
          declaration order. *)
@@ -380,23 +401,19 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
       in
       let interim () =
         let results =
-          List.filter_map (fun st -> st.st_result) states
+          List.filter_map result_of states
           |> List.sort (fun a b -> compare a.tr_index b.tr_index)
         in
-        let failed =
+        let dropped =
           List.filter_map
-            (fun st -> Option.map (fun r -> (st.st_name, r)) st.st_failed)
-            states
-        in
-        let unfinished =
-          List.filter_map
-            (fun st -> if st.st_result = None && st.st_failed = None then Some st.st_name else None)
+            (fun st -> match st.st_phase with Dropped r -> Some (st.st_name, r) | _ -> None)
             states
         in
         { cam_targets = targets;
-          cam_skipped = skipped @ failed;
+          cam_skipped = skipped @ dropped;
           cam_results = results;
-          cam_unfinished = unfinished;
+          cam_unfinished =
+            List.filter_map (fun st -> if is_active st then Some st.st_name else None) states;
           cam_crashes = dedup_crashes results;
           cam_status = Finished; (* patched by the caller *)
           cam_resumed = resumed_count;
@@ -404,8 +421,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
           cam_times =
             List.filter_map
               (fun st ->
-                if st.st_slices > 0 || st.st_result <> None then
-                  Some (st.st_name, st.st_ns)
+                if st.st_slices > 0 || result_of st <> None then Some (st.st_name, st.st_ns)
                 else None)
               states }
       in
@@ -425,43 +441,22 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
       let write_status ~final () =
         Option.iter
           (fun p ->
-            let total = List.length states in
-            let done_ = List.length (List.filter (fun st -> st.st_result <> None) states) in
+            let r = interim () in
+            let done_ = List.length r.cam_results in
             let act = if final then 0 else List.length (active ()) in
-            let total_runs =
-              List.fold_left
-                (fun acc st ->
-                  acc
-                  + (match st.st_result with Some tr -> tr.tr_runs | None -> st.st_runs))
-                0 states
-            in
+            (* A retired target's state holds its result's runs and
+               sites, so every state reads the same way. *)
+            let runs = List.fold_left (fun acc st -> acc + st.st_runs) 0 states in
             let covered =
               let tbl : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
               List.iter
-                (fun st ->
-                  let sites =
-                    match st.st_result with
-                    | Some tr -> tr.tr_coverage
-                    | None -> st.st_sites
-                  in
-                  List.iter (fun s -> Hashtbl.replace tbl s ()) sites)
+                (fun st -> List.iter (fun s -> Hashtbl.replace tbl s ()) st.st_sites)
                 states;
               Hashtbl.length tbl
             in
-            let frontier =
-              List.fold_left
-                (fun acc st ->
-                  if st.st_result = None && st.st_failed = None then acc + st.st_frontier
-                  else acc)
-                0 states
-            in
-            let bugs =
-              dedup_crashes
-                (List.filter_map (fun st -> st.st_result) states
-                |> List.sort (fun a b -> compare a.tr_index b.tr_index))
-            in
-            Status.publish p ~runs:total_runs ~bugs:(List.length bugs) ~covered ~frontier
-              ~done_ ~active:act ~remaining:(total - done_ - act) ~round:!round
+            let frontier = List.fold_left (fun acc st -> acc + st.st_frontier) 0 (active ()) in
+            Status.publish p ~runs ~bugs:(List.length r.cam_crashes) ~covered ~frontier
+              ~done_ ~active:act ~remaining:(List.length states - done_ - act) ~round:!round
               cam_metrics.Telemetry.solve_hist)
           status
       in
@@ -526,149 +521,101 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
               (Telemetry.Target_scheduled { target = st.st_name; round = !round });
             dropped_events := !dropped_events + Parallel.replay ~into:msink ring
           end;
-          match result with
-          | Ok (Slice_failed reason) ->
-            st.st_failed <- Some reason;
-            if tracing then begin
-              Telemetry.emit msink
-                (Telemetry.Slice_end
-                   { target = st.st_name;
-                     round = !round;
-                     outcome = "failed";
-                     runs = 0;
-                     dur_ns = dur });
-              Telemetry.emit msink
-                (Telemetry.Target_retired { target = st.st_name; reason = "failed" })
-            end;
-            progress (Printf.sprintf "dropped %s: %s" st.st_name reason)
-          | Error reason ->
-            st.st_slices <- st.st_slices + 1;
-            st.st_faults <- st.st_faults + 1;
-            let quarantined = st.st_faults >= retry_limit in
-            if quarantined then
-              (* The target keeps everything its successful slices
-                 earned (runs, coverage, bugs) — quarantine retires it,
-                 it never loses it. *)
-              st.st_result <-
-                Some
-                  { tr_name = st.st_name;
-                    tr_index = st.st_index;
-                    tr_runs = st.st_runs;
-                    tr_slices = st.st_slices;
-                    tr_retired = Quarantined reason;
-                    tr_coverage = List.sort compare st.st_sites;
-                    tr_bugs = st.st_bugs;
-                    tr_overruns = st.st_overruns;
-                    tr_bopens =
-                      Option.fold ~none:0 ~some:Solver.Breaker.opens st.st_breaker }
-            else begin
-              (* Exponential backoff in whole rounds, deterministic from
-                 the campaign seed so a replayed campaign retries at the
-                 same rounds; capped at 16 rounds. *)
-              let rng =
-                Dart_util.Prng.create
-                  (options.O.search.O.seed lxor ((st.st_index * 65599) + st.st_faults))
+          let outcome, retired =
+            match result with
+            | Ok (Slice_failed reason) ->
+              st.st_phase <- Dropped reason;
+              progress (Printf.sprintf "dropped %s: %s" st.st_name reason);
+              ("failed", Some "failed")
+            | Error reason ->
+              st.st_slices <- st.st_slices + 1;
+              st.st_faults <- st.st_faults + 1;
+              if st.st_faults >= retry_limit then begin
+                progress
+                  (Printf.sprintf "quarantined %s after %d consecutive faults: %s" st.st_name
+                     st.st_faults reason);
+                ("fault", Some (retire st (Quarantined reason)))
+              end
+              else begin
+                (* Exponential backoff in whole rounds, deterministic from
+                   the campaign seed so a replayed campaign retries at the
+                   same rounds; capped at 16 rounds. *)
+                let rng =
+                  Dart_util.Prng.create
+                    (options.O.search.O.seed lxor ((st.st_index * 65599) + st.st_faults))
+                in
+                st.st_backoff <- Dart_util.Prng.int_range rng 1 (1 lsl min st.st_faults 4);
+                progress
+                  (Printf.sprintf "fault on %s (%d/%d): %s; backing off %d round%s" st.st_name
+                     st.st_faults retry_limit reason st.st_backoff
+                     (if st.st_backoff = 1 then "" else "s"));
+                ("fault", None)
+              end
+            | Ok (Sliced (r, snap)) ->
+              Telemetry.add_metrics ~into:cam_metrics r.Driver.metrics;
+              st.st_slices <- st.st_slices + 1;
+              st.st_faults <- 0; (* quarantine counts *consecutive* faults *)
+              let covered = List.length r.Driver.coverage_sites in
+              if covered > List.length st.st_sites then st.st_stale <- 0
+              else st.st_stale <- st.st_stale + 1;
+              st.st_runs <- r.Driver.runs;
+              st.st_sites <- r.Driver.coverage_sites;
+              st.st_bugs <- r.Driver.bugs;
+              (* Snapshot restore makes the slice's solver stats cumulative
+                 across this target's slices, so the latest reading is the
+                 target's total. *)
+              st.st_overruns <- Solver.deadline_overruns r.Driver.solver_stats;
+              (* One cooldown tick per slice: a breaker opened in this
+                 slice may half-open in a later one. *)
+              Option.iter Solver.Breaker.tick st.st_breaker;
+              st.st_frontier <- Coverage.frontier_count r.Driver.coverage_sites;
+              let finish reason =
+                progress
+                  (Printf.sprintf "retired %s: %s after %d runs (%d slices, %d dirs)"
+                     st.st_name (retire_tag reason) st.st_runs st.st_slices covered);
+                Some (retire st reason)
               in
-              st.st_backoff <-
-                Dart_util.Prng.int_range rng 1 (1 lsl min st.st_faults 4)
-            end;
-            if tracing then begin
-              Telemetry.emit msink
-                (Telemetry.Slice_end
-                   { target = st.st_name;
-                     round = !round;
-                     outcome = "fault";
-                     runs = 0;
-                     dur_ns = dur });
-              if quarantined then
-                Telemetry.emit msink
-                  (Telemetry.Target_retired { target = st.st_name; reason = "quarantined" })
-            end;
-            if quarantined then
-              progress
-                (Printf.sprintf "quarantined %s after %d consecutive faults: %s" st.st_name
-                   st.st_faults reason)
-            else
-              progress
-                (Printf.sprintf "fault on %s (%d/%d): %s; backing off %d round%s" st.st_name
-                   st.st_faults retry_limit reason st.st_backoff
-                   (if st.st_backoff = 1 then "" else "s"))
-          | Ok (Sliced (r, snap)) ->
-            Telemetry.add_metrics ~into:cam_metrics r.Driver.metrics;
-            st.st_slices <- st.st_slices + 1;
-            st.st_faults <- 0; (* quarantine counts *consecutive* faults *)
-            st.st_runs <- r.Driver.runs;
-            st.st_sites <- r.Driver.coverage_sites;
-            st.st_bugs <- r.Driver.bugs;
-            (* Snapshot restore makes the slice's solver stats cumulative
-               across this target's slices, so the latest reading is the
-               target's total. *)
-            st.st_overruns <- Solver.deadline_overruns r.Driver.solver_stats;
-            (* One cooldown tick per slice: a breaker opened in this
-               slice may half-open in a later one. *)
-            Option.iter Solver.Breaker.tick st.st_breaker;
-            let covered = List.length r.Driver.coverage_sites in
-            if covered > st.st_covered then st.st_stale <- 0
-            else st.st_stale <- st.st_stale + 1;
-            st.st_covered <- covered;
-            st.st_frontier <- Coverage.frontier_count r.Driver.coverage_sites;
-            let retired = ref None in
-            let retire reason =
-              retired := Some reason;
-              st.st_result <-
-                Some
-                  { tr_name = st.st_name;
-                    tr_index = st.st_index;
-                    tr_runs = r.Driver.runs;
-                    tr_slices = st.st_slices;
-                    tr_retired = reason;
-                    tr_coverage = List.sort compare r.Driver.coverage_sites;
-                    tr_bugs = r.Driver.bugs;
-                    tr_overruns = st.st_overruns;
-                    tr_bopens =
-                      Option.fold ~none:0 ~some:Solver.Breaker.opens st.st_breaker };
-              progress
-                (Printf.sprintf "retired %s: %s after %d runs (%d slices, %d dirs)"
-                   st.st_name (retire_tag reason) r.Driver.runs st.st_slices covered)
-            in
-            (match r.Driver.verdict with
-             | Driver.Bug_found _ -> retire Bug
-             | Driver.Complete -> retire Complete
-             | Driver.Budget_exhausted ->
-               if st.st_runs >= cap_total then retire Budget_capped
-               else if st.st_stale >= options.O.campaign.O.retire_after then
-                 retire Saturated
-               else begin
-                 match snap with
-                 | Some sn -> st.st_snapshot <- Some sn
-                 | None ->
-                   (* The search stopped making progress without leaving
-                      a resumable snapshot; refilling would re-run the
-                      same slice forever. *)
-                   retire Saturated
-               end
-             | Driver.Time_exhausted | Driver.Interrupted ->
-               (* The campaign's deadline or an interrupt cut the slice
-                  at a run boundary, with a runs count no uninterrupted
-                  campaign would reproduce: the target stays unfinished,
-                  and a checkpointed campaign re-runs it from scratch on
-                  resume. *)
-               ());
-            if tracing then begin
-              Telemetry.emit msink
-                (Telemetry.Slice_end
-                   { target = st.st_name;
-                     round = !round;
-                     outcome = Driver.verdict_tag r.Driver.verdict;
-                     runs = r.Driver.runs - prev_runs;
-                     dur_ns = dur });
-              Option.iter
-                (fun reason ->
-                  Telemetry.emit msink
-                    (Telemetry.Target_retired
-                       { target = st.st_name; reason = retire_tag reason }))
-                !retired
-            end
+              ( Driver.verdict_tag r.Driver.verdict,
+                match r.Driver.verdict with
+                | Driver.Bug_found _ -> finish Bug
+                | Driver.Complete -> finish Complete
+                | Driver.Budget_exhausted ->
+                  if st.st_runs >= cap_total then finish Budget_capped
+                  else if st.st_stale >= options.O.campaign.O.retire_after then
+                    finish Saturated
+                  else begin
+                    match snap with
+                    | Some sn ->
+                      st.st_snapshot <- Some sn;
+                      None
+                    | None ->
+                      (* The search stopped making progress without leaving
+                         a resumable snapshot; refilling would re-run the
+                         same slice forever. *)
+                      finish Saturated
+                  end
+                | Driver.Time_exhausted | Driver.Interrupted ->
+                  (* The campaign's deadline or an interrupt cut the slice
+                     at a run boundary, with a runs count no uninterrupted
+                     campaign would reproduce: the target stays unfinished,
+                     and a checkpointed campaign re-runs it from scratch on
+                     resume. *)
+                  None )
+          in
+          (* Failed and faulted slices leave st_runs alone: 0 runs. *)
+          if tracing then begin
+            Telemetry.emit msink
+              (Telemetry.Slice_end
+                 { target = st.st_name;
+                   round = !round;
+                   outcome;
+                   runs = st.st_runs - prev_runs;
+                   dur_ns = dur });
+            Option.iter
+              (fun reason ->
+                Telemetry.emit msink (Telemetry.Target_retired { target = st.st_name; reason }))
+              retired
+          end
         in
         let indexed = Array.to_list (Array.mapi (fun i st -> (st, outcomes.(i))) tasks) in
         List.iter

@@ -10,7 +10,10 @@
     ({!Driver_gen.is_harness_site} is the single source of truth, so
     [__dart_*] wrappers and the [__coin] site can never appear as
     targets or in aggregate coverage denominators). Functions skipped
-    for non-scalar parameters are reported with the offending type.
+    for non-scalar parameters are reported with the offending type. A
+    target whose generated driver fails to link (say, the library
+    already declares the harness's [__dart_main]) is dropped on its
+    first slice and listed as skipped with the front end's message.
 
     {2 Scheduling}
 
@@ -95,7 +98,9 @@ type status = Finished | Stopped_early of string
 
 type report = {
   cam_targets : string list; (* discovered, declaration order *)
-  cam_skipped : (string * string) list; (* (function, reason), declaration order *)
+  cam_skipped : (string * string) list;
+      (* (function, reason): discovery rejects in declaration order,
+         then targets dropped because their driver failed to link *)
   cam_results : target_result list; (* finished targets, declaration order *)
   cam_unfinished : string list; (* empty when [cam_status = Finished] *)
   cam_crashes : (string * Driver.bug) list;

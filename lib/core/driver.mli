@@ -206,8 +206,6 @@ type run_budget =
 
 and pooled_budget = { pb_pool : int Atomic.t; mutable pb_claimed : int }
 
-val pooled_budget : int Atomic.t -> run_budget
-
 (** A unit of work in a parallel depth-first search: a subtree of the
     path tree that a busy worker donated to an idle peer through a
     {!Workpool.t}. *)

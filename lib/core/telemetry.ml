@@ -502,22 +502,21 @@ type ring_state = {
   mutable arr : event array; (* allocated lazily on the first emit *)
   mutable next : int; (* next write slot *)
   mutable len : int; (* filled slots, <= cap *)
-  mutable total : int;
   mutable lost : int; (* events overwritten after the ring filled *)
 }
 
 type sink =
   | Null
   | Ring of ring_state
-  | Jsonl of { oc : out_channel; mutable written : int }
+  | Jsonl of out_channel
 
 let null = Null
 
 let ring ~capacity =
   if capacity < 1 then invalid_arg "Telemetry.ring: capacity < 1";
-  Ring { cap = capacity; arr = [||]; next = 0; len = 0; total = 0; lost = 0 }
+  Ring { cap = capacity; arr = [||]; next = 0; len = 0; lost = 0 }
 
-let jsonl oc = Jsonl { oc; written = 0 }
+let jsonl oc = Jsonl oc
 
 let enabled = function
   | Null -> false
@@ -530,17 +529,10 @@ let emit sink ev =
     if Array.length r.arr = 0 then r.arr <- Array.make r.cap ev;
     r.arr.(r.next) <- ev;
     r.next <- (r.next + 1) mod r.cap;
-    if r.len < r.cap then r.len <- r.len + 1 else r.lost <- r.lost + 1;
-    r.total <- r.total + 1
-  | Jsonl j ->
-    output_string j.oc (event_to_json ev);
-    output_char j.oc '\n';
-    j.written <- j.written + 1
-
-let emitted = function
-  | Null -> 0
-  | Ring r -> r.total
-  | Jsonl j -> j.written
+    if r.len < r.cap then r.len <- r.len + 1 else r.lost <- r.lost + 1
+  | Jsonl oc ->
+    output_string oc (event_to_json ev);
+    output_char oc '\n'
 
 let dropped = function
   | Null | Jsonl _ -> 0
@@ -559,7 +551,7 @@ let replay src ~into = List.iter (emit into) (events src)
 
 let flush = function
   | Null | Ring _ -> ()
-  | Jsonl j -> Stdlib.flush j.oc
+  | Jsonl oc -> Stdlib.flush oc
 
 (* ---- phase metrics ------------------------------------------------------------- *)
 

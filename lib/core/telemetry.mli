@@ -33,14 +33,11 @@ val phases : phase list
 (** All four phases, declaration order. *)
 
 val phase_to_string : phase -> string
-val phase_of_string : string -> phase option
 
 type solve_result =
   | R_sat
   | R_unsat
   | R_unknown
-
-val solve_result_to_string : solve_result -> string
 
 type event =
   | Run_start of { run : int } (* 1-based, before the run executes *)
@@ -116,8 +113,6 @@ val enabled : sink -> bool
     constructing an event, so a disabled trace costs one branch. *)
 
 val emit : sink -> event -> unit
-val emitted : sink -> int
-(** Events accepted so far (including ring events since overwritten). *)
 
 val dropped : sink -> int
 (** Events a full {!ring} overwrote (oldest-first) rather than keep.
@@ -137,15 +132,12 @@ val flush : sink -> unit
 
 (** {1 JSONL codec} *)
 
-val add_json_string : Buffer.t -> string -> unit
-(** Append [s] as a quoted JSON string. Quote, backslash, newline, tab
-    and carriage return get their two-character escapes; other control
+val json_string : string -> string
+(** [s] as a quoted JSON string. Quote, backslash, newline, tab and
+    carriage return get their two-character escapes; other control
     bytes are written as [\u00XX]. The one JSON string escaper of the
     repo (traces, campaign reports, bench rows); {!parse_flat} decodes
     every escape it writes. *)
-
-val json_string : string -> string
-(** {!add_json_string} into a fresh string. *)
 
 val hex_value : string -> int option
 (** The value of a non-empty string of hex digits ([0-9a-fA-F] only: no

@@ -10,7 +10,6 @@ module T = Dart.Telemetry
 let test_null_sink () =
   Alcotest.(check bool) "null disabled" false (T.enabled T.null);
   T.emit T.null (T.Run_start { run = 1 });
-  Alcotest.(check int) "null counts nothing" 0 (T.emitted T.null);
   Alcotest.(check int) "null buffers nothing" 0 (List.length (T.events T.null))
 
 let test_ring_wraparound () =
@@ -19,7 +18,8 @@ let test_ring_wraparound () =
   for i = 1 to 10 do
     T.emit r (T.Run_start { run = i })
   done;
-  Alcotest.(check int) "all emissions counted" 10 (T.emitted r);
+  Alcotest.(check int) "every emission kept or counted as dropped" 10
+    (List.length (T.events r) + T.dropped r);
   let runs =
     List.filter_map (function T.Run_start { run } -> Some run | _ -> None) (T.events r)
   in
@@ -154,11 +154,11 @@ let test_tracing_off_and_on_agree () =
   let off = run T.default_config in
   let ring = T.ring ~capacity:(1 lsl 16) in
   let on = run (T.with_sink ring) in
-  Alcotest.(check int) "null sink stayed empty" 0 (T.emitted T.null);
+  Alcotest.(check int) "null sink stayed empty" 0 (List.length (T.events T.null));
   Alcotest.(check string) "identical report with tracing on"
     (Dart.Driver.report_to_string off)
     (Dart.Driver.report_to_string on);
-  Alcotest.(check bool) "enabled sink saw events" true (T.emitted ring > 0)
+  Alcotest.(check bool) "enabled sink saw events" true (T.events ring <> [])
 
 (* ---- golden JSONL trace ---------------------------------------------------------- *)
 
@@ -423,6 +423,37 @@ let test_dartc_metrics_trace_cover () =
            (("cover" :: ac) @ [ "--depth"; "1"; "--from-trace"; trace; "--annotate" ]))
     | _ -> assert false)
 
+(* About 8,000 branch events per run (8 calls, each one symbolic branch
+   and a 500-iteration loop of two concrete ones): 150 runs overflow the
+   live cover ring of 2^20 events, 50 runs fit in it. *)
+let flood_src =
+  "int acc;\n\
+   void step(int x) {\n\
+  \  if (x > 0) { acc = acc + 1; }\n\
+  \  for (int i = 0; i < 500; i = i + 1) {\n\
+  \    if (i > 250) { acc = acc + 1; }\n\
+  \  }\n\
+   }\n"
+
+let test_dartc_cover_ring_overflow () =
+  Dartc_cli.with_temp_files 1 (function
+    | [ src ] ->
+      Out_channel.with_open_bin src (fun oc -> output_string oc flood_src);
+      let cover runs =
+        Dartc_cli.run
+          [ "cover"; src; "--toplevel"; "step"; "--depth"; "8"; "--max-runs"; runs; "--timeline" ]
+      in
+      let ((_, _, err) as r) = cover "150" in
+      check_exit "an overflowed curve still exits 0" 0 r;
+      Alcotest.(check bool) "the dropped events are named" true
+        (Str_contains.contains err "early events dropped; the curve starts at run ");
+      Alcotest.(check bool) "the warning points at --from-trace" true
+        (Str_contains.contains err "--from-trace FILE");
+      let ((_, _, err) as r) = cover "50" in
+      check_exit "a curve under the cap exits 0" 0 r;
+      Alcotest.(check string) "no warning under the cap" "" err
+    | _ -> assert false)
+
 (* ---- latency histograms ----------------------------------------------------------- *)
 
 let test_hist_buckets () =
@@ -525,4 +556,6 @@ let suite =
     Alcotest.test_case "dartc campaign trace is jobs-invariant" `Quick
       test_dartc_campaign_trace_jobs_invariant;
     Alcotest.test_case "dartc metrics, trace and cover" `Quick test_dartc_metrics_trace_cover;
+    Alcotest.test_case "dartc cover warns when its ring overflows" `Quick
+      test_dartc_cover_ring_overflow;
     Alcotest.test_case "plateau over two targets" `Quick test_plateau_two_targets ]
