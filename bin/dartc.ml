@@ -543,7 +543,11 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
       (summary, summary.Dart.Telemetry.covered)
     | None ->
       install_signal_handlers ();
-      let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
+      (* Only the curve reads the event stream; the annotation, lcov
+         and HTML outputs take the report's coverage. *)
+      let sink =
+        if timeline then Dart.Telemetry.ring ~capacity:(1 lsl 20) else Dart.Telemetry.null
+      in
       let options =
         Dart.Driver.Options.make ~seed ~depth ~max_runs ~stop_on_first_bug:false
           ~telemetry:(Dart.Telemetry.with_sink sink) ()
@@ -553,7 +557,7 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
       (* A long search overflows the ring: the curve keeps only its
          latest runs. A recorded trace is never cut. *)
       (match summary.Dart.Telemetry.timeline with
-       | first :: _ when timeline && Dart.Telemetry.dropped sink > 0 ->
+       | first :: _ when Dart.Telemetry.dropped sink > 0 ->
          Printf.eprintf
            "dartc cover: warning: trace ring overflowed, %d early events dropped; the curve \
             starts at run %d (for the full curve, record the search with dartc --all-bugs \

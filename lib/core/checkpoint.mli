@@ -136,9 +136,8 @@ val next : reader -> string -> string
 
 val tokens : string -> string list
 val int_tok : string -> string -> int
-val bool_tok : string -> string -> bool
-(** [int_tok what token] / [bool_tok what token]: parse one token or
-    raise {!Bad} naming the record [what]. *)
+(** [int_tok what token]: parse one integer token or raise {!Bad}
+    naming the record [what]. *)
 
 val expect_counted : reader -> string -> int
 (** Consume a ["<what> <count>"] header line and return the count. *)

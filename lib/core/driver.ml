@@ -375,11 +375,16 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     if !first_bug = None then first_bug := Some bug
   in
   (* One instrumented run, bracketed with Run_start/Run_end and timed
-     into the Execute phase. *)
+     into the Execute phase; it resumes from the previous run's
+     snapshots where they still hold. *)
+  let snapshots = Concolic.create_store () in
   let instrumented_run prev_stack =
     if tracing then Telemetry.emit sink (Telemetry.Run_start { run = !runs + 1 });
     let t0 = Telemetry.now () in
-    let data = Concolic.run_once ~opts:options.Options.exec ~rng ~im ~prev_stack ~entry prog in
+    let data =
+      Concolic.run_once ~store:snapshots ~opts:options.Options.exec ~rng ~im ~prev_stack ~entry
+        prog
+    in
     let dur = Int64.sub (Telemetry.now ()) t0 in
     Telemetry.add_phase metrics Telemetry.Execute dur;
     Telemetry.Hist.add metrics.Telemetry.run_hist dur;

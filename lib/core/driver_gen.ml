@@ -15,9 +15,8 @@ let wrapper_name = "__dart_main"
 
 let arg_fn_name i = Printf.sprintf "__dart_arg%d" i
 
-let is_driver_function name =
-  name = wrapper_name
-  || String.length name >= 7 && String.sub name 0 7 = "__dart_"
+(* [wrapper_name] and every [arg_fn_name] share the prefix. *)
+let is_driver_function name = String.starts_with ~prefix:"__dart_" name
 
 let coin_site = "__coin"
 

@@ -11,9 +11,6 @@
 val wrapper_name : string
 (** The generated entry point, ["__dart_main"]. *)
 
-val arg_fn_name : int -> string
-(** The external function supplying the i-th toplevel argument. *)
-
 val is_driver_function : string -> bool
 (** Whether [name] is part of the synthesized test driver (the
     [__dart_*] wrapper and argument functions). {!Coverage} re-exports

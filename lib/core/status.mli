@@ -11,9 +11,6 @@ type mode =
   | Run (* single-target dartc run *)
   | Campaign (* whole-library campaign *)
 
-val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
-
 type t = {
   st_mode : mode;
   st_elapsed_ns : int64; (* wall clock since the search started *)

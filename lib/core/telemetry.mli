@@ -207,9 +207,6 @@ module Hist : sig
   val buckets : t -> (int64 * int64 * int) list
   (** Non-empty buckets as [(lo_ns, hi_ns, count)] with [hi] exclusive,
       ascending. *)
-
-  val bucket_of_ns : int64 -> int
-  val bucket_bounds : int -> int64 * int64
 end
 
 val ns_to_string : int64 -> string

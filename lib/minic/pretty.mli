@@ -5,6 +5,4 @@
 
 val unop_to_string : Ast.unop -> string
 val binop_to_string : Ast.binop -> string
-val expr_to_string : Ast.expr -> string
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
 val program_to_string : Ast.program -> string

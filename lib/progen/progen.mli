@@ -16,8 +16,6 @@ type cfg = {
   abort_probability_pct : int; (* chance per statement slot of an abort guard *)
 }
 
-val default_cfg : cfg
-
 val toplevel_name : string
 (** Name of the generated entry function ("top"). *)
 

@@ -2,6 +2,8 @@ type t = { tbl : (int, Linexpr.t) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
 
+let copy t = { tbl = Hashtbl.copy t.tbl }
+
 let erase t ~addr = Hashtbl.remove t.tbl addr
 
 let bind t ~addr e =

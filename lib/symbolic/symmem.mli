@@ -9,6 +9,9 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent copy: binding in one leaves the other unchanged. *)
+
 val bind : t -> addr:int -> Linexpr.t -> unit
 (** Bind an address; a constant expression erases instead. *)
 

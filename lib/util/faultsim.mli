@@ -21,9 +21,6 @@ type point =
   | Machine_step_limit  (** force a [Step_limit] fault on a finished run *)
   | Io_error  (** fail an observability write (status/checkpoint/report) *)
 
-val point_to_string : point -> string
-val point_of_string : string -> point option
-
 type schedule =
   | Nth of int  (** fire once, on the [n]-th (1-based) matching probe *)
   | Rate of int
