@@ -76,24 +76,30 @@ let grow r needed =
   Array.blit r.cells 0 cells 0 cur;
   r.cells <- cells
 
-let clone_region r =
-  if r.hi = 0 then make_region r.base
+(* Cells [clone_region] copies: the touched prefix rounded up to a
+   power of two, not whatever capacity growth doubling reached. *)
+let clone_len r =
+  if r.hi = 0 then 0
   else begin
-    (* Copy only the touched prefix (rounded up to a power of two), not
-       whatever capacity growth doubling reached. *)
     let n = ref 64 in
     while !n < r.hi do
       n := !n * 2
     done;
-    let len = min !n (Array.length r.cells) in
-    { base = r.base; cells = Array.sub r.cells 0 len; hi = r.hi }
+    min !n (Array.length r.cells)
   end
+
+let clone_region r =
+  if r.hi = 0 then make_region r.base
+  else { base = r.base; cells = Array.sub r.cells 0 (clone_len r); hi = r.hi }
 
 let clone f =
   { r_static = clone_region f.r_static;
     r_heap = clone_region f.r_heap;
     r_stack = clone_region f.r_stack;
     overflow = Hashtbl.copy f.overflow }
+
+let footprint f =
+  clone_len f.r_static + clone_len f.r_heap + clone_len f.r_stack + Hashtbl.length f.overflow
 
 (* Single-cell slow paths (overflow, region-spanning ranges). *)
 

@@ -38,6 +38,10 @@ val clone : t -> t
 (** Deep copy: a handful of array copies, so a pre-seeded initial image
     can be stamped out per load. *)
 
+val footprint : t -> int
+(** Cells {!clone} copies: each region's touched prefix, rounded up to
+    a power of two, plus the overflow table. *)
+
 val alloc : t -> addr:int -> size:int -> unit
 (** Mark [size] cells starting at [addr] as allocated and undefined. *)
 
