@@ -573,20 +573,14 @@ let experiment_coverage_trajectory () =
     let possible =
       2 * (Dart.Coverage.compute prog ~covered:[]).Dart.Coverage.total_sites
     in
-    (* Both searches trace into a ring; a ring that overwrote events
-       would cut the start off the curve, so the cell says so. *)
     let traced options =
-      let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
+      let add, finish = Dart.Telemetry.summarizer () in
       let options =
-        { options with Dart.Driver.Options.telemetry = Dart.Telemetry.with_sink sink }
+        { options with
+          Dart.Driver.Options.telemetry = Dart.Telemetry.with_sink (Dart.Telemetry.fold add) }
       in
       let r = Dart.Driver.run ~options prog in
-      let points =
-        (Dart.Telemetry.summarize (Dart.Telemetry.events sink)).Dart.Telemetry.timeline
-      in
-      let dropped = Dart.Telemetry.dropped sink in
-      summary_of points r.Dart.Driver.runs possible
-      ^ if dropped > 0 then Printf.sprintf " [trace ring dropped %d events]" dropped else ""
+      summary_of (finish ()).Dart.Telemetry.timeline r.Dart.Driver.runs possible
     in
     row ~id:(id ^ "-directed")
       ~desc:(desc ^ ", directed")

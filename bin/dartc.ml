@@ -405,9 +405,11 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
                 Dart.Telemetry.flush sink
               end;
               print_endline (Dart.Parallel.report_to_string r);
+              (* At --jobs 1 the search traces straight into the file. *)
               if r.Dart.Parallel.dropped > 0 then
                 Printf.eprintf "dartc: %s\n"
-                  (Dart.Parallel.dropped_warning r.Dart.Parallel.dropped);
+                  (Dart.Parallel.dropped_warning ~remedy:"trace with --jobs 1 to keep every event"
+                     r.Dart.Parallel.dropped);
               r.Dart.Parallel.merged
             end
           in
@@ -447,26 +449,21 @@ let trace_file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"TRACE" ~doc:"JSONL trace file produced by $(b,--trace).")
 
-(* Parse a JSONL trace back into events, oldest first. Raises
+(* Fold a JSONL trace into its summary one line at a time. Raises
    [Malformed] on the first line that is not a known event. *)
-let read_trace_events file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let events = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           if String.trim line <> "" then
-             match Dart.Telemetry.event_of_json line with
-             | Ok e -> events := e :: !events
-             | Error msg -> raise (Malformed (Printf.sprintf "%s:%d: %s" file !lineno msg))
-         done
-       with End_of_file -> ());
-      List.rev !events)
+let summarize_trace file =
+  let add, finish = Dart.Telemetry.summarizer () in
+  In_channel.with_open_text file
+    (In_channel.fold_lines
+       (fun lineno line ->
+         (if String.trim line <> "" then
+            match Dart.Telemetry.event_of_json line with
+            | Ok e -> add e
+            | Error msg -> raise (Malformed (Printf.sprintf "%s:%d: %s" file lineno msg)));
+         lineno + 1)
+       1)
+  |> ignore;
+  finish ()
 
 (* ---- cover ----------------------------------------------------------------------- *)
 
@@ -539,53 +536,34 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
     | Some trace ->
       (* A recorded trace carries both the per-site directions (from
          Branch_taken, user sites only) and the cover-point curve. *)
-      let summary = Dart.Telemetry.summarize (read_trace_events trace) in
+      let summary = summarize_trace trace in
       (summary, summary.Dart.Telemetry.covered)
     | None ->
       install_signal_handlers ();
       (* Only the curve reads the event stream; the annotation, lcov
          and HTML outputs take the report's coverage. *)
-      let sink =
-        if timeline then Dart.Telemetry.ring ~capacity:(1 lsl 20) else Dart.Telemetry.null
-      in
+      let add, finish = Dart.Telemetry.summarizer () in
+      let sink = if timeline then Dart.Telemetry.fold add else Dart.Telemetry.null in
       let options =
         Dart.Driver.Options.make ~seed ~depth ~max_runs ~stop_on_first_bug:false
           ~telemetry:(Dart.Telemetry.with_sink sink) ()
       in
       let report = Dart.Driver.run ~options prog in
-      let summary = Dart.Telemetry.summarize (Dart.Telemetry.events sink) in
-      (* A long search overflows the ring: the curve keeps only its
-         latest runs. A recorded trace is never cut. *)
-      (match summary.Dart.Telemetry.timeline with
-       | first :: _ when Dart.Telemetry.dropped sink > 0 ->
-         Printf.eprintf
-           "dartc cover: warning: trace ring overflowed, %d early events dropped; the curve \
-            starts at run %d (for the full curve, record the search with dartc --all-bugs \
-            --trace FILE and run dartc cover --from-trace FILE)\n"
-           (Dart.Telemetry.dropped sink) first.Dart.Telemetry.cp_run
-       | _ -> ());
-      (summary, report.Dart.Driver.coverage_sites)
+      (finish (), report.Dart.Driver.coverage_sites)
   in
   let t = Dart.Cover_report.compute prog ~covered in
   let explicit_output = annotate || timeline || lcov_out <> None || html_out <> None in
   if annotate || not explicit_output then
     print_string (Dart.Cover_report.annotate t ~source:src);
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Dart.Cover_report.to_lcov t));
-      Printf.eprintf "dartc cover: wrote %s\n" path)
-    lcov_out;
+  let write path content =
+    Dart_util.Fileio.write_atomic path content;
+    Printf.eprintf "dartc cover: wrote %s\n" path
+  in
+  Option.iter (fun path -> write path (Dart.Cover_report.to_lcov t)) lcov_out;
   Option.iter
     (fun path ->
       let title = Printf.sprintf "%s \u{2014} %s" (Filename.basename file) toplevel in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Dart.Cover_report.to_html t ~source:src ~title));
-      Printf.eprintf "dartc cover: wrote %s\n" path)
+      write path (Dart.Cover_report.to_html t ~source:src ~title))
     html_out;
   if timeline then print_timeline summary;
   0
@@ -920,7 +898,7 @@ let run_profile file top =
   if top <= 0 then usage_error "--top must be positive"
   else begin
     print_string
-      (Dart.Profile.to_string ~top (Dart.Telemetry.summarize (read_trace_events file)));
+      (Dart.Profile.to_string ~top (summarize_trace file));
     0
   end
 

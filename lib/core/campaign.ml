@@ -638,7 +638,10 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
         Telemetry.emit_phase_totals msink cam_metrics;
         Telemetry.flush msink
       end;
-      if !dropped_events > 0 then progress (Parallel.dropped_warning !dropped_events);
+      if !dropped_events > 0 then
+        progress
+          (Parallel.dropped_warning ~remedy:"use a smaller --per-function-runs"
+             !dropped_events);
       let report = interim () in
       let report =
         if report.cam_unfinished = [] then report

@@ -246,7 +246,6 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
   let sink = options.Options.telemetry.Telemetry.sink in
   let fs = options.Options.fault in
   let tracing = Telemetry.enabled sink in
-  let status_every = max 1 options.Options.telemetry.Telemetry.status_every in
   let search_start = Telemetry.now () in
   let coverage : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
   let bug_sites : (string * int * Machine.fault, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -343,7 +342,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
              covered = Hashtbl.length coverage;
              elapsed_ns = Int64.sub (Telemetry.now ()) search_start });
     match status with
-    | Some p when !runs mod status_every = 0 -> write_status ~final:false p
+    | Some p when !runs mod 100 = 0 -> write_status ~final:false p
     | _ -> ()
   in
   let record_bug fault site (data : Concolic.run_data) =

@@ -208,9 +208,8 @@ let replay ~into sink =
     Telemetry.dropped sink
   end
 
-let dropped_warning n =
-  Printf.sprintf
-    "trace: worker rings overflowed, %d oldest events dropped (raise the worker buffer)" n
+let dropped_warning ~remedy n =
+  Printf.sprintf "trace: worker rings overflowed, %d oldest events dropped (%s)" n remedy
 
 let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   let t = options in

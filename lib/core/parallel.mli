@@ -128,9 +128,10 @@ val replay : into:Telemetry.sink -> Telemetry.sink -> int
     oldest events the ring overwrote. A task that traced straight into
     [into] has nothing to replay: 0. *)
 
-val dropped_warning : int -> string
+val dropped_warning : remedy:string -> int -> string
 (** The warning for a trace that lost events to full rings, shared by
-    [dartc] and campaigns. *)
+    [dartc] and campaigns; each names the [remedy] its own command line
+    offers. *)
 
 val run : ?options:options -> Ram.Instr.program -> report
 (** Run the parallel search on a prepared program (entry point

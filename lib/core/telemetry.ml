@@ -509,6 +509,7 @@ type sink =
   | Null
   | Ring of ring_state
   | Jsonl of out_channel
+  | Fold of (event -> unit)
 
 let null = Null
 
@@ -517,10 +518,11 @@ let ring ~capacity =
   Ring { cap = capacity; arr = [||]; next = 0; len = 0; lost = 0 }
 
 let jsonl oc = Jsonl oc
+let fold f = Fold f
 
 let enabled = function
   | Null -> false
-  | Ring _ | Jsonl _ -> true
+  | Ring _ | Jsonl _ | Fold _ -> true
 
 let emit sink ev =
   match sink with
@@ -533,13 +535,14 @@ let emit sink ev =
   | Jsonl oc ->
     output_string oc (event_to_json ev);
     output_char oc '\n'
+  | Fold f -> f ev
 
 let dropped = function
-  | Null | Jsonl _ -> 0
+  | Null | Jsonl _ | Fold _ -> 0
   | Ring r -> r.lost
 
 let events = function
-  | Null | Jsonl _ -> []
+  | Null | Jsonl _ | Fold _ -> []
   | Ring r ->
     List.init r.len (fun i ->
         (* Oldest event first: when the ring has wrapped, the oldest
@@ -550,7 +553,7 @@ let events = function
 let replay src ~into = List.iter (emit into) (events src)
 
 let flush = function
-  | Null | Ring _ -> ()
+  | Null | Ring _ | Fold _ -> ()
   | Jsonl oc -> Stdlib.flush oc
 
 (* ---- phase metrics ------------------------------------------------------------- *)
@@ -657,7 +660,7 @@ and cover_point = {
 let empty_agg =
   { s_count = 0; s_sat = 0; s_unsat = 0; s_unknown = 0; s_hits = 0; s_sliced = 0; s_ns = 0L }
 
-let summarize evs =
+let summarizer () =
   let runs = ref 0 and branches = ref 0 and solves = ref 0 and hits = ref 0 in
   let driver_branches = ref 0 in
   let sat = ref 0 and unsat = ref 0 and unknown = ref 0 in
@@ -686,105 +689,112 @@ let summarize evs =
   let run_ends = ref 0 and last_gain = ref 0 in
   let points = ref [] in
   let count = ref 0 in
-  List.iter
-    (fun ev ->
-      incr count;
-      match ev with
-      | Run_start _ -> incr runs
-      | Run_end { dur_ns; _ } ->
-        incr run_ends;
-        Hist.add run_hist dur_ns
-      | Branch_taken { fn; pc; dir } ->
-        if is_harness_site fn then incr driver_branches
-        else begin
-          incr branches;
-          if not (Hashtbl.mem covered (fn, pc, dir)) then begin
-            Hashtbl.replace covered (fn, pc, dir) ();
-            last_gain := !run_ends + 1
-          end
+  let add ev =
+    incr count;
+    match ev with
+    | Run_start _ -> incr runs
+    | Run_end { dur_ns; _ } ->
+      incr run_ends;
+      Hist.add run_hist dur_ns
+    | Branch_taken { fn; pc; dir } ->
+      if is_harness_site fn then incr driver_branches
+      else begin
+        incr branches;
+        if not (Hashtbl.mem covered (fn, pc, dir)) then begin
+          Hashtbl.replace covered (fn, pc, dir) ();
+          last_gain := !run_ends + 1
         end
-      | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
-        incr solves;
-        if cache_hit then incr hits;
-        (match result with
-         | R_sat -> incr sat
-         | R_unsat -> incr unsat
-         | R_unknown -> incr unknown);
-        Hist.add solve_hist dur_ns;
-        let prev = Option.value ~default:empty_agg (Hashtbl.find_opt site_tbl (fn, pc)) in
-        Hashtbl.replace site_tbl (fn, pc)
-          { s_count = prev.s_count + 1;
-            s_sat = (prev.s_sat + if result = R_sat then 1 else 0);
-            s_unsat = (prev.s_unsat + if result = R_unsat then 1 else 0);
-            s_unknown = (prev.s_unknown + if result = R_unknown then 1 else 0);
-            s_hits = (prev.s_hits + if cache_hit then 1 else 0);
-            s_sliced = prev.s_sliced + sliced;
-            s_ns = Int64.add prev.s_ns dur_ns }
-      | Input_update _ -> incr inputs
-      | Restart _ -> incr restarts
-      | Bug_found _ -> incr bugs
-      | Worker_spawn _ -> incr workers
-      | Worker_drain _ -> ()
-      | Worker_crash _ -> incr crashes
-      | Checkpoint_saved _ -> ()
-      | Phase_total { phase; dur_ns } ->
-        let prev = Option.value ~default:0L (Hashtbl.find_opt phase_tbl phase) in
-        Hashtbl.replace phase_tbl phase (Int64.add prev dur_ns)
-      | Cover_point { run; covered; elapsed_ns } ->
-        points := { cp_run = run; cp_covered = covered; cp_ns = elapsed_ns } :: !points
-      | Target_scheduled _ -> ()
-      | Slice_end { target; runs; dur_ns; _ } ->
-        update_target target (fun t ->
-            { t with
-              tg_slices = t.tg_slices + 1;
-              tg_runs = t.tg_runs + runs;
-              tg_ns = Int64.add t.tg_ns dur_ns })
-      | Target_retired { target; reason } ->
-        update_target target (fun t -> { t with tg_retired = Some reason })
-      | Round_end _ -> incr rounds
-      | Breaker_open _ | Breaker_close _ ->
-        (* Breaker transitions: surfaced via [Solver.stats], not here. *)
-        ())
-    evs;
-  let phase_ns =
-    List.map
-      (fun p -> (p, Option.value ~default:0L (Hashtbl.find_opt phase_tbl p)))
-      phases
+      end
+    | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
+      incr solves;
+      if cache_hit then incr hits;
+      (match result with
+       | R_sat -> incr sat
+       | R_unsat -> incr unsat
+       | R_unknown -> incr unknown);
+      Hist.add solve_hist dur_ns;
+      let prev = Option.value ~default:empty_agg (Hashtbl.find_opt site_tbl (fn, pc)) in
+      Hashtbl.replace site_tbl (fn, pc)
+        { s_count = prev.s_count + 1;
+          s_sat = (prev.s_sat + if result = R_sat then 1 else 0);
+          s_unsat = (prev.s_unsat + if result = R_unsat then 1 else 0);
+          s_unknown = (prev.s_unknown + if result = R_unknown then 1 else 0);
+          s_hits = (prev.s_hits + if cache_hit then 1 else 0);
+          s_sliced = prev.s_sliced + sliced;
+          s_ns = Int64.add prev.s_ns dur_ns }
+    | Input_update _ -> incr inputs
+    | Restart _ -> incr restarts
+    | Bug_found _ -> incr bugs
+    | Worker_spawn _ -> incr workers
+    | Worker_drain _ -> ()
+    | Worker_crash _ -> incr crashes
+    | Checkpoint_saved _ -> ()
+    | Phase_total { phase; dur_ns } ->
+      let prev = Option.value ~default:0L (Hashtbl.find_opt phase_tbl phase) in
+      Hashtbl.replace phase_tbl phase (Int64.add prev dur_ns)
+    | Cover_point { run; covered; elapsed_ns } ->
+      points := { cp_run = run; cp_covered = covered; cp_ns = elapsed_ns } :: !points
+    | Target_scheduled _ -> ()
+    | Slice_end { target; runs; dur_ns; _ } ->
+      update_target target (fun t ->
+          { t with
+            tg_slices = t.tg_slices + 1;
+            tg_runs = t.tg_runs + runs;
+            tg_ns = Int64.add t.tg_ns dur_ns })
+    | Target_retired { target; reason } ->
+      update_target target (fun t -> { t with tg_retired = Some reason })
+    | Round_end _ -> incr rounds
+    | Breaker_open _ | Breaker_close _ ->
+      (* Breaker transitions: surfaced via [Solver.stats], not here. *)
+      ()
   in
-  let sites =
-    Hashtbl.fold (fun site agg acc -> (site, agg) :: acc) site_tbl []
-    |> List.sort (fun (sa, a) (sb, b) ->
-           match Int64.compare b.s_ns a.s_ns with 0 -> compare sa sb | c -> c)
+  let finish () =
+    let phase_ns =
+      List.map
+        (fun p -> (p, Option.value ~default:0L (Hashtbl.find_opt phase_tbl p)))
+        phases
+    in
+    let sites =
+      Hashtbl.fold (fun site agg acc -> (site, agg) :: acc) site_tbl []
+      |> List.sort (fun (sa, a) (sb, b) ->
+             match Int64.compare b.s_ns a.s_ns with 0 -> compare sa sb | c -> c)
+    in
+    let targets =
+      Hashtbl.fold (fun _ entry acc -> entry :: acc) target_tbl []
+      |> List.sort (fun (ia, a) (ib, b) ->
+             match Int64.compare b.tg_ns a.tg_ns with 0 -> compare ia ib | c -> c)
+      |> List.map snd
+    in
+    { total_events = !count;
+      runs = !runs;
+      branches = !branches;
+      driver_branches = !driver_branches;
+      solves = !solves;
+      solve_hits = !hits;
+      solve_sat = !sat;
+      solve_unsat = !unsat;
+      solve_unknown = !unknown;
+      inputs_updated = !inputs;
+      restarts = !restarts;
+      bugs = !bugs;
+      workers = !workers;
+      crashes = !crashes;
+      phase_ns;
+      run_hist;
+      solve_hist;
+      sites;
+      targets;
+      rounds = !rounds;
+      timeline = List.rev !points;
+      covered = List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) covered []);
+      plateau = (if !run_ends = 0 then None else Some (!run_ends, !run_ends - !last_gain)) }
   in
-  let targets =
-    Hashtbl.fold (fun _ entry acc -> entry :: acc) target_tbl []
-    |> List.sort (fun (ia, a) (ib, b) ->
-           match Int64.compare b.tg_ns a.tg_ns with 0 -> compare ia ib | c -> c)
-    |> List.map snd
-  in
-  { total_events = !count;
-    runs = !runs;
-    branches = !branches;
-    driver_branches = !driver_branches;
-    solves = !solves;
-    solve_hits = !hits;
-    solve_sat = !sat;
-    solve_unsat = !unsat;
-    solve_unknown = !unknown;
-    inputs_updated = !inputs;
-    restarts = !restarts;
-    bugs = !bugs;
-    workers = !workers;
-    crashes = !crashes;
-    phase_ns;
-    run_hist;
-    solve_hist;
-    sites;
-    targets;
-    rounds = !rounds;
-    timeline = List.rev !points;
-    covered = List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) covered []);
-    plateau = (if !run_ends = 0 then None else Some (!run_ends, !run_ends - !last_gain)) }
+  (add, finish)
+
+let summarize evs =
+  let add, finish = summarizer () in
+  List.iter add evs;
+  finish ()
 
 (* ---- configuration --------------------------------------------------------------- *)
 
@@ -792,11 +802,9 @@ type config = {
   sink : sink;
   worker_buffer : int;
   status_path : string option;
-  status_every : int;
 }
 
-let default_config =
-  { sink = null; worker_buffer = 1 lsl 20; status_path = None; status_every = 100 }
+let default_config = { sink = null; worker_buffer = 1 lsl 20; status_path = None }
 
 let with_sink sink = { default_config with sink }
 

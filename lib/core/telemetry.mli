@@ -3,7 +3,7 @@
     Every interesting step of the concolic loop — instrumented runs,
     branches, solver queries, input updates, restarts, bugs, worker
     lifecycle — can be emitted as a typed {!event} into a {!sink}.
-    Three sink implementations are provided:
+    Four sink implementations are provided:
 
     - {!null}: tracing off. [enabled] is [false], so instrumented code
       guards event construction behind it and the hot path allocates
@@ -14,7 +14,13 @@
       main sink in worker order at join.
     - {!jsonl}: one JSON object per line on an output channel, the
       stable on-disk trace format that [dartc profile] and [dartc
-      cover --from-trace] read back through {!summarize}.
+      cover --from-trace] read back a line at a time into a
+      {!summarizer}.
+    - {!fold}: calls a function, e.g. a {!summarizer}'s [add], on each
+      event as it is emitted, so a live summary ([dartc cover
+      --timeline]) buffers nothing. It runs on the emitting domain and
+      needs no lock: a main sink has one writer, since workers and
+      campaign slices trace into rings replayed into it at join.
 
     Orthogonally, {!metrics} accumulates monotonic per-phase wall-clock
     time (execute / solve / lower / merge); a metrics record rides in
@@ -108,6 +114,9 @@ val jsonl : out_channel -> sink
 (** Writes one {!event_to_json} line per event. The caller owns the
     channel ([flush] flushes it; closing is the caller's business). *)
 
+val fold : (event -> unit) -> sink
+(** Calls the function on every emitted event, on the emitting domain. *)
+
 val enabled : sink -> bool
 (** [false] only for {!null}: instrumentation points check this before
     constructing an event, so a disabled trace costs one branch. *)
@@ -116,12 +125,12 @@ val emit : sink -> event -> unit
 
 val dropped : sink -> int
 (** Events a full {!ring} overwrote (oldest-first) rather than keep.
-    Always [0] for {!null} and {!jsonl}. Consumers that replay a ring
+    Always [0] for the other sinks. Consumers that replay a ring
     (trace merge at join) surface this instead of silently presenting a
     truncated trace as complete. *)
 
 val events : sink -> event list
-(** Buffered events, oldest first. [[]] for {!null} and {!jsonl}. *)
+(** Buffered events, oldest first. [[]] for the other sinks. *)
 
 val replay : sink -> into:sink -> unit
 (** Re-emit every buffered event of the first sink into [into], in
@@ -321,10 +330,14 @@ and cover_point = {
   cp_ns : int64; (* elapsed since the search started *)
 }
 
+val summarizer : unit -> (event -> unit) * (unit -> summary)
+(** [(add, finish)]: an online fold. [add] takes events in stream
+    order; [finish] sorts what they added into a {!summary}. Memory
+    grows with sites, targets, directions and cover points, not events.
+    [dartc profile] and [dartc cover] render a summary made this way. *)
+
 val summarize : event list -> summary
-(** The one pass over a recorded event list: [dartc profile]
-    ({!Profile.to_string}) and [dartc cover --from-trace] both render
-    this record. *)
+(** {!summarizer} over a list. *)
 
 (** {1 Configuration} *)
 
@@ -334,15 +347,11 @@ type config = {
       (* per-domain ring capacity used by Parallel when tracing a
          multi-worker search *)
   status_path : string option;
-      (* when set, the search (or campaign) atomically rewrites this
-         file with a {!Status} snapshot as it progresses *)
-  status_every : int;
-      (* single-shot runs refresh the status file every this many runs
-         (campaigns refresh per round) *)
+      (* when set, the search atomically rewrites this file with a
+         {!Status} snapshot every 100 runs (a campaign: every round) *)
 }
 
 val default_config : config
-(** Null sink, 2^20-event worker buffers, no status file,
-    status_every 100. *)
+(** Null sink, 2^20-event worker buffers, no status file. *)
 
 val with_sink : sink -> config

@@ -124,6 +124,93 @@ let test_faultsim_spec_total =
          match Faultsim.of_spec ~seed spec with
          | Ok _ | Error _ -> true))
 
+(* ---- decoder totality ------------------------------------------------------- *)
+
+(* Every decoder of recorded data, each with valid encodings to mutate:
+   the events and status file of one traced campaign, its checkpoint,
+   one single-run checkpoint and one lcov export. *)
+let decoders =
+  lazy
+    (let src, _ = abort_src in
+     let status = Filename.temp_file "dart_status" ".json" in
+     let ring = Dart.Telemetry.ring ~capacity:4096 in
+     let options =
+       Dart.Driver.Options.make ~seed:7 ~max_runs:50 ~per_function_runs:25
+         ~telemetry:{ (Dart.Telemetry.with_sink ring) with Dart.Telemetry.status_path = Some status }
+         ()
+     in
+     let campaign =
+       match Dart.Campaign.run ~options src with
+       | Ok r -> Dart.Campaign.to_string ~options ~library:src r
+       | Error e -> Alcotest.failf "campaign failed: %s" e
+     in
+     let status_json = Dart_util.Fileio.read_all status in
+     Sys.remove status;
+     let prog = prepare abort_src in
+     let options = Dart.Driver.Options.make ~seed:7 ~stop_on_first_bug:false () in
+     let snaps = ref [] in
+     let r =
+       Dart.Driver.run ~on_checkpoint:(fun s -> snaps := s :: !snaps) ~checkpoint_every:1
+         ~options prog
+     in
+     let meta = Dart.Checkpoint.meta_line options in
+     let total = function Ok _ | Error _ -> () in
+     [ ( "event",
+         List.map Dart.Telemetry.event_to_json (Dart.Telemetry.events ring),
+         fun s ->
+           total (Dart.Telemetry.event_of_json s);
+           total (Dart.Telemetry.parse_flat s) );
+       ("status", [ status_json ], fun s -> total (Dart.Status.of_json s));
+       ( "lcov",
+         [ Dart.Cover_report.to_lcov
+             (Dart.Cover_report.compute prog ~covered:r.Dart.Driver.coverage_sites) ],
+         fun s -> total (Dart.Cover_report.parse_lcov s) );
+       ( "checkpoint",
+         List.map (Dart.Checkpoint.to_string ~meta) !snaps,
+         fun s -> total (Dart.Checkpoint.of_string s) );
+       ("campaign", [ campaign ], fun s -> total (Dart.Campaign.of_string s)) ])
+
+(* Mutated valid encodings (byte flips, inserts, cuts and splices of
+   two encodings): each decoder answers [Ok] or [Error] and never
+   raises, whatever a trace, status or checkpoint file holds. Events
+   weigh most: [dartc profile] streams any file through their
+   decoder. *)
+let test_decoders_total =
+  let gen =
+    let open QCheck2.Gen in
+    let* name, pool, decode =
+      delay (fun () ->
+          frequencyl
+            (List.map
+               (fun ((n, _, _) as d) -> ((if n = "event" then 3 else 1), d))
+               (Lazy.force decoders)))
+    in
+    let chunk =
+      oneofl [ "-"; "\""; "\\"; "\\u"; ":"; ","; "}"; "\n"; "0"; "99999999999999999999"; "="; "\255" ]
+    in
+    let mutate s =
+      let n = String.length s in
+      let* i = int_bound n and* c = chunk and* op = int_bound 3 and* other = oneofl pool in
+      let* j = int_bound (String.length other) in
+      return
+        (match op with
+         | 0 when i < n -> String.sub s 0 i ^ c ^ String.sub s (i + 1) (n - i - 1)
+         | 1 -> String.sub s 0 i ^ c ^ String.sub s i (n - i)
+         | 2 -> String.sub s 0 i ^ String.sub s (min n (i + j)) (n - min n (i + j))
+         | _ -> String.sub s 0 i ^ String.sub other j (String.length other - j))
+    in
+    let rec mutations k s = if k = 0 then return s else mutate s >>= mutations (k - 1) in
+    let* s = oneofl pool and* k = int_range 1 4 in
+    map (fun s -> (name, decode, s)) (mutations k s)
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+    (QCheck2.Test.make ~name:"codecs: every decoder is total" ~count:5000
+       ~print:(fun (name, _, s) -> Printf.sprintf "%s decoder, input %S" name s)
+       gen
+       (fun (_, decode, s) ->
+         decode s;
+         true))
+
 (* ---- rate schedules --------------------------------------------------------- *)
 
 let fire_seq fs point n = List.init n (fun _ -> Faultsim.fire fs point)
@@ -922,6 +1009,7 @@ let suite =
     Alcotest.test_case "faultsim: key narrowing" `Quick test_faultsim_key_narrowing;
     Alcotest.test_case "faultsim: spec parsing" `Quick test_faultsim_spec;
     test_faultsim_spec_total;
+    test_decoders_total;
     Alcotest.test_case "chaos: schedules are seed-deterministic" `Quick
       test_chaos_determinism;
     Alcotest.test_case "chaos: recurring, key-blind, rate-checked" `Quick

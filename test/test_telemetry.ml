@@ -1,4 +1,4 @@
-(* The telemetry subsystem: sink semantics (null / ring / jsonl), the
+(* The telemetry subsystem: sink semantics (null / ring / jsonl / fold), the
    JSONL codec, phase metrics, and the end-to-end contracts — tracing
    must never perturb the search, and trace event counts must agree
    with the report's counters. *)
@@ -82,6 +82,18 @@ let all_variants =
       { target = "osip_free"; round = 2; outcome = "budget"; runs = 200; dur_ns = 55L };
     T.Target_retired { target = "osip \"free\""; reason = "saturated" };
     T.Round_end { round = 3; active = 7; dur_ns = 1_000_000L } ]
+
+(* A fold sink buffers nothing: a summarizer fed through it gives the
+   summary of the event list. *)
+let test_fold_sink () =
+  let add, finish = T.summarizer () in
+  let sink = T.fold add in
+  Alcotest.(check bool) "fold enabled" true (T.enabled sink);
+  List.iter (T.emit sink) all_variants;
+  Alcotest.(check int) "fold buffers nothing" 0 (List.length (T.events sink));
+  Alcotest.(check int) "fold never drops" 0 (T.dropped sink);
+  Alcotest.(check bool) "folded summary equals summarize" true
+    (finish () = T.summarize all_variants)
 
 let test_json_roundtrip () =
   Alcotest.(check string) "escape spelling" {|"a\"\\\n\t\r\u0001"|}
@@ -424,8 +436,7 @@ let test_dartc_metrics_trace_cover () =
     | _ -> assert false)
 
 (* About 8,000 branch events per run (8 calls, each one symbolic branch
-   and a 500-iteration loop of two concrete ones): 150 runs overflow the
-   live cover ring of 2^20 events, 50 runs fit in it. *)
+   and a 500-iteration loop of two concrete ones). *)
 let flood_src =
   "int acc;\n\
    void step(int x) {\n\
@@ -435,23 +446,53 @@ let flood_src =
   \  }\n\
    }\n"
 
-let test_dartc_cover_ring_overflow () =
+(* [dartc cover --timeline] output with each run line's wall-clock
+   column cut off: a run line's first 'd' starts its "dirs" column. *)
+let mask_ms out =
+  String.split_on_char '\n' out
+  |> List.map (fun l ->
+         match (String.ends_with ~suffix:" ms" l, String.index_opt l 'd') with
+         | true, Some i -> String.sub l 0 i
+         | _ -> l)
+
+(* 150 runs are about 1.2 million events: the live curve folds every
+   one of them, as a replay of the recorded trace does. *)
+let test_dartc_live_cover_equals_trace () =
+  Dartc_cli.with_temp_files 2 (function
+    | [ src; trace ] ->
+      Out_channel.with_open_bin src (fun oc -> output_string oc flood_src);
+      let args = [ src; "--toplevel"; "step"; "--depth"; "8"; "--max-runs"; "150" ] in
+      let ((_, _, err) as r) = Dartc_cli.run (args @ [ "--all-bugs"; "--trace"; trace ]) in
+      check_exit "the traced search exits 0" 0 r;
+      Alcotest.(check string) "a jobs-1 trace drops nothing" "" err;
+      let ((_, live, err) as r) = Dartc_cli.run (("cover" :: args) @ [ "--timeline" ]) in
+      check_exit "live cover exits 0" 0 r;
+      Alcotest.(check string) "live cover warns of nothing" "" err;
+      Alcotest.(check bool) "the summary counts every run" true
+        (Str_contains.contains live "after 150 runs (150 cover points)");
+      let ((_, replayed, _) as r) =
+        Dartc_cli.run (("cover" :: args) @ [ "--from-trace"; trace; "--timeline" ])
+      in
+      check_exit "cover --from-trace exits 0" 0 r;
+      Alcotest.(check (list string)) "live cover equals the replayed trace" (mask_ms replayed)
+        (mask_ms live)
+    | _ -> assert false)
+
+(* At --jobs 2 each worker traces into a ring of 2^20 events; 280 runs
+   at depth 9 are over 2.5 million events, so one ring overflows
+   whichever way the workers split the tree. *)
+let test_dartc_dropped_warning () =
   Dartc_cli.with_temp_files 1 (function
     | [ src ] ->
       Out_channel.with_open_bin src (fun oc -> output_string oc flood_src);
-      let cover runs =
+      let ((_, _, err) as r) =
         Dartc_cli.run
-          [ "cover"; src; "--toplevel"; "step"; "--depth"; "8"; "--max-runs"; runs; "--timeline" ]
+          [ src; "--toplevel"; "step"; "--depth"; "9"; "--max-runs"; "280"; "--all-bugs";
+            "--jobs"; "2"; "--trace"; Filename.null ]
       in
-      let ((_, _, err) as r) = cover "150" in
-      check_exit "an overflowed curve still exits 0" 0 r;
-      Alcotest.(check bool) "the dropped events are named" true
-        (Str_contains.contains err "early events dropped; the curve starts at run ");
-      Alcotest.(check bool) "the warning points at --from-trace" true
-        (Str_contains.contains err "--from-trace FILE");
-      let ((_, _, err) as r) = cover "50" in
-      check_exit "a curve under the cap exits 0" 0 r;
-      Alcotest.(check string) "no warning under the cap" "" err
+      check_exit "an overflowed trace still exits 0" 0 r;
+      Alcotest.(check bool) "the warning names --jobs 1" true
+        (Str_contains.contains err "oldest events dropped (trace with --jobs 1 to keep every event)")
     | _ -> assert false)
 
 (* ---- latency histograms ----------------------------------------------------------- *)
@@ -544,6 +585,7 @@ let suite =
     Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
     Alcotest.test_case "hist merge determinism" `Quick test_hist_merge_determinism;
     Alcotest.test_case "replay" `Quick test_replay;
+    Alcotest.test_case "fold sink" `Quick test_fold_sink;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects malformed" `Quick test_json_rejects_malformed;
     Alcotest.test_case "phase metrics" `Quick test_metrics;
@@ -556,6 +598,7 @@ let suite =
     Alcotest.test_case "dartc campaign trace is jobs-invariant" `Quick
       test_dartc_campaign_trace_jobs_invariant;
     Alcotest.test_case "dartc metrics, trace and cover" `Quick test_dartc_metrics_trace_cover;
-    Alcotest.test_case "dartc cover warns when its ring overflows" `Quick
-      test_dartc_cover_ring_overflow;
+    Alcotest.test_case "live cover equals --from-trace" `Quick
+      test_dartc_live_cover_equals_trace;
+    Alcotest.test_case "dartc dropped-event warning" `Quick test_dartc_dropped_warning;
     Alcotest.test_case "plateau over two targets" `Quick test_plateau_two_targets ]
