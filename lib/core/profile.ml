@@ -1,6 +1,6 @@
 (* The one renderer of where the time went ([dartc profile], [dartc
-   --metrics], [dartc cover --timeline]): a rendering of
-   [Telemetry.summarize], which already carries every figure shown
+   --metrics], [dartc cover --timeline]): a rendering of a
+   [Telemetry.summary], which already carries every figure shown
    here, or of a live [Telemetry.metrics] record. For a trace the
    output is deterministic for a deterministic trace — the histograms
    are rebuilt from per-event durations rather than wall clock. *)
