@@ -33,7 +33,6 @@ type exec_options = {
   machine_config : Machine.config;
   library : (string * Machine.library_impl) list;
   symbolic_pointers : bool;
-  max_ptr_depth : int;
   symbolic : bool;
   compile : bool;
 }
@@ -42,24 +41,44 @@ let default_exec_options =
   { machine_config = Machine.default_config;
     library = [];
     symbolic_pointers = false;
-    max_ptr_depth = 16;
     symbolic = true;
     compile = true }
 
+(* Cap on recursive data-structure depth: a pointer this many levels
+   below an input is NULL without drawing a coin. *)
+let max_ptr_depth = 16
+
 exception Prediction_failure_exn
+
+(* One executed conditional: its site, its predicate in the path
+   constraint ([None] outside the linear theory) and the direction the
+   run took. *)
+type cond = {
+  site : string * int;
+  constr : Constr.t option;
+  taken : bool;
+}
+
+(* Everything a run accumulates besides the machine. A snapshot keeps a
+   copy and a resumed run continues from a copy of that, so a field
+   added here is carried across a resume without further code. *)
+type state = {
+  mutable k : int; (* conditionals executed *)
+  mutable next_input : int; (* id of the next input read *)
+  mutable conds : cond list; (* one per conditional, latest first *)
+  mutable all_linear : bool;
+  mutable all_locs_definite : bool;
+  sym : Symmem.t;
+  coverage : (string * int * bool, unit) Hashtbl.t;
+}
+
+let copy_state st = { st with sym = Symmem.copy st.sym; coverage = Hashtbl.copy st.coverage }
 
 (* A run's state at an external call that returns a value, taken
    before the call's result is drawn: what a later run needs to resume
    from there instead of from [main]. *)
 type snap = {
-  sn_first : int; (* id of the call's first input read *)
-  sn_k : int;
-  sn_pc_rev : Constr.t option list;
-  sn_sites_rev : (string * int) list;
-  sn_all_linear : bool;
-  sn_all_locs_definite : bool;
-  sn_sym : Symmem.t;
-  sn_coverage : (string * int * bool, unit) Hashtbl.t;
+  sn_state : state;
   sn_machine : Machine.snapshot;
   sn_dst : int;
   sn_ty : Minic.Ctype.t;
@@ -105,17 +124,8 @@ type ctx = {
   rng : Dart_util.Prng.t;
   im : Inputs.t;
   prev_stack : branch_record array;
-  mutable sym : Symmem.t;
   structs : Minic.Ctype.struct_env;
-  mutable k : int; (* conditionals executed *)
-  mutable next_input : int;
-  mutable new_branches : bool list; (* beyond the prefix, reversed *)
-  mutable pc_rev : Constr.t option list;
-  mutable sites_rev : (string * int) list; (* per conditional, same indexing *)
-  mutable flip_confirmed : bool;
-  mutable all_linear : bool;
-  mutable all_locs_definite : bool;
-  mutable coverage : (string * int * bool, unit) Hashtbl.t;
+  st : state;
   mutable snaps : snap list; (* this run's chain, deepest first *)
   mutable last_snap : int; (* machine steps at the last snapshot or restore point *)
 }
@@ -128,27 +138,27 @@ type ctx = {
    values, bit operations, symbolic addresses...), it falls back on the
    concrete value and clears the corresponding completeness flag, as in
    Figure 1. *)
-let rec eval_sym ctx m ~base (e : Ram.Instr.rexpr) : Linexpr.t =
+let rec eval_sym st m ~base (e : Ram.Instr.rexpr) : Linexpr.t =
   let concrete () = Linexpr.of_int (Machine.eval_concrete m ~base e) in
   match e with
   | Ram.Instr.Const n -> Linexpr.of_int n
   | Ram.Instr.Addr_global _ | Ram.Instr.Addr_local _ | Ram.Instr.Addr_string _ ->
     concrete ()
   | Ram.Instr.Load a ->
-    let sa = eval_sym ctx m ~base a in
+    let sa = eval_sym st m ~base a in
     (match Linexpr.is_const sa with
      | Some _ ->
        let addr = Machine.eval_concrete m ~base a in
-       (match Symmem.lookup ctx.sym ~addr with
+       (match Symmem.lookup st.sym ~addr with
         | Some se -> se
         | None -> concrete ())
      | None ->
        (* Dereference through an input-dependent address: the paper's
           all_locs_definite case. *)
-       ctx.all_locs_definite <- false;
+       st.all_locs_definite <- false;
        concrete ())
   | Ram.Instr.Unop (op, e1) ->
-    let s1 = eval_sym ctx m ~base e1 in
+    let s1 = eval_sym st m ~base e1 in
     (match op with
      | Minic.Ast.Neg -> Linexpr.neg s1
      | Minic.Ast.Bitnot ->
@@ -158,17 +168,17 @@ let rec eval_sym ctx m ~base (e : Ram.Instr.rexpr) : Linexpr.t =
        (match Linexpr.is_const s1 with
         | Some _ -> concrete ()
         | None ->
-          ctx.all_linear <- false;
+          st.all_linear <- false;
           concrete ()))
   | Ram.Instr.Binop (op, a, b) ->
-    let sa = eval_sym ctx m ~base a in
-    let sb = eval_sym ctx m ~base b in
+    let sa = eval_sym st m ~base a in
+    let sb = eval_sym st m ~base b in
     let ca = Linexpr.is_const sa and cb = Linexpr.is_const sb in
     let nonlinear () =
       match (ca, cb) with
       | Some _, Some _ -> concrete ()
       | _ ->
-        ctx.all_linear <- false;
+        st.all_linear <- false;
         concrete ()
     in
     (match op with
@@ -179,7 +189,7 @@ let rec eval_sym ctx m ~base (e : Ram.Instr.rexpr) : Linexpr.t =
         | Some x, _ -> Linexpr.scale x sb
         | _, Some y -> Linexpr.scale y sa
         | None, None ->
-          ctx.all_linear <- false;
+          st.all_linear <- false;
           concrete ())
      | Minic.Ast.Shl ->
        (* x << c with constant c is a scale by 2^c. *)
@@ -208,12 +218,12 @@ let is_comparison (op : Minic.Ast.binop) =
 (* The predicate recorded in the path constraint for a conditional.
    [None] when the condition carries no (linear) symbolic content — it
    then cannot be flipped, exactly the paper's foobar line-2 case. *)
-let rec cond_constraint ctx m ~base (e : Ram.Instr.rexpr) ~taken : Constr.t option =
+let rec cond_constraint st m ~base (e : Ram.Instr.rexpr) ~taken : Constr.t option =
   match e with
-  | Ram.Instr.Unop (Minic.Ast.Lognot, e1) -> cond_constraint ctx m ~base e1 ~taken:(not taken)
+  | Ram.Instr.Unop (Minic.Ast.Lognot, e1) -> cond_constraint st m ~base e1 ~taken:(not taken)
   | Ram.Instr.Binop (op, a, b) when is_comparison op ->
-    let sa = eval_sym ctx m ~base a in
-    let sb = eval_sym ctx m ~base b in
+    let sa = eval_sym st m ~base a in
+    let sb = eval_sym st m ~base b in
     if Linexpr.is_const sa <> None && Linexpr.is_const sb <> None then None
     else begin
       match Constr.of_comparison op sa sb with
@@ -221,33 +231,29 @@ let rec cond_constraint ctx m ~base (e : Ram.Instr.rexpr) ~taken : Constr.t opti
       | None -> None
     end
   | _ ->
-    let sv = eval_sym ctx m ~base e in
+    let sv = eval_sym st m ~base e in
     (match Linexpr.is_const sv with
      | Some _ -> None
      | None -> Some (Constr.truth sv taken))
 
 (* ---- compare_and_update_stack (Figure 4) ----------------------------------- *)
 
-let record_branch ctx ~site ~taken ~constraint_opt =
-  ctx.pc_rev <- constraint_opt :: ctx.pc_rev;
-  ctx.sites_rev <- site :: ctx.sites_rev;
-  let k = ctx.k in
-  ctx.k <- k + 1;
-  let plen = Array.length ctx.prev_stack in
-  if k < plen then begin
-    if ctx.prev_stack.(k).br_branch <> taken then raise Prediction_failure_exn
-    else if k = plen - 1 then ctx.flip_confirmed <- true
-  end
-  else ctx.new_branches <- taken :: ctx.new_branches
+let record_branch ctx ~site ~taken ~constr =
+  let st = ctx.st in
+  let k = st.k in
+  st.conds <- { site; constr; taken } :: st.conds;
+  st.k <- k + 1;
+  if k < Array.length ctx.prev_stack && ctx.prev_stack.(k).br_branch <> taken then
+    raise Prediction_failure_exn
 
 (* ---- random initialization (Figure 8) -------------------------------------- *)
 
 let fresh_scalar ctx m ~addr ~kind =
-  let id = ctx.next_input in
-  ctx.next_input <- id + 1;
+  let id = ctx.st.next_input in
+  ctx.st.next_input <- id + 1;
   let v = Inputs.get ctx.im ~id ~kind ~rng:ctx.rng in
   Machine.write_word m addr v;
-  if ctx.opts.symbolic then Symmem.bind ctx.sym ~addr (Linexpr.var id);
+  if ctx.opts.symbolic then Symmem.bind ctx.st.sym ~addr (Linexpr.var id);
   v
 
 let rec rand_init ctx m ~addr ~ty ~depth =
@@ -270,15 +276,15 @@ let rec rand_init ctx m ~addr ~ty ~depth =
     done
 
 and rand_init_pointer ctx m ~addr ~pointee ~depth =
-  if depth >= ctx.opts.max_ptr_depth then begin
+  if depth >= max_ptr_depth then begin
     (* Depth cap: force NULL without consuming an input, keeping input
        numbering deterministic along a path. *)
     Machine.write_word m addr 0;
-    if ctx.opts.symbolic then Symmem.erase ctx.sym ~addr
+    if ctx.opts.symbolic then Symmem.erase ctx.st.sym ~addr
   end
   else begin
-    let id = ctx.next_input in
-    ctx.next_input <- id + 1;
+    let id = ctx.st.next_input in
+    ctx.st.next_input <- id + 1;
     let coin = Inputs.get ctx.im ~id ~kind:Inputs.Kcoin ~rng:ctx.rng in
     let non_null = coin <> 0 in
     if ctx.opts.symbolic then begin
@@ -288,8 +294,7 @@ and rand_init_pointer ctx m ~addr ~pointee ~depth =
         let c = Constr.truth (Linexpr.var id) non_null in
         (* No machine site backs the coin: attribute it to a synthetic
            one keyed by the input id so traces stay unambiguous. *)
-        record_branch ctx ~site:(Driver_gen.coin_site, id) ~taken:non_null
-          ~constraint_opt:(Some c)
+        record_branch ctx ~site:(Driver_gen.coin_site, id) ~taken:non_null ~constr:(Some c)
       end
       else
         (* Paper semantics: the pointer shape is pure randomization the
@@ -297,7 +302,7 @@ and rand_init_pointer ctx m ~addr ~pointee ~depth =
            search does not cover all behaviours — completeness is lost
            and the outer loop must keep restarting with fresh shapes
            ("randomization takes over", §6). *)
-        ctx.all_locs_definite <- false
+        ctx.st.all_locs_definite <- false
     end;
     if non_null then begin
       let size =
@@ -314,26 +319,13 @@ and rand_init_pointer ctx m ~addr ~pointee ~depth =
       Machine.write_word m addr target
     end
     else Machine.write_word m addr 0;
-    if ctx.opts.symbolic then Symmem.erase ctx.sym ~addr
+    if ctx.opts.symbolic then Symmem.erase ctx.st.sym ~addr
   end
 
 (* ---- run resume ------------------------------------------------------------- *)
 
-let snap_cost ctx m =
-  Machine.footprint m + Symmem.symbolic_count ctx.sym + Hashtbl.length ctx.coverage
-
-let take_snap ctx m ~dst ~ty =
-  { sn_first = ctx.next_input;
-    sn_k = ctx.k;
-    sn_pc_rev = ctx.pc_rev;
-    sn_sites_rev = ctx.sites_rev;
-    sn_all_linear = ctx.all_linear;
-    sn_all_locs_definite = ctx.all_locs_definite;
-    sn_sym = Symmem.copy ctx.sym;
-    sn_coverage = Hashtbl.copy ctx.coverage;
-    sn_machine = Machine.snapshot m;
-    sn_dst = dst;
-    sn_ty = ty }
+let snap_cost st m =
+  Machine.footprint m + Symmem.symbolic_count st.sym + Hashtbl.length st.coverage
 
 (* The store's chain from the deepest snapshot that a full run on [im]
    and [prev_stack] would pass through in the same state, counted as a
@@ -368,7 +360,8 @@ let pick store ~prog ~opts ~im ~prev_stack =
     let rec find = function
       | [] -> None
       | s :: rest as from ->
-        if s.sn_first <= inputs && s.sn_k <= dirs && s.sn_k < plen then begin
+        let st = s.sn_state in
+        if st.next_input <= inputs && st.k <= dirs && st.k < plen then begin
           store.resumed <- store.resumed + 1;
           Some (s, from)
         end
@@ -376,21 +369,10 @@ let pick store ~prog ~opts ~im ~prev_stack =
     in
     find chain
 
-let enter_snap ctx s chain =
-  ctx.k <- s.sn_k;
-  ctx.next_input <- s.sn_first;
-  ctx.pc_rev <- s.sn_pc_rev;
-  ctx.sites_rev <- s.sn_sites_rev;
-  ctx.all_linear <- s.sn_all_linear;
-  ctx.all_locs_definite <- s.sn_all_locs_definite;
-  ctx.sym <- Symmem.copy s.sn_sym;
-  ctx.coverage <- Hashtbl.copy s.sn_coverage;
-  ctx.snaps <- chain
-
 (* Keep this run's chain and what it read before the deepest snapshot.
-   Every id below [sn_first] was read from (or drawn into) IM, and every
-   direction below [sn_k] was taken: a prediction failure comes after
-   all of the run's snapshots. *)
+   Every id below its [next_input] was read from (or drawn into) IM, and
+   every direction below its [k] was taken: a prediction failure comes
+   after all of the run's snapshots. *)
 let save_chain store ctx ~prog ~stack =
   store.chain <- ctx.snaps;
   match ctx.snaps with
@@ -400,59 +382,53 @@ let save_chain store ctx ~prog ~stack =
   | deepest :: _ ->
     store.filled_by <- Some (prog, ctx.opts);
     store.inputs <-
-      Array.init deepest.sn_first (fun i ->
+      Array.init deepest.sn_state.next_input (fun i ->
           (Option.get (Inputs.value_of ctx.im i), Option.get (Inputs.kind_of ctx.im i)));
-    store.dirs <- Array.init deepest.sn_k (fun i -> stack.(i).br_branch)
+    store.dirs <- Array.init deepest.sn_state.k (fun i -> stack.(i).br_branch)
 
 (* ---- the instrumented run (Figure 3) ---------------------------------------- *)
 
 let run_once ?store ~opts ~rng ~im ~prev_stack ~entry (prog : Ram.Instr.program) : run_data =
   let from =
     match store with
-    | Some st when opts.symbolic -> pick st ~prog ~opts ~im ~prev_stack
+    | Some store when opts.symbolic -> pick store ~prog ~opts ~im ~prev_stack
     | _ -> None
   in
-  let m =
+  let m, st, snaps =
     match from with
-    | Some (s, _) -> Machine.restore s.sn_machine
+    | Some (s, chain) -> (Machine.restore s.sn_machine, copy_state s.sn_state, chain)
     | None ->
-      Machine.load ~config:opts.machine_config ~library:opts.library ~compile:opts.compile prog
+      ( Machine.load ~config:opts.machine_config ~library:opts.library ~compile:opts.compile prog,
+        { k = 0;
+          next_input = 0;
+          conds = [];
+          (* Without the shadow no constraint is tracked, so the run
+             cannot vouch for completeness. *)
+          all_linear = opts.symbolic;
+          all_locs_definite = true;
+          sym = Symmem.create ();
+          coverage = Hashtbl.create 64 },
+        [] )
   in
   let ctx =
     { opts;
       rng;
       im;
       prev_stack;
-      sym = Symmem.create ();
       structs = prog.Ram.Instr.structs;
-      k = 0;
-      next_input = 0;
-      new_branches = [];
-      pc_rev = [];
-      sites_rev = [];
-      flip_confirmed = false;
-      (* Without the shadow no constraint is tracked, so the run cannot
-         vouch for completeness. *)
-      all_linear = opts.symbolic;
-      all_locs_definite = true;
-      coverage = Hashtbl.create 64;
-      snaps = [];
+      st;
+      snaps;
       last_snap = Machine.steps m }
   in
-  Option.iter (fun (s, chain) -> enter_snap ctx s chain) from;
   let listener =
     { Machine.on_store =
         (fun m ~dst ~src ~base ->
-          if opts.symbolic then Symmem.bind ctx.sym ~addr:dst (eval_sym ctx m ~base src));
+          if opts.symbolic then Symmem.bind st.sym ~addr:dst (eval_sym st m ~base src));
       on_branch =
         (fun m ~cond ~base ~taken ~site ->
-          Hashtbl.replace ctx.coverage (site.Machine.site_fn, site.Machine.site_pc, taken) ();
-          let constraint_opt =
-            if opts.symbolic then cond_constraint ctx m ~base cond ~taken else None
-          in
-          record_branch ctx
-            ~site:(site.Machine.site_fn, site.Machine.site_pc)
-            ~taken ~constraint_opt);
+          Hashtbl.replace st.coverage (site.Machine.site_fn, site.Machine.site_pc, taken) ();
+          let constr = if opts.symbolic then cond_constraint st m ~base cond ~taken else None in
+          record_branch ctx ~site:(site.Machine.site_fn, site.Machine.site_pc) ~taken ~constr);
       on_external =
         (fun m signature ~dst ->
           match dst with
@@ -461,12 +437,17 @@ let run_once ?store ~opts ~rng ~im ~prev_stack ~entry (prog : Ram.Instr.program)
             let ty = signature.Minic.Tast.sig_ret in
             let gap = Machine.steps m - ctx.last_snap in
             (match store with
-             | Some st when opts.symbolic && gap >= snap_min_steps ->
-               let cost = snap_cost ctx m in
+             | Some store when opts.symbolic && gap >= snap_min_steps ->
+               let cost = snap_cost st m in
                if gap * snap_cells_per_step >= cost then begin
-                 st.copied <- st.copied + cost;
+                 store.copied <- store.copied + cost;
                  ctx.last_snap <- Machine.steps m;
-                 ctx.snaps <- take_snap ctx m ~dst:addr ~ty :: ctx.snaps
+                 ctx.snaps <-
+                   { sn_state = copy_state st;
+                     sn_machine = Machine.snapshot m;
+                     sn_dst = addr;
+                     sn_ty = ty }
+                   :: ctx.snaps
                end
              | _ -> ());
             rand_init ctx m ~addr ~ty ~depth:0);
@@ -476,11 +457,9 @@ let run_once ?store ~opts ~rng ~im ~prev_stack ~entry (prog : Ram.Instr.program)
             (* A black box consuming symbolic data: its behaviour is
                unknown to the theory, so completeness is lost. *)
             let symbolic_arg =
-              List.exists
-                (fun a -> Linexpr.is_const (eval_sym ctx m ~base a) = None)
-                args
+              List.exists (fun a -> Linexpr.is_const (eval_sym st m ~base a) = None) args
             in
-            if symbolic_arg then ctx.all_linear <- false
+            if symbolic_arg then st.all_linear <- false
           end);
       on_entry =
         (fun m ~entry:_ ~base:_ ->
@@ -503,28 +482,40 @@ let run_once ?store ~opts ~rng ~im ~prev_stack ~entry (prog : Ram.Instr.program)
     | Machine.Faulted (f, site) -> Run_fault (f, site)
     | exception Prediction_failure_exn -> Run_prediction_failure
   in
-  (* Assemble the final stack: validated prefix (with the flipped entry
-     marked done when its branch was confirmed) plus new entries. *)
-  let plen = Array.length prev_stack in
-  let matched = min ctx.k plen in
-  let prefix =
-    Array.init matched (fun i ->
-        let r = prev_stack.(i) in
-        if i = plen - 1 && ctx.flip_confirmed then { r with br_done = true } else r)
+  (* The stack, path constraint and sites, one entry per conditional in
+     execution order. Each entry holds the direction taken, also a
+     mispredicted one; entries the prefix predicted keep their [br_done],
+     and the flipped entry is done once the run got past it. *)
+  let n = st.k and plen = Array.length prev_stack in
+  let flip_confirmed =
+    match outcome with
+    | Run_prediction_failure -> false
+    | Run_halted | Run_fault _ -> n >= plen
   in
-  let fresh =
-    Array.of_list
-      (List.rev_map (fun b -> { br_branch = b; br_done = false }) ctx.new_branches)
-  in
-  let stack = Array.append prefix fresh in
-  Option.iter (fun st -> save_chain st ctx ~prog ~stack) store;
+  let stack = Array.make n { br_branch = false; br_done = false } in
+  let path_constraint = Array.make n None in
+  let cond_sites = Array.make n ("", 0) in
+  List.iteri
+    (fun j c ->
+      let i = n - 1 - j in
+      stack.(i) <-
+        (if i >= plen then { br_branch = c.taken; br_done = false }
+         else
+           let r = prev_stack.(i) in
+           if i = plen - 1 && flip_confirmed then { r with br_done = true }
+           else if r.br_branch = c.taken then r
+           else { r with br_branch = c.taken });
+      path_constraint.(i) <- c.constr;
+      cond_sites.(i) <- c.site)
+    st.conds;
+  Option.iter (fun store -> save_chain store ctx ~prog ~stack) store;
   { outcome;
     stack;
-    path_constraint = Array.of_list (List.rev ctx.pc_rev);
-    cond_sites = Array.of_list (List.rev ctx.sites_rev);
-    conditionals = ctx.k;
+    path_constraint;
+    cond_sites;
+    conditionals = n;
     steps = Machine.steps m;
-    inputs_read = ctx.next_input;
-    all_linear = ctx.all_linear;
-    all_locs_definite = ctx.all_locs_definite;
-    branch_sites = Hashtbl.fold (fun key () acc -> key :: acc) ctx.coverage [] }
+    inputs_read = st.next_input;
+    all_linear = st.all_linear;
+    all_locs_definite = st.all_locs_definite;
+    branch_sites = Hashtbl.fold (fun key () acc -> key :: acc) st.coverage [] }

@@ -24,7 +24,10 @@ val outcome_to_string : run_outcome -> string
 
 type run_data = {
   outcome : run_outcome;
-  stack : branch_record array; (* every conditional executed, in order *)
+  stack : branch_record array;
+      (* every conditional executed, in order, with the direction the
+         run took: after a prediction failure the last entry holds the
+         direction taken, not the one [prev_stack] predicted *)
   path_constraint : Symbolic.Constr.t option array;
       (* same indexing as [stack]; [None] for conditions outside the
          linear theory or without symbolic variables *)
@@ -53,7 +56,6 @@ type exec_options = {
   symbolic_pointers : bool;
       (* extension: make the NULL/non-NULL coin of Figure 8 a
          directable branch instead of pure randomness *)
-  max_ptr_depth : int; (* cap on recursive data-structure depth *)
   symbolic : bool;
       (* false = the symbolic shadow is off: no path constraint, so a
          {!Driver} search restarts from fresh random inputs after every

@@ -73,10 +73,12 @@ let stack_base = Memory.stack_base
 type config = {
   step_limit : int;
   stack_limit : int;
-  max_call_depth : int;
 }
 
-let default_config = { step_limit = 2_000_000; stack_limit = 1 lsl 20; max_call_depth = 512 }
+let default_config = { step_limit = 2_000_000; stack_limit = 1 lsl 20 }
+
+(* Frames a run may stack before a call faults with [Call_depth]. *)
+let max_call_depth = 512
 
 (* [frame] carries the compiled code of its function so the dispatch
    loop never looks functions up mid-run; interpreter frames carry
@@ -302,7 +304,7 @@ let current_site t =
     { site_fn = f.func.Instr.fname; site_pc = f.pc; site_loc = loc }
 
 let push_frame t (func : Instr.func) ~ret_dst ~steps =
-  if t.call_depth >= t.config.max_call_depth then raise (Fault_exn Call_depth);
+  if t.call_depth >= max_call_depth then raise (Fault_exn Call_depth);
   if t.stack_top + func.Instr.frame_size - stack_base > t.config.stack_limit then
     raise (Fault_exn Call_depth);
   let base = t.stack_top in
@@ -406,14 +408,17 @@ let rec compile_expr ~global_addrs ~string_addrs (e : Instr.rexpr) : cval =
     (* Frame-slot loads — the most common expression — skip the
        null-page check and region decode: [base + off >= stack_base]. *)
     Kdyn (fun t base -> Memory.stack_read_exn t.mem t.sreg (base + off))
-  (* Superinstructions for the shapes lowering emits constantly —
-     binary ops over frame slots and constants, and pointer-offset
-     dereferences — collapse a nest of closure calls into one body.
-     Order of effects (left before right, address before read) matches
-     the generic path exactly. *)
-  | Instr.Binop (op, Instr.Load (Instr.Addr_local o1), Instr.Load (Instr.Addr_local o2)) ->
-    (* The hottest operators get direct bodies (the [Word32] ops inline
-       into plain arithmetic); the rest keep the generic dispatch. *)
+  (* Superinstructions: frame-slot operands and pointer-offset
+     dereferences collapse a nest of closure calls into one body. A
+     shape is kept only while some benchmark workload spends at least
+     1% of its executed instructions in it (DESIGN.md, "Compiled
+     execution engine"); every other operator and operand shape takes
+     the generic arms below. Order of effects (left before right, address before
+     read) matches the generic path exactly. *)
+  | Instr.Binop
+      ( ((Minic.Ast.Add | Minic.Ast.Lt | Minic.Ast.Eq) as op),
+        Instr.Load (Instr.Addr_local o1),
+        Instr.Load (Instr.Addr_local o2) ) ->
     let module W = Dart_util.Word32 in
     (match op with
      | Minic.Ast.Add ->
@@ -422,80 +427,32 @@ let rec compile_expr ~global_addrs ~string_addrs (e : Instr.rexpr) : cval =
            let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
            let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
            W.add a b)
-     | Minic.Ast.Sub ->
-       Kdyn
-         (fun t base ->
-           let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-           let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-           W.sub a b)
      | Minic.Ast.Lt ->
        Kdyn
          (fun t base ->
            let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
            let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
            W.of_bool (a < b))
-     | Minic.Ast.Eq ->
-       Kdyn
-         (fun t base ->
-           let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-           let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-           W.of_bool (a = b))
-     | Minic.Ast.Ne ->
-       Kdyn
-         (fun t base ->
-           let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-           let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-           W.of_bool (a <> b))
      | _ ->
-       let f = binop_fn op in
        Kdyn
          (fun t base ->
            let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
            let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-           f a b))
-  | Instr.Binop (op, Instr.Load (Instr.Addr_local o1), Instr.Const k) ->
+           W.of_bool (a = b)))
+  | Instr.Binop
+      ( ((Minic.Ast.Lt | Minic.Ast.Eq | Minic.Ast.Ne) as op),
+        Instr.Load (Instr.Addr_local o1),
+        Instr.Const k ) ->
     let module W = Dart_util.Word32 in
     (match op with
-     | Minic.Ast.Add -> Kdyn (fun t base -> W.add (Memory.stack_read_exn t.mem t.sreg (base + o1)) k)
-     | Minic.Ast.Sub -> Kdyn (fun t base -> W.sub (Memory.stack_read_exn t.mem t.sreg (base + o1)) k)
      | Minic.Ast.Lt ->
        Kdyn (fun t base -> W.of_bool (Memory.stack_read_exn t.mem t.sreg (base + o1) < k))
      | Minic.Ast.Eq ->
        Kdyn (fun t base -> W.of_bool (Memory.stack_read_exn t.mem t.sreg (base + o1) = k))
-     | Minic.Ast.Ne ->
-       Kdyn (fun t base -> W.of_bool (Memory.stack_read_exn t.mem t.sreg (base + o1) <> k))
-     | _ ->
-       let f = binop_fn op in
-       Kdyn (fun t base -> f (Memory.stack_read_exn t.mem t.sreg (base + o1)) k))
+     | _ -> Kdyn (fun t base -> W.of_bool (Memory.stack_read_exn t.mem t.sreg (base + o1) <> k)))
   | Instr.Binop (op, Instr.Const k, Instr.Load (Instr.Addr_local o2)) ->
     let f = binop_fn op in
     Kdyn (fun t base -> f k (Memory.stack_read_exn t.mem t.sreg (base + o2)))
-  | Instr.Unop (op, Instr.Load (Instr.Addr_local o)) ->
-    let f = unop_fn op in
-    Kdyn (fun t base -> f (Memory.stack_read_exn t.mem t.sreg (base + o)))
-  | Instr.Binop
-      ( op,
-        Instr.Load
-          (Instr.Binop (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Const fo)),
-        Instr.Const k )
-    when match op with
-         | Minic.Ast.Lt | Minic.Ast.Le | Minic.Ast.Gt | Minic.Ast.Ge | Minic.Ast.Eq
-         | Minic.Ast.Ne ->
-           true
-         | _ -> false ->
-    (* Field-against-constant comparison in value position. *)
-    let module W = Dart_util.Word32 in
-    let deref t base =
-      Memory.read_exn t.mem (W.add (Memory.stack_read_exn t.mem t.sreg (base + o1)) fo)
-    in
-    (match op with
-     | Minic.Ast.Lt -> Kdyn (fun t base -> W.of_bool (deref t base < k))
-     | Minic.Ast.Le -> Kdyn (fun t base -> W.of_bool (deref t base <= k))
-     | Minic.Ast.Gt -> Kdyn (fun t base -> W.of_bool (deref t base > k))
-     | Minic.Ast.Ge -> Kdyn (fun t base -> W.of_bool (deref t base >= k))
-     | Minic.Ast.Eq -> Kdyn (fun t base -> W.of_bool (deref t base = k))
-     | Minic.Ast.Ne -> Kdyn (fun t base -> W.of_bool (deref t base <> k))
-     | _ -> assert false)
   | Instr.Load
       (Instr.Binop (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Const k)) ->
     Kdyn
@@ -559,108 +516,12 @@ let rec compile_expr ~global_addrs ~string_addrs (e : Instr.rexpr) : cval =
             (fun t base ->
               let va = fa t base in
               W.of_bool (va = fb t base))
-        | Minic.Ast.Ne ->
-          Kdyn
-            (fun t base ->
-              let va = fa t base in
-              W.of_bool (va <> fb t base))
         | _ ->
           Kdyn
             (fun t base ->
               let va = fa t base in
               let vb = fb t base in
               f va vb)))
-
-(* Branch conditions compile to boolean-producing closures directly:
-   the comparison shapes lowering emits for [if]/[while] tests skip the
-   [of_bool]/[to_bool] round trip and the value-closure call. Memory
-   reads happen in the same order (left operand, then right) and
-   through the same accessors as the expression path, so faults and
-   values are identical. *)
-let compile_cond ~global_addrs ~string_addrs (cond : Instr.rexpr) : t -> int -> bool =
-  let module W = Dart_util.Word32 in
-  let default () =
-    let cc = cval_fn (compile_expr ~global_addrs ~string_addrs cond) in
-    fun t base -> W.to_bool (cc t base)
-  in
-  match cond with
-  | Instr.Load (Instr.Addr_local o) -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o) <> 0
-  | Instr.Binop (cmp, Instr.Load (Instr.Addr_local o1), Instr.Const k) ->
-    (match cmp with
-     | Minic.Ast.Lt -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o1) < k
-     | Minic.Ast.Le -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o1) <= k
-     | Minic.Ast.Gt -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o1) > k
-     | Minic.Ast.Ge -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o1) >= k
-     | Minic.Ast.Eq -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o1) = k
-     | Minic.Ast.Ne -> fun t base -> Memory.stack_read_exn t.mem t.sreg (base + o1) <> k
-     | _ -> default ())
-  | Instr.Binop (cmp, Instr.Load (Instr.Addr_local o1), Instr.Load (Instr.Addr_local o2)) ->
-    (match cmp with
-     | Minic.Ast.Lt ->
-       fun t base ->
-         let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-         a < Memory.stack_read_exn t.mem t.sreg (base + o2)
-     | Minic.Ast.Le ->
-       fun t base ->
-         let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-         a <= Memory.stack_read_exn t.mem t.sreg (base + o2)
-     | Minic.Ast.Gt ->
-       fun t base ->
-         let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-         a > Memory.stack_read_exn t.mem t.sreg (base + o2)
-     | Minic.Ast.Ge ->
-       fun t base ->
-         let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-         a >= Memory.stack_read_exn t.mem t.sreg (base + o2)
-     | Minic.Ast.Eq ->
-       fun t base ->
-         let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-         a = Memory.stack_read_exn t.mem t.sreg (base + o2)
-     | Minic.Ast.Ne ->
-       fun t base ->
-         let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-         a <> Memory.stack_read_exn t.mem t.sreg (base + o2)
-     | _ -> default ())
-  | Instr.Binop
-      ( cmp,
-        Instr.Load
-          (Instr.Binop (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Const fo)),
-        Instr.Const k ) ->
-    (* Field tests — [while (h->name != k)], [if (p->len < k)] — are
-       the walker loops' condition shape. *)
-    let deref t base =
-      Memory.read_exn t.mem (W.add (Memory.stack_read_exn t.mem t.sreg (base + o1)) fo)
-    in
-    (match cmp with
-     | Minic.Ast.Lt -> fun t base -> deref t base < k
-     | Minic.Ast.Le -> fun t base -> deref t base <= k
-     | Minic.Ast.Gt -> fun t base -> deref t base > k
-     | Minic.Ast.Ge -> fun t base -> deref t base >= k
-     | Minic.Ast.Eq -> fun t base -> deref t base = k
-     | Minic.Ast.Ne -> fun t base -> deref t base <> k
-     | _ -> default ())
-  | Instr.Binop
-      ( cmp,
-        Instr.Load
-          (Instr.Binop
-             (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Load (Instr.Addr_local o2))),
-        Instr.Const k ) ->
-    (* Indexed-element tests — [while (buf[i] != 0)] — the scanner
-       loops' condition shape. *)
-    let deref t base =
-      let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-      let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-      Memory.read_exn t.mem (W.add a b)
-    in
-    (match cmp with
-     | Minic.Ast.Lt -> fun t base -> deref t base < k
-     | Minic.Ast.Le -> fun t base -> deref t base <= k
-     | Minic.Ast.Gt -> fun t base -> deref t base > k
-     | Minic.Ast.Ge -> fun t base -> deref t base >= k
-     | Minic.Ast.Eq -> fun t base -> deref t base = k
-     | Minic.Ast.Ne -> fun t base -> deref t base <> k
-     | _ -> default ())
-  | _ -> default ()
 
 (* A fused sequence burns one step per member instruction, exactly as
    the dispatch loop would; past the budget it raises, with [frame.pc]
@@ -730,39 +591,11 @@ let compile_func ~global_addrs ~string_addrs ~externals ~cfuncs (prog : Instr.pr
               if t.notify_store then l.on_store t ~dst ~src:s ~base;
               Memory.stack_write_exn t.mem t.sreg dst k;
               frame.pc <- next
-          | Instr.Load (Instr.Addr_local o1) ->
-            fun t l frame ->
-              let base = frame.base in
-              let dst = base + off in
-              let v = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-              if t.notify_store then l.on_store t ~dst ~src:s ~base;
-              Memory.stack_write_exn t.mem t.sreg dst v;
-              frame.pc <- next
-          | Instr.Binop
-              (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Load (Instr.Addr_local o2))
-            ->
-            fun t l frame ->
-              let base = frame.base in
-              let dst = base + off in
-              let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-              let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-              let v = W.add a b in
-              if t.notify_store then l.on_store t ~dst ~src:s ~base;
-              Memory.stack_write_exn t.mem t.sreg dst v;
-              frame.pc <- next
           | Instr.Binop (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Const k) ->
             fun t l frame ->
               let base = frame.base in
               let dst = base + off in
               let v = W.add (Memory.stack_read_exn t.mem t.sreg (base + o1)) k in
-              if t.notify_store then l.on_store t ~dst ~src:s ~base;
-              Memory.stack_write_exn t.mem t.sreg dst v;
-              frame.pc <- next
-          | Instr.Binop (Minic.Ast.Sub, Instr.Load (Instr.Addr_local o1), Instr.Const k) ->
-            fun t l frame ->
-              let base = frame.base in
-              let dst = base + off in
-              let v = W.sub (Memory.stack_read_exn t.mem t.sreg (base + o1)) k in
               if t.notify_store then l.on_store t ~dst ~src:s ~base;
               Memory.stack_write_exn t.mem t.sreg dst v;
               frame.pc <- next
@@ -776,22 +609,6 @@ let compile_func ~global_addrs ~string_addrs ~externals ~cfuncs (prog : Instr.pr
               let v =
                 Memory.read_exn t.mem (W.add (Memory.stack_read_exn t.mem t.sreg (base + o1)) fo)
               in
-              if t.notify_store then l.on_store t ~dst ~src:s ~base;
-              Memory.stack_write_exn t.mem t.sreg dst v;
-              frame.pc <- next
-          | Instr.Load
-              (Instr.Binop
-                 ( Minic.Ast.Add,
-                   Instr.Load (Instr.Addr_local o1),
-                   Instr.Load (Instr.Addr_local o2) ))
-            ->
-            (* Indexed load into a slot: [x = buf[i]]. *)
-            fun t l frame ->
-              let base = frame.base in
-              let dst = base + off in
-              let a = Memory.stack_read_exn t.mem t.sreg (base + o1) in
-              let b = Memory.stack_read_exn t.mem t.sreg (base + o2) in
-              let v = Memory.read_exn t.mem (W.add a b) in
               if t.notify_store then l.on_store t ~dst ~src:s ~base;
               Memory.stack_write_exn t.mem t.sreg dst v;
               frame.pc <- next
@@ -825,18 +642,6 @@ let compile_func ~global_addrs ~string_addrs ~externals ~cfuncs (prog : Instr.pr
               if t.notify_store then l.on_store t ~dst ~src:s ~base;
               Memory.stack_write_exn t.mem t.sreg dst v;
               frame.pc <- next)
-       | Instr.Binop (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Const fo) ->
-         (* Field store: [p->f = e]. Address first, then the source,
-            exactly as the generic path evaluates. *)
-         let module W = Dart_util.Word32 in
-         let cs = ce s in
-         fun t l frame ->
-           let base = frame.base in
-           let addr = W.add (Memory.stack_read_exn t.mem t.sreg (base + o1)) fo in
-           let v = cs t base in
-           if t.notify_store then l.on_store t ~dst:addr ~src:s ~base;
-           Memory.write_exn t.mem addr v;
-           frame.pc <- next
        | Instr.Binop
            (Minic.Ast.Add, Instr.Load (Instr.Addr_local o1), Instr.Load (Instr.Addr_local o2))
          ->
@@ -872,7 +677,11 @@ let compile_func ~global_addrs ~string_addrs ~externals ~cfuncs (prog : Instr.pr
               cstore t l ~dst:addr ~src:s ~base v;
               frame.pc <- next))
     | Instr.Iif (cond, lbl) ->
-      let ctaken = compile_cond ~global_addrs ~string_addrs cond in
+      (* Conditions take the expression path: lowering wraps every
+         [if]/[while] test in [Lognot], so condition-specific shapes
+         would only see [||] operands, [assert]s and [switch] cases. *)
+      let cc = ce cond in
+      let ctaken t base = Dart_util.Word32.to_bool (cc t base) in
       let site = site_of i in
       if lbl >= 0 && lbl < n && next < n then
         (* Direct threading: a branch transfers straight to its target's

@@ -68,8 +68,8 @@ val null_listener : listener
 type config = {
   step_limit : int;
   stack_limit : int; (* cells of stack space; exceeded => alloca returns NULL,
-                        frame pushes fault with Call_depth *)
-  max_call_depth : int;
+                        frame pushes fault with Call_depth, as does a
+                        push beyond 512 frames *)
 }
 
 val default_config : config

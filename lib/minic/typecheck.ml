@@ -50,11 +50,16 @@ let assignable ~from ~into =
   | Ctype.Tptr a, Ctype.Tptr b -> Ctype.equal a b || a = Ctype.Tvoid || b = Ctype.Tvoid
   | _ -> false
 
-let check_assignable loc (rhs : Tast.texpr) into =
-  if assignable ~from:rhs.ty ~into || (is_null_const rhs && Ctype.is_pointer into) then ()
-  else
+(* [rhs] converted to [into] where C converts implicitly (assignment,
+   initialisation, argument passing, return): an [int] going into a
+   [char] keeps its low 8 bits, as an explicit [(char)] cast does. *)
+let coerce loc (rhs : Tast.texpr) into =
+  if not (assignable ~from:rhs.ty ~into || (is_null_const rhs && Ctype.is_pointer into)) then
     err loc "incompatible types: cannot use %s where %s is expected"
-      (Ctype.to_string rhs.ty) (Ctype.to_string into)
+      (Ctype.to_string rhs.ty) (Ctype.to_string into);
+  match (rhs.ty, into) with
+  | Ctype.Tint, Ctype.Tchar -> Tast.mk ~loc:rhs.tloc Ctype.Tchar (Tast.Tcast (Ctype.Tchar, rhs))
+  | _ -> rhs
 
 let scalar_or_err loc (e : Tast.texpr) what =
   if not (Ctype.is_scalar e.ty) then
@@ -317,11 +322,13 @@ and check_call env loc name args =
     let expected = List.length fe.fe_params and got = List.length targs in
     if expected <> got then
       err loc "function '%s' expects %d argument(s) but got %d" name expected got;
-    List.iteri
-      (fun i (arg, pty) ->
-        try check_assignable loc arg pty
-        with Error (l, m) -> err l "argument %d of '%s': %s" (i + 1) name m)
-      (List.combine targs fe.fe_params);
+    let targs =
+      List.mapi
+        (fun i (arg, pty) ->
+          try coerce loc arg pty
+          with Error (l, m) -> err l "argument %d of '%s': %s" (i + 1) name m)
+        (List.combine targs fe.fe_params)
+    in
     Tast.mk ~loc fe.fe_ret (Tast.Tcall (fe.fe_kind, name, targs))
 
 (* ---- statements ------------------------------------------------------------ *)
@@ -347,8 +354,7 @@ let rec check_stmt env (s : Ast.stmt) : Tast.tstmt =
        err loc "cannot assign whole %s values" (Ctype.to_string lv.ty)
      | Ctype.Tvoid -> err loc "cannot assign to void"
      | Ctype.Tint | Ctype.Tchar | Ctype.Tptr _ -> ());
-    let rv = check_rvalue env rhs in
-    check_assignable loc rv lv.ty;
+    let rv = coerce loc (check_rvalue env rhs) lv.ty in
     Tast.TSassign (lv, rv)
   | Ast.Sif (cond, b1, b2) ->
     let tc = check_rvalue env cond in
@@ -386,9 +392,7 @@ let rec check_stmt env (s : Ast.stmt) : Tast.tstmt =
     Tast.TSreturn None
   | Ast.Sreturn (Some e) ->
     if env.ret_ty = Ctype.Tvoid then err loc "return with a value in a void function";
-    let te = check_rvalue env e in
-    check_assignable loc te env.ret_ty;
-    Tast.TSreturn (Some te)
+    Tast.TSreturn (Some (coerce loc (check_rvalue env e) env.ret_ty))
   | Ast.Sbreak ->
     if env.break_depth = 0 then err loc "'break' outside of a loop or switch";
     Tast.TSbreak
@@ -406,7 +410,7 @@ let rec check_stmt env (s : Ast.stmt) : Tast.tstmt =
        let te = check_rvalue env e in
        if not (Ctype.is_scalar ty) then
          err loc "a brace list is required to initialize %s" (Ctype.to_string ty);
-       check_assignable loc te ty;
+       let te = coerce loc te ty in
        let slot = declare_local env loc name ty in
        Tast.TSdecl (slot, ty, Some te)
      | Some (Ast.Init_list es) ->
@@ -415,14 +419,7 @@ let rec check_stmt env (s : Ast.stmt) : Tast.tstmt =
           if List.length es > n then
             err loc "too many initializers (%d) for %s" (List.length es)
               (Ctype.to_string ty);
-          let elems =
-            List.map
-              (fun e ->
-                let te = check_rvalue env e in
-                check_assignable loc te elem;
-                te)
-              es
-          in
+          let elems = List.map (fun e -> coerce loc (check_rvalue env e) elem) es in
           let slot = declare_local env loc name ty in
           (* Expand to per-element stores; C zero-fills the rest. *)
           let elem_size = sizeof env elem in
@@ -638,6 +635,12 @@ let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
           err gloc "duplicate global '%s'" gname;
         if gty = Ctype.Tvoid then err gloc "cannot declare a void variable";
         Hashtbl.replace globals gname gty;
+        (* A [char] keeps the low 8 bits of its initialiser, as [coerce]
+           makes a local's. *)
+        let const_into ty e =
+          let v = const_eval ~constants structs e in
+          if ty = Ctype.Tchar then v land 255 else v
+        in
         let init =
           if gextern then None
           else
@@ -648,13 +651,13 @@ let check ?(library = []) (prog : Ast.program) : Tast.tprogram =
                  if not (Ctype.is_scalar gty) then
                    err gloc "a brace list is required to initialize %s"
                      (Ctype.to_string gty);
-                 [ const_eval ~constants structs e ]
+                 [ const_into gty e ]
                | Some (Ast.Init_list es) ->
                  (match gty with
                   | Ctype.Tarray (elem, n) when Ctype.is_arith elem ->
                     if List.length es > n then
                       err gloc "too many initializers for '%s'" gname;
-                    List.map (const_eval ~constants structs) es
+                    List.map (const_into elem) es
                   | _ ->
                     err gloc "brace initializers only apply to arrays of scalars"))
         in

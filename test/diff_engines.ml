@@ -53,3 +53,47 @@ let run ?config ?library ?args prog ~entry =
   let compiled, outcome, m = observe ~compile:true ?config ?library ?args prog ~entry in
   check_equal interp compiled;
   (outcome, m)
+
+(* A fixture for the compiled engine's generic arms: no shape below has
+   a superinstruction (DESIGN.md, "Compiled execution engine"), so
+   running it under [run] holds those arms to the interpreter.
+   Conditions cover every comparison operator in an [if], a [while], a
+   [||], an [assert] and a [switch], over frame slots, constants, a
+   field and an indexed element. Field [g] sits at offset 1, so [p->g]
+   lowers to a load from [p + 1]. *)
+let generic_paths_fixture =
+  let ops = [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+  let per_op op =
+    (* [lo] is 1 and [hi] is 2, so each assertion holds. *)
+    let l, r, k =
+      match op with
+      | ">" | ">=" -> ("hi", "lo", 0)
+      | "==" -> ("lo", "lo", 1)
+      | _ -> ("lo", "hi", 2)
+    in
+    String.concat "\n"
+      [ Printf.sprintf "  if (a %s b) s = s + 1;" op;
+        Printf.sprintf "  if (a %s 3) s = s + 2;" op;
+        Printf.sprintf "  n = 0; while (n %s b) { n = n + 1; if (n > 5) break; } s = s + n;" op;
+        Printf.sprintf "  if (p->g %s 1 || buf[i] %s 0) s = s + 4;" op op;
+        Printf.sprintf "  if (buf[i] %s 0 || a %s 3) s = s + 32;" op op;
+        Printf.sprintf "  assert(%s %s %s); assert(lo %s %d);" l op r op k;
+        Printf.sprintf "  switch (a %s b) { case 0: s = s + 8; break; case 1: s = s + 16; break; }"
+          op ]
+  in
+  String.concat "\n"
+    ([ "struct cell { int f; int g; };";
+       "int result;";
+       "void shapes(int a, int b, int i) {";
+       "  struct cell *p; int *buf; int x; int y; int s; int n; int lo; int hi;";
+       "  p = (struct cell *)malloc(2);";
+       "  buf = (int *)malloc(4);";
+       "  buf[0] = 7; buf[1] = -3; buf[2] = 0; buf[3] = 2147483647;";
+       "  i = i & 3; lo = 1; hi = 2; s = 0; assert(hi);";
+       "  p->g = a - b;";
+       "  x = -a; y = ~b; s = s + x + y;";
+       "  x = y; x = a + b; s = s + x; x = a - 3; s = s + x; x = buf[i]; s = s + x;";
+       "  s = s + (p->g < 5) + (p->g > -5) + (a != b) + (a - b) + (a * b) + (a * 3);";
+       "  result = a - 3; result = a + 3; result = (a + 1) != (b + 2);" ]
+    @ List.map per_op ops
+    @ [ "  result = result + s;"; "}" ])

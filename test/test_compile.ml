@@ -135,10 +135,24 @@ let test_cache_and_flag () =
   let outcome, _ = Diff_engines.run ~args:[ 1 ] prog' ~entry:"f" in
   Alcotest.(check bool) "fresh program runs" true (outcome = Machine.Halted)
 
+(* Shapes without a superinstruction run through the generic arms:
+   Diff_engines' fixture, on arguments that hit both directions of its
+   conditions and wrap its arithmetic. *)
+let test_generic_paths () =
+  let prog = Ram.Lower.lower_source Diff_engines.generic_paths_fixture in
+  List.iter
+    (fun args ->
+      match Diff_engines.run ~args prog ~entry:"shapes" with
+      | Machine.Halted, _ -> ()
+      | Machine.Faulted (f, _), _ ->
+        Alcotest.failf "fixture faulted: %s" (Machine.fault_to_string f))
+    [ [ 0; 0; 0 ]; [ 3; 5; 1 ]; [ 5; 3; 2 ]; [ -7; 4; 3 ]; [ 2147483647; -2147483648; 5 ] ]
+
 let suite =
   [ Alcotest.test_case "workload differentials" `Quick test_workload_differentials;
     Alcotest.test_case "driver report identity" `Quick test_report_identity;
     Alcotest.test_case "folding faults at runtime" `Quick test_folding_faults_at_runtime;
     Alcotest.test_case "deep recursion" `Quick test_deep_recursion;
     Alcotest.test_case "goto cycle hits step limit" `Quick test_goto_cycle_step_limit;
-    Alcotest.test_case "cache and engine flag" `Quick test_cache_and_flag ]
+    Alcotest.test_case "cache and engine flag" `Quick test_cache_and_flag;
+    Alcotest.test_case "generic paths against the interpreter" `Quick test_generic_paths ]

@@ -11,12 +11,12 @@ let contains = Str_contains.contains
 
 (* Directed search over [src], returning the prepared program, the
    report and the traced events (ring sink). *)
-let search ?(depth = 1) ?(max_runs = 5_000) ~toplevel src =
+let search ?(depth = 1) ?(max_runs = 5_000) ?seed ~toplevel src =
   let ast = Minic.Parser.parse_program src in
   let prog = Dart.Driver.prepare ~toplevel ~depth ast in
   let sink = T.ring ~capacity:(1 lsl 18) in
   let options =
-    Dart.Driver.Options.make ~depth ~max_runs ~stop_on_first_bug:false
+    Dart.Driver.Options.make ~depth ~max_runs ?seed ~stop_on_first_bug:false
       ~telemetry:(T.with_sink sink) ()
   in
   let report = Dart.Driver.run ~options prog in
@@ -193,9 +193,14 @@ let test_lcov_parser_rejects () =
 
 (* ---- trace replay: recorded timeline == live timeline ---------------------------- *)
 
-let test_trace_timeline_replay () =
-  let src, toplevel = Workloads.Paper_examples.ac_controller in
-  let prog, r, events = search ~depth:2 ~toplevel src in
+(* The second search fails predictions: [x * x == 36] is non-linear, so
+   a run directed at [x > 5] can take the other side of it. Its trace
+   must still name the directions the runs took. *)
+let prediction_failure_src =
+  "void f(int x) { if (x * x == 36) { x = x + 1; } if (x > 5) { x = x + 2; } }"
+
+let check_trace_timeline_replay ?depth ?max_runs ?seed ~toplevel src =
+  let prog, r, events = search ?depth ?max_runs ?seed ~toplevel src in
   (* Serialize the live events exactly as --trace writes them, parse
      them back, and the derived timeline must be identical — including
      the recorded timestamps. *)
@@ -226,13 +231,30 @@ let test_trace_timeline_replay () =
   let s_live = T.summarize events in
   Alcotest.(check int) "trace dirs = report coverage" r.Dart.Driver.branches_covered
     (List.length s_live.T.covered);
+  Alcotest.(check (list (triple string int bool))) "trace directions = report directions"
+    (List.sort compare r.Dart.Driver.coverage_sites)
+    (List.sort compare s_live.T.covered);
   Alcotest.(check (list (pair string int))) "trace frontier = report frontier"
     (List.sort compare
        (List.map
           (fun site -> (site.C.cs_fn, site.C.cs_pc))
           (C.frontier (C.compute prog ~covered:r.Dart.Driver.coverage_sites))))
     (List.sort compare
-       (List.map (fun (site, _, _) -> site) (Dart.Profile.frontier_sites s_live)))
+       (List.map (fun (site, _, _) -> site) (Dart.Profile.frontier_sites s_live)));
+  events
+
+let test_trace_timeline_replay () =
+  let src, toplevel = Workloads.Paper_examples.ac_controller in
+  ignore (check_trace_timeline_replay ~depth:2 ~toplevel src);
+  let events =
+    check_trace_timeline_replay ~seed:1 ~max_runs:20 ~toplevel:"f" prediction_failure_src
+  in
+  Alcotest.(check bool) "the second search fails a prediction" true
+    (List.exists
+       (function
+         | T.Run_end { outcome = "prediction_failure"; _ } -> true
+         | _ -> false)
+       events)
 
 let test_random_search_timeline () =
   let src, toplevel = Workloads.Paper_examples.ac_controller in

@@ -523,6 +523,22 @@ let test_dartc_ablation_flags () =
         [ "campaign"; "../examples/osip_library.mc"; "--chaos"; "x" ];
         [ "campaign"; "../examples/osip_library.mc"; "--chaos-seed"; "1" ] ])
 
+(* An [int] stored into a [char] keeps its low 8 bits, so 300 reads
+   back as 44 and each abort below is reachable. *)
+let test_implicit_char_abort () =
+  let check name src witness =
+    let r = Dart.Driver.test_source ~options:(options ()) ~toplevel:"f" src in
+    expect_bug name r;
+    match r.Dart.Driver.verdict with
+    | Dart.Driver.Bug_found b ->
+      Alcotest.(check (list (pair int int))) (name ^ ": witness") witness
+        b.Dart.Driver.bug_inputs
+    | _ -> assert false
+  in
+  check "constant" "void f() { char c; c = 300; if (c == 44) abort(); }" [];
+  check "input" "void f(int x) { char c; if (x == 300) { c = x; if (c == 44) abort(); } }"
+    [ (0, 300) ]
+
 let suite =
   [ Alcotest.test_case "paper 2.1" `Quick test_section_2_1;
     Alcotest.test_case "paper 2.4" `Quick test_section_2_4;
@@ -551,4 +567,6 @@ let suite =
       test_dartc_random_testing_no_pool;
     Alcotest.test_case "dartc rejects ablation flags" `Quick test_dartc_ablation_flags;
     Alcotest.test_case "list shapes via restarts" `Slow test_list_shapes_via_restarts;
-    Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers ]
+    Alcotest.test_case "list shapes symbolic ptrs" `Slow test_list_shapes_symbolic_pointers;
+    Alcotest.test_case "implicit char truncation reaches the abort" `Quick
+      test_implicit_char_abort ]

@@ -221,9 +221,21 @@ void f(int n) {
   (* i=0,1,4: default +1 then +10; i=2: continue (nothing); i=3: break out of switch then +10 *)
   Alcotest.(check int) "switch/loop interaction" 43 (run_result ~args:[ 0 ] src3 ~entry:"f")
 
+(* An explicit cast and every implicit conversion into a [char] keep
+   the low 8 bits: 511 becomes 255 and 300 becomes 44. *)
 let test_char_cast () =
   Alcotest.(check int) "cast truncates to byte" 1
-    (run_result "void f() { int big = 511; result = ((char)big == 255); }" ~entry:"f")
+    (run_result "void f() { int big = 511; result = ((char)big == 255); }" ~entry:"f");
+  let check name src = Alcotest.(check int) name 44 (run_result src ~entry:"f") in
+  check "assignment" "void f() { char c; c = 300; result = c; }";
+  check "assignment of an int variable" "void f() { int x = 300; char c; c = x; result = c; }";
+  check "local initialiser" "void f() { char c = 300; result = c; }";
+  check "array initialiser" "void f() { char a[2] = {1, 300}; result = a[1]; }";
+  check "argument" "int id(char c) { return c; } void f() { result = id(300); }";
+  check "return" "char low(int v) { return v; } void f() { result = low(300); }";
+  check "struct field" "struct s { char f; }; void f() { struct s v; v.f = 300; result = v.f; }";
+  check "global initialiser" "char g = 300; void f() { result = g; }";
+  check "global array initialiser" "char g[2] = {300, 556}; void f() { result = g[0] + g[1] - 44; }"
 
 let test_fault_null_deref () =
   expect_fault "void f() { int *p = NULL; *p = 1; }" ~entry:"f" Machine.Null_deref
