@@ -177,8 +177,8 @@ let resume_arg =
     & info [ "resume" ] ~docv:"FILE"
         ~doc:
           "Resume a search from a checkpoint written by $(b,--checkpoint). The seed, \
-           depth and strategy must match the checkpointed search; the run budget may \
-           grow. With $(b,--no-cache) the resumed search continues the exact run \
+           depth, strategy and $(b,--symbolic-pointers) must match the checkpointed \
+           search; the run budget may grow. With $(b,--no-cache) the resumed search continues the exact run \
            sequence of the uninterrupted one.")
 
 let faultsim_arg =

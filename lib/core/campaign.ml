@@ -168,34 +168,15 @@ let load ?salvage ~path ~options ~library () =
 
 (* ---- aggregation ----------------------------------------------------------------- *)
 
+(* Results arrive in declaration order, so the first target (in that
+   order) to expose a defect gets the attribution. *)
 let dedup_crashes results =
-  let seen : (string * int * Machine.fault, unit) Hashtbl.t = Hashtbl.create 32 in
-  let acc = ref [] in
-  (* Results arrive in declaration order, so the first target (in that
-     order) to expose a defect gets the attribution. *)
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun (b : Driver.bug) ->
-          let key = Driver.bug_key b in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            acc := (key, (tr.tr_name, b)) :: !acc
-          end)
-        tr.tr_bugs)
-    results;
-  List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (List.rev !acc) |> List.map snd
+  List.concat_map (fun tr -> List.map (fun b -> (tr.tr_name, b)) tr.tr_bugs) results
+  |> Driver.distinct_bugs snd
 
 let aggregate_sites report =
-  let tbl : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun ((fn, _, _) as site) ->
-          if not (Driver_gen.is_harness_site fn) then Hashtbl.replace tbl site ())
-        tr.tr_coverage)
-    report.cam_results;
-  List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) tbl [])
+  Coverage.union (List.map (fun tr -> tr.tr_coverage) report.cam_results)
+  |> List.filter (fun (fn, _, _) -> not (Driver_gen.is_harness_site fn))
 
 (* ---- the scheduler --------------------------------------------------------------- *)
 
@@ -447,13 +428,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?checkpoint ?resume
             (* A retired target's state holds its result's runs and
                sites, so every state reads the same way. *)
             let runs = List.fold_left (fun acc st -> acc + st.st_runs) 0 states in
-            let covered =
-              let tbl : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
-              List.iter
-                (fun st -> List.iter (fun s -> Hashtbl.replace tbl s ()) st.st_sites)
-                states;
-              Hashtbl.length tbl
-            in
+            let covered = List.length (Coverage.union (List.map (fun st -> st.st_sites) states)) in
             let frontier = List.fold_left (fun acc st -> acc + st.st_frontier) 0 (active ()) in
             Status.publish p ~runs ~bugs:(List.length r.cam_crashes) ~covered ~frontier
               ~done_ ~active:act ~remaining:(List.length states - done_ - act) ~round:!round

@@ -261,10 +261,11 @@ let load_framed ?salvage kind ~meta decode ~path =
 module O = Driver.Options
 
 let meta_line (options : Driver.options) =
-  Printf.sprintf "meta seed=%d depth=%d strategy=%s incremental=%s"
+  Printf.sprintf "meta seed=%d depth=%d strategy=%s incremental=%s symbolic_pointers=%s"
     options.O.search.O.seed options.O.search.O.depth
     (Strategy.to_string options.O.search.O.strategy)
     (bool_tag options.O.accel.O.use_incremental)
+    (bool_tag options.O.exec.Concolic.symbolic_pointers)
 
 let snapshot_block (s : Driver.snapshot) =
   let buf = Buffer.create 1024 in

@@ -30,8 +30,9 @@
 
     {2 Single-run checkpoints}
 
-    The meta is seed, depth, strategy and the incremental-solving
-    config. The run budget is absent: it bounds the trajectory rather
+    The meta is seed, depth, strategy, the incremental-solving config
+    and whether pointer inputs are symbolic ([symbolic_pointers]: each
+    pointer coin is then a stack entry, so it shapes the search). The run budget is absent: it bounds the trajectory rather
     than shaping it, so resuming with a larger [--max-runs] extends an
     exhausted search.
 
@@ -96,8 +97,8 @@ val load_framed :
 (** {2 Single-run codec} *)
 
 val meta_line : Driver.options -> string
-(** [meta seed=… depth=… strategy=… incremental=…]: what a resumed
-    search's trajectory depends on. *)
+(** [meta seed=… depth=… strategy=… incremental=… symbolic_pointers=…]:
+    what a resumed search's trajectory depends on. *)
 
 val save : path:string -> options:Driver.options -> Driver.snapshot -> unit
 (** Atomic ({!Dart_util.Fileio.write_atomic}): writes [path ^ ".tmp"],

@@ -351,7 +351,11 @@ let pick store ~prog ~opts ~im ~prev_stack =
     let inputs =
       agree (Array.length store.inputs) (fun i ->
           let v, kind = store.inputs.(i) in
-          Inputs.value_of im i = Some v && Inputs.kind_of im i = Some kind)
+          (* Monomorphic: runs per recorded input of every resumed run. *)
+          match Inputs.value_of im i with
+          | Some v' when Int.equal v' v -> (
+            match Inputs.kind_of im i with Some kind' -> kind' == kind | None -> false)
+          | _ -> false)
     in
     let dirs =
       agree (min plen (Array.length store.dirs)) (fun i ->

@@ -52,6 +52,8 @@ let sites (dirs : directions) =
   Hashtbl.fold (fun site d acc -> (site, status_of_dirs d) :: acc) dirs []
   |> List.sort compare
 
+let union sets = List.sort_uniq compare (List.concat sets)
+
 let frontier_count covered =
   Hashtbl.fold
     (fun _ d acc -> if is_frontier (status_of_dirs d) then acc + 1 else acc)

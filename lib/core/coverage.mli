@@ -56,6 +56,10 @@ val compute : Ram.Instr.program -> covered:(string * int * bool) list -> t
 (** [covered] is the list of (function, pc, direction) triples a search
     reports. *)
 
+val union : (string * int * bool) list list -> (string * int * bool) list
+(** Every set's triples, sorted, without duplicates: the one union of
+    branch directions ({!Parallel.merge}, {!Campaign}). *)
+
 val frontier_count : (string * int * bool) list -> int
 (** {!is_frontier} sites in [covered]: the frontier size
     {!Driver.search} writes to the status file and {!Campaign.run}

@@ -86,6 +86,14 @@ type bug = {
 
 let bug_key b = (b.bug_site.Machine.site_fn, b.bug_site.Machine.site_pc, b.bug_fault)
 
+let distinct_bugs bug_of xs =
+  let key x = bug_key (bug_of x) in
+  List.stable_sort (fun a b -> compare (key a) (key b)) xs
+  |> List.fold_left
+       (fun acc x -> match acc with p :: _ when key p = key x -> acc | _ -> x :: acc)
+       []
+  |> List.rev
+
 type verdict =
   | Bug_found of bug
   | Complete
@@ -126,27 +134,26 @@ type snapshot = {
   sn_bugs : bug list;
 }
 
-(* A search's claim on the run budget: either a fixed private count
-   (the shape a solo search uses) or a reservation against a pool
-   shared by every worker of a parallel search. Pooled workers claim
-   runs one at a time with a CAS decrement, so a worker that drains
-   its subtree early leaves the rest of the budget to its peers. *)
-type run_budget =
-  | Fixed_budget of int
-  | Pooled_budget of pooled_budget
+(* A search's claim on the run budget: a reservation against a pool of
+   runs. A solo search owns a private pool of [max_runs]; every worker
+   of a parallel search shares one, so a worker that drains its subtree
+   early leaves the rest of the budget to its peers. Runs are claimed
+   one at a time with a CAS decrement. *)
+type run_budget = { pb_pool : int Atomic.t; mutable pb_claimed : int }
 
-and pooled_budget = { pb_pool : int Atomic.t; mutable pb_claimed : int }
-
-let pooled_budget pool = Pooled_budget { pb_pool = pool; pb_claimed = 0 }
-
-let rec claim_run pb =
-  let avail = Atomic.get pb.pb_pool in
-  if avail <= 0 then false
-  else if Atomic.compare_and_set pb.pb_pool avail (avail - 1) then begin
-    pb.pb_claimed <- pb.pb_claimed + 1;
-    true
-  end
-  else claim_run pb
+(* Whether the search holds a reservation for the run after [runs],
+   claiming one when the pool has runs left; a resumed search first
+   claims the runs it restored. *)
+let rec holds_run pb ~runs =
+  if runs < pb.pb_claimed then true
+  else
+    let avail = Atomic.get pb.pb_pool in
+    if avail <= 0 then false
+    else begin
+      if Atomic.compare_and_set pb.pb_pool avail (avail - 1) then
+        pb.pb_claimed <- pb.pb_claimed + 1;
+      holds_run pb ~runs
+    end
 
 type job =
   | Root
@@ -191,7 +198,8 @@ let make_ctx ?seat ?(should_stop = fun () -> false)
     sc_incr = (if incremental then Some (Solver.Incr.create ()) else None);
     sc_metrics = metrics;
     sc_budget =
-      (match pool with Some p -> pooled_budget p | None -> Fixed_budget max_runs);
+      { pb_pool = (match pool with Some p -> p | None -> Atomic.make max_runs);
+        pb_claimed = 0 };
     sc_deadline = deadline;
     sc_should_stop = should_stop;
     sc_breaker =
@@ -248,7 +256,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
   let tracing = Telemetry.enabled sink in
   let search_start = Telemetry.now () in
   let coverage : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
-  let bug_sites : (string * int * Machine.fault, unit) Hashtbl.t = Hashtbl.create 16 in
+  let covered_sites () = Hashtbl.fold (fun site () acc -> site :: acc) coverage [] in
   let runs = ref 0 in
   let restarts = ref 0 in
   let total_steps = ref 0 in
@@ -256,8 +264,8 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
   let resource_limited = ref 0 in
   let all_linear = ref true in
   let all_locs_definite = ref true in
+  (* Distinct bugs by [bug_key], newest first. *)
   let bugs = ref [] in
-  let first_bug = ref None in
   (* Why the search drained, decided by the first [budget_left] poll
      that said stop; the verdict and the final checkpoint depend on
      it. *)
@@ -280,8 +288,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
       sn_resource_limited = !resource_limited;
       sn_all_linear = !all_linear;
       sn_all_locs_definite = !all_locs_definite;
-      sn_coverage =
-        List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) coverage []);
+      sn_coverage = List.sort compare (covered_sites ());
       sn_stats = Solver.to_assoc stats;
       sn_bugs = List.rev !bugs }
   in
@@ -301,9 +308,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
      (* ctx stats start zeroed, so adding the checkpointed counters is
         a restore. *)
      Solver.add_stats ~into:stats (Solver.of_assoc s.sn_stats);
-     List.iter (fun b -> Hashtbl.replace bug_sites (bug_key b) ()) s.sn_bugs;
-     bugs := List.rev s.sn_bugs;
-     first_bug := (match s.sn_bugs with b :: _ -> Some b | [] -> None));
+     bugs := List.rev s.sn_bugs);
   let status =
     Option.map
       (Status.publisher ~fault:fs
@@ -316,7 +321,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
   let write_status ~final p =
     Status.publish p ~runs:!runs ~bugs:(List.length !bugs) ~covered:(Hashtbl.length coverage)
       ~frontier:
-        (Coverage.frontier_count (Hashtbl.fold (fun site () acc -> site :: acc) coverage []))
+        (Coverage.frontier_count (covered_sites ()))
       ~done_:(if final then 1 else 0) ~active:(if final then 0 else 1) ~remaining:0 ~round:0
       metrics.Telemetry.solve_hist
   in
@@ -367,11 +372,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
              fault = Machine.fault_to_string fault;
              run = !runs });
     let key = bug_key bug in
-    if not (Hashtbl.mem bug_sites key) then begin
-      Hashtbl.replace bug_sites key ();
-      bugs := bug :: !bugs
-    end;
-    if !first_bug = None then first_bug := Some bug
+    if not (List.exists (fun b -> bug_key b = key) !bugs) then bugs := bug :: !bugs
   in
   (* One instrumented run, bracketed with Run_start/Run_end and timed
      into the Execute phase; it resumes from the previous run's
@@ -404,7 +405,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     data
   in
   (* Run boundary: stop on process-wide interrupt (SIGINT/SIGTERM),
-     global time budget, run budget (private or pooled), or external
+     global time budget, run budget (its run pool), or external
      cancellation (another worker found a bug) — in all cases the
      search drains cleanly and the first cause that fired names the
      verdict. *)
@@ -420,19 +421,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
         stop := `Time;
         false
       end
-      else if
-        match ctx.sc_budget with
-        | Fixed_budget m -> !runs >= m
-        | Pooled_budget pb ->
-          (* Claim until we hold a reservation for the next run or the
-             shared pool runs dry. *)
-          let rec need () =
-            if !runs < pb.pb_claimed then false
-            else if claim_run pb then need ()
-            else true
-          in
-          need ()
-      then begin
+      else if not (holds_run ctx.sc_budget ~runs:!runs) then begin
         stop := `Budget;
         false
       end
@@ -657,9 +646,10 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
        Workpool.abandon s.seat_pool !taken;
        raise e));
   let verdict =
-    match !first_bug with
-    | Some bug -> Bug_found bug
-    | None ->
+    (* The verdict names the first bug found, the oldest distinct one. *)
+    match List.rev !bugs with
+    | bug :: _ -> Bug_found bug
+    | [] ->
       if !complete then Complete
       else begin
         match !stop with
@@ -686,7 +676,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     restarts = !restarts;
     total_steps = !total_steps;
     branches_covered = Hashtbl.length coverage;
-    coverage_sites = Hashtbl.fold (fun site () acc -> site :: acc) coverage [];
+    coverage_sites = covered_sites ();
     paths_explored = !paths;
     resource_limited = !resource_limited;
     all_linear = !all_linear;

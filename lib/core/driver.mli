@@ -134,6 +134,10 @@ val bug_key : bug -> string * int * Machine.fault
 (** Dedup identity of a bug: [(site_fn, site_pc, fault)]. Two bugs with
     equal keys are the same defect found along different paths. *)
 
+val distinct_bugs : ('a -> bug) -> 'a list -> 'a list
+(** The first element of each {!bug_key}, in list order, sorted by
+    key: how a parallel merge and a campaign dedupe their bugs. *)
+
 type verdict =
   | Bug_found of bug
   | Complete
@@ -196,15 +200,15 @@ type snapshot = {
     stack), so the final coverage is identical. Serialized by
     {!Checkpoint}. *)
 
-(** A worker's claim on the run budget: a fixed private share, or a
-    CAS-claimed reservation against a pool shared by all workers of a
-    parallel search (a worker that exhausts its subtree early leaves
-    the remaining budget to its peers). *)
-type run_budget =
-  | Fixed_budget of int
-  | Pooled_budget of pooled_budget
-
-and pooled_budget = { pb_pool : int Atomic.t; mutable pb_claimed : int }
+(** A search's claim on the run budget: a reservation of runs claimed
+    one at a time, by CAS, from a pool. A solo search owns a private
+    pool of [max_runs]; every worker of a parallel search shares one,
+    so a worker that exhausts its subtree early leaves the remaining
+    budget to its peers. A search stops once it holds no reservation
+    for its next run and the pool is dry; a resumed search first claims
+    the runs its snapshot restored, so a private pool stops it at the
+    run an uninterrupted search would have stopped at. *)
+type run_budget = { pb_pool : int Atomic.t; mutable pb_claimed : int }
 
 (** A unit of work in a parallel depth-first search: a subtree of the
     path tree that a busy worker donated to an idle peer through a
@@ -283,8 +287,9 @@ val make_ctx :
     solver stats. [should_stop] defaults to never; [metrics] defaults
     to a fresh record (pass one to fold preparation time measured by
     {!prepare} into the search's report); [deadline] defaults to
-    unbounded. [pool] switches the budget from a fixed [max_runs] share
-    to a shared pool; [store] attaches a shared solve store and this
+    unbounded. [pool] is a run pool shared with other workers, which
+    [max_runs] then does not bound; without it the context gets a
+    private pool of [max_runs] runs (see {!run_budget}). [store] attaches a shared solve store and this
     worker's id (default: a fresh solo store, worker 0);
     [incremental] (default true) controls the push/pop context.
     [use_breaker] (default true) creates a fresh circuit breaker;

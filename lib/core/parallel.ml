@@ -76,35 +76,16 @@ let merge (reports : Driver.report list) : Driver.report =
   let forall f = List.for_all f reports in
   (* Branch-direction coverage: union of the per-worker sets, sorted so
      the merged report is deterministic regardless of worker order. *)
-  let coverage : (string * int * bool, unit) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (r : Driver.report) ->
-      List.iter (fun site -> Hashtbl.replace coverage site ()) r.Driver.coverage_sites)
-    reports;
   let coverage_sites =
-    List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) coverage [])
+    Coverage.union (List.map (fun (r : Driver.report) -> r.Driver.coverage_sites) reports)
   in
-  (* Bugs: dedupe by (site_fn, site_pc, fault) and order by that key,
-     so the merged bug *set* does not depend on which worker raced to a
-     shared defect first. *)
-  let bug_sites : (string * int * Machine.fault, Driver.bug) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (r : Driver.report) ->
-      List.iter
-        (fun (b : Driver.bug) ->
-          let key = Driver.bug_key b in
-          match Hashtbl.find_opt bug_sites key with
-          | None -> Hashtbl.replace bug_sites key b
-          | Some prev ->
-            (* Keep the cheapest witness for a deterministic merge. *)
-            if b.Driver.bug_run < prev.Driver.bug_run then Hashtbl.replace bug_sites key b)
-        r.Driver.bugs)
-    reports;
+  (* Bugs: dedupe by (site_fn, site_pc, fault), keeping the cheapest
+     witness, and order by that key, so the merged bug *set* does not
+     depend on which worker raced to a shared defect first. *)
   let bugs =
-    Hashtbl.fold (fun _ b acc -> b :: acc) bug_sites []
-    |> List.sort (fun a b -> compare (Driver.bug_key a) (Driver.bug_key b))
+    List.concat_map (fun (r : Driver.report) -> r.Driver.bugs) reports
+    |> List.stable_sort (fun (a : Driver.bug) b -> compare a.Driver.bug_run b.Driver.bug_run)
+    |> Driver.distinct_bugs Fun.id
   in
   let verdict =
     match bugs with
@@ -131,7 +112,7 @@ let merge (reports : Driver.report list) : Driver.report =
     runs = sum (fun r -> r.Driver.runs);
     restarts = sum (fun r -> r.Driver.restarts);
     total_steps = sum (fun r -> r.Driver.total_steps);
-    branches_covered = Hashtbl.length coverage;
+    branches_covered = List.length coverage_sites;
     coverage_sites;
     paths_explored = sum (fun r -> r.Driver.paths_explored);
     resource_limited = sum (fun r -> r.Driver.resource_limited);
@@ -235,8 +216,8 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
      worker's queries, and the run budget is a single CAS-claimed pool:
      a worker that drains its subtree early hands its leftover budget
      to the others. A single worker keeps [Driver.make_ctx]'s solo
-     store and a fixed budget, which stays byte-identical to
-     [Driver.run]. *)
+     store and private run pool, which stays byte-identical to
+     [Driver.run]; each of its attempts gets a pool of its own. *)
   let store = if n > 1 then Some (Solver.Store.create ~workers:n) else None in
   let pool = if n > 1 then Some (Atomic.make t.base.O.budget.O.max_runs) else None in
   (* With the shadow off no branch is ever chosen: random testing runs
@@ -320,7 +301,8 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
      with a fresh derived seed and a fresh ring. With several workers
      the respawn claims runs from what is left of the shared pool; the
      crashed attempt's runs died with it, and its jobs went back to the
-     work pool. A lone worker's respawn re-runs its fixed budget. *)
+     work pool. A lone worker's respawn gets a private pool of the whole
+     budget again. *)
   let crashed =
     List.filter (fun i -> Result.is_error primary.(i).result) (List.init n Fun.id)
   in

@@ -1,8 +1,9 @@
 (* Live status snapshots: a single flat JSON object, atomically
    rewritten (write-then-rename, like Checkpoint.save) so a concurrent
    [dartc watch] always reads a complete object. Schema v1 is
-   intentionally integer-only — it reuses the flat-object writer and
-   parser of the trace codec, which have no float production. *)
+   intentionally integer-only: it is written with the trace codec's
+   flat-object writer and read through its one flat-object reader,
+   [Telemetry.decode_flat], which have no float production. *)
 
 type mode =
   | Run
@@ -60,67 +61,35 @@ let to_json st =
         ("solve_p99_ns", Telemetry.Jint st.st_solve_p99_ns) ])
 
 let of_json line =
-  match Telemetry.parse_flat line with
-  | Error msg -> Error msg
-  | Ok fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jstr s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" k)
-    in
-    let i64 k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jint v) -> Ok v
-      | _ -> Error (Printf.sprintf "missing integer field %S" k)
-    in
-    let int k = Result.map Int64.to_int (i64 k) in
-    let ( let* ) = Result.bind in
-    let* s = str "schema" in
-    if s <> schema then Error (Printf.sprintf "not a %s file (schema %S)" schema s)
-    else
-      let* v = int "version" in
-      if v <> version then Error (Printf.sprintf "unsupported status version %d" v)
-      else
-        let* mode_s = str "mode" in
-        let* mode =
-          match mode_of_string mode_s with
-          | Some m -> Ok m
-          | None -> Error (Printf.sprintf "bad mode %S" mode_s)
-        in
-        let* elapsed_ns = i64 "elapsed_ns" in
-        let budget_ns =
-          match List.assoc_opt "budget_ns" fields with
-          | Some (Telemetry.Jint v) -> Some v
-          | _ -> None
-        in
-        let* runs = int "runs" in
-        let* max_runs = int "max_runs" in
-        let* execs_per_sec = int "execs_per_sec" in
-        let* bugs = int "bugs" in
-        let* covered = int "covered" in
-        let* frontier = int "frontier" in
-        let* done_ = int "done" in
-        let* active = int "active" in
-        let* remaining = int "remaining" in
-        let* round = int "round" in
-        let* solve_p50_ns = i64 "solve_p50_ns" in
-        let* solve_p99_ns = i64 "solve_p99_ns" in
-        Ok
-          { st_mode = mode;
-            st_elapsed_ns = elapsed_ns;
-            st_budget_ns = budget_ns;
-            st_runs = runs;
-            st_max_runs = max_runs;
-            st_execs_per_sec = execs_per_sec;
-            st_bugs = bugs;
-            st_covered = covered;
-            st_frontier = frontier;
-            st_done = done_;
-            st_active = active;
-            st_remaining = remaining;
-            st_round = round;
-            st_solve_p50_ns = solve_p50_ns;
-            st_solve_p99_ns = solve_p99_ns }
+  Telemetry.decode_flat line (fun r ->
+      let { Telemetry.str; int; i64; i64_opt; _ } = r in
+      let s = str "schema" in
+      if s <> schema then r.reject (Printf.sprintf "not a %s file (schema %S)" schema s);
+      let v = int "version" in
+      if v <> version then r.reject (Printf.sprintf "unsupported status version %d" v);
+      let mode_s = str "mode" in
+      let st_mode =
+        match mode_of_string mode_s with
+        | Some m -> m
+        | None -> r.reject (Printf.sprintf "bad mode %S" mode_s)
+      in
+      let st_elapsed_ns = i64 "elapsed_ns" in
+      let st_budget_ns = i64_opt "budget_ns" in
+      let st_runs = int "runs" in
+      let st_max_runs = int "max_runs" in
+      let st_execs_per_sec = int "execs_per_sec" in
+      let st_bugs = int "bugs" in
+      let st_covered = int "covered" in
+      let st_frontier = int "frontier" in
+      let st_done = int "done" in
+      let st_active = int "active" in
+      let st_remaining = int "remaining" in
+      let st_round = int "round" in
+      let st_solve_p50_ns = i64 "solve_p50_ns" in
+      let st_solve_p99_ns = i64 "solve_p99_ns" in
+      { st_mode; st_elapsed_ns; st_budget_ns; st_runs; st_max_runs; st_execs_per_sec;
+        st_bugs; st_covered; st_frontier; st_done; st_active; st_remaining; st_round;
+        st_solve_p50_ns; st_solve_p99_ns })
 
 let write ?fault ~path st = Dart_util.Fileio.write_atomic ?fault path (to_json st ^ "\n")
 

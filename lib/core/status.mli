@@ -37,10 +37,12 @@ val version : int
 
 val to_json : t -> string
 (** One {!Telemetry.flat_to_json} object (no trailing newline), read
-    back by {!Telemetry.parse_flat}; [budget_ns] is omitted when
-    [st_budget_ns] is [None]. *)
+    back by {!of_json}; [budget_ns] is omitted when [st_budget_ns] is
+    [None]. *)
 
 val of_json : string -> (t, string) result
+(** Decoded through {!Telemetry.decode_flat}, reading the fields in
+    schema order: [Error] names the first field that is missing. *)
 
 val write : ?fault:Dart_util.Faultsim.t -> path:string -> t -> unit
 (** Atomic snapshot write ({!Dart_util.Fileio.write_atomic}): [path ^

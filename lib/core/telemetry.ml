@@ -418,82 +418,91 @@ let parse_flat_object s =
   if !pos <> n then raise (Bad "trailing garbage after object");
   List.rev !fields
 
-let event_of_json line =
+type flat_reader = {
+  str : string -> string;
+  int : string -> int;
+  i64 : string -> int64;
+  bool : string -> bool;
+  i64_opt : string -> int64 option;
+  reject : 'a. string -> 'a;
+}
+
+let decode_flat line f =
   try
     let fields = parse_flat_object line in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Jstr s) -> s
-      | _ -> raise (Bad (Printf.sprintf "missing string field %S" k))
+    let field what get k =
+      match Option.bind (List.assoc_opt k fields) get with
+      | Some v -> v
+      | None -> raise (Bad (Printf.sprintf "missing %s field %S" what k))
     in
-    let i64 k =
-      match List.assoc_opt k fields with
-      | Some (Jint v) -> v
-      | _ -> raise (Bad (Printf.sprintf "missing integer field %S" k))
-    in
-    let int k = Int64.to_int (i64 k) in
-    let bool k =
-      match List.assoc_opt k fields with
-      | Some (Jbool b) -> b
-      | _ -> raise (Bad (Printf.sprintf "missing boolean field %S" k))
-    in
-    let ev =
-      match str "ev" with
-      | "run_start" -> Run_start { run = int "run" }
-      | "run_end" ->
-        Run_end
-          { run = int "run"; outcome = str "outcome"; steps = int "steps"; dur_ns = i64 "ns" }
-      | "branch" -> Branch_taken { fn = str "fn"; pc = int "pc"; dir = bool "dir" }
-      | "solve" ->
-        let result =
-          match solve_result_of_string (str "result") with
-          | Some r -> r
-          | None -> raise (Bad "bad solve result")
-        in
-        Solve_query
-          { fn = str "fn";
-            pc = int "pc";
-            result;
-            dur_ns = i64 "ns";
-            cache_hit = bool "cache_hit";
-            sliced = int "sliced" }
-      | "input" -> Input_update { id = int "id"; value = int "value" }
-      | "restart" -> Restart { restarts = int "restarts" }
-      | "bug" ->
-        Bug_found { fn = str "fn"; pc = int "pc"; fault = str "fault"; run = int "run" }
-      | "worker_spawn" -> Worker_spawn { worker = int "worker"; seed = int "seed" }
-      | "worker_drain" -> Worker_drain { worker = int "worker"; runs = int "runs" }
-      | "worker_crash" ->
-        Worker_crash
-          { worker = int "worker"; reason = str "reason"; respawned = bool "respawned" }
-      | "checkpoint" -> Checkpoint_saved { run = int "run" }
-      | "phase" ->
-        let phase =
-          match phase_of_string (str "phase") with
-          | Some p -> p
-          | None -> raise (Bad "bad phase name")
-        in
-        Phase_total { phase; dur_ns = i64 "ns" }
-      | "cover" ->
-        Cover_point { run = int "run"; covered = int "covered"; elapsed_ns = i64 "ns" }
-      | "target_scheduled" ->
-        Target_scheduled { target = str "target"; round = int "round" }
-      | "slice_end" ->
-        Slice_end
-          { target = str "target";
-            round = int "round";
-            outcome = str "outcome";
-            runs = int "runs";
-            dur_ns = i64 "ns" }
-      | "target_retired" -> Target_retired { target = str "target"; reason = str "reason" }
-      | "round_end" ->
-        Round_end { round = int "round"; active = int "active"; dur_ns = i64 "ns" }
-      | "breaker_open" -> Breaker_open { fn = str "fn"; pc = int "pc" }
-      | "breaker_close" -> Breaker_close { fn = str "fn"; pc = int "pc" }
-      | other -> raise (Bad (Printf.sprintf "unknown event kind %S" other))
-    in
-    Ok ev
+    let jint = function Jint v -> Some v | _ -> None in
+    let i64 = field "integer" jint in
+    Ok
+      (f
+         { str = field "string" (function Jstr s -> Some s | _ -> None);
+           int = (fun k -> Int64.to_int (i64 k));
+           i64;
+           bool = field "boolean" (function Jbool b -> Some b | _ -> None);
+           i64_opt = (fun k -> Option.bind (List.assoc_opt k fields) jint);
+           reject = (fun msg -> raise (Bad msg)) })
   with Bad msg -> Error msg
+
+let event_of_json line =
+  decode_flat line (fun r ->
+    let { str; int; i64; bool; _ } = r in
+    match str "ev" with
+    | "run_start" -> Run_start { run = int "run" }
+    | "run_end" ->
+      Run_end
+        { run = int "run"; outcome = str "outcome"; steps = int "steps"; dur_ns = i64 "ns" }
+    | "branch" -> Branch_taken { fn = str "fn"; pc = int "pc"; dir = bool "dir" }
+    | "solve" ->
+      let result =
+        match solve_result_of_string (str "result") with
+        | Some res -> res
+        | None -> r.reject "bad solve result"
+      in
+      Solve_query
+        { fn = str "fn";
+          pc = int "pc";
+          result;
+          dur_ns = i64 "ns";
+          cache_hit = bool "cache_hit";
+          sliced = int "sliced" }
+    | "input" -> Input_update { id = int "id"; value = int "value" }
+    | "restart" -> Restart { restarts = int "restarts" }
+    | "bug" ->
+      Bug_found { fn = str "fn"; pc = int "pc"; fault = str "fault"; run = int "run" }
+    | "worker_spawn" -> Worker_spawn { worker = int "worker"; seed = int "seed" }
+    | "worker_drain" -> Worker_drain { worker = int "worker"; runs = int "runs" }
+    | "worker_crash" ->
+      Worker_crash
+        { worker = int "worker"; reason = str "reason"; respawned = bool "respawned" }
+    | "checkpoint" -> Checkpoint_saved { run = int "run" }
+    | "phase" ->
+      let phase =
+        match phase_of_string (str "phase") with
+        | Some p -> p
+        | None -> r.reject "bad phase name"
+      in
+      Phase_total { phase; dur_ns = i64 "ns" }
+    | "cover" ->
+      Cover_point { run = int "run"; covered = int "covered"; elapsed_ns = i64 "ns" }
+    | "target_scheduled" ->
+      Target_scheduled { target = str "target"; round = int "round" }
+    | "slice_end" ->
+      Slice_end
+        { target = str "target";
+          round = int "round";
+          outcome = str "outcome";
+          runs = int "runs";
+          dur_ns = i64 "ns" }
+    | "target_retired" -> Target_retired { target = str "target"; reason = str "reason" }
+    | "round_end" ->
+      Round_end { round = int "round"; active = int "active"; dur_ns = i64 "ns" }
+    | "breaker_open" -> Breaker_open { fn = str "fn"; pc = int "pc" }
+    | "breaker_close" -> Breaker_close { fn = str "fn"; pc = int "pc" }
+    | other -> r.reject (Printf.sprintf "unknown event kind %S" other))
 
 (* ---- sinks -------------------------------------------------------------------- *)
 
@@ -808,6 +817,6 @@ let default_config = { sink = null; worker_buffer = 1 lsl 20; status_path = None
 
 let with_sink sink = { default_config with sink }
 
-(* Re-exported flat-object parser so [Status] (and tests) can read the
-   status-file schema without a second JSON parser. *)
+(* The raw fields of one flat object; decoders go through
+   [decode_flat]. *)
 let parse_flat line = try Ok (parse_flat_object line) with Bad msg -> Error msg

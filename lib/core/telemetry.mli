@@ -173,12 +173,29 @@ val event_to_json : event -> string
     [slice_end], [target_retired], [round_end]. *)
 
 val event_of_json : string -> (event, string) result
-(** Inverse of {!event_to_json}; [Error] explains the first schema
-    violation found. *)
+(** Inverse of {!event_to_json}, through {!decode_flat}; [Error]
+    explains the first schema violation found. *)
 
 val parse_flat : string -> ((string * jval) list, string) result
 (** Parse one flat JSON object into its fields, in source order.
     [Error] explains the first syntax violation. *)
+
+(** Typed readers over one parsed flat object. A required reader whose
+    field is absent or of another type fails the decode with "missing
+    string field" (integer, boolean) and the field's name. *)
+type flat_reader = {
+  str : string -> string;
+  int : string -> int;
+  i64 : string -> int64;
+  bool : string -> bool;
+  i64_opt : string -> int64 option; (* [None] when absent or not an integer *)
+  reject : 'a. string -> 'a; (* fail the decode with this message *)
+}
+
+val decode_flat : string -> (flat_reader -> 'a) -> ('a, string) result
+(** The one reader of flat objects, behind {!event_of_json} and
+    {!Status.of_json}: [Error] names the first syntax violation, or the
+    first missing field or rejection in the order the decoder reads. *)
 
 (** {1 Latency histograms}
 

@@ -692,6 +692,21 @@ let test_checkpoint_meta_guard () =
    | Ok () -> Alcotest.fail "incremental mismatch accepted"
    | Error e -> Alcotest.(check bool) "error names incremental" true
                   (Str_contains.contains e "incremental"));
+  (* Symbolic pointers make every pointer coin a stack entry, so a
+     snapshot taken with them drives a different search without. *)
+  (match
+     check
+       ~found:
+         (Dart.Checkpoint.meta_line
+            (Dart.Driver.Options.make ~seed:42 ~depth:1 ~max_runs:100
+               ~strategy:Dart.Strategy.Dfs
+               ~exec:{ Dart.Concolic.default_exec_options with symbolic_pointers = true }
+               ()))
+   with
+   | Ok () -> Alcotest.fail "symbolic_pointers mismatch accepted"
+   | Error e ->
+     Alcotest.(check string) "error names symbolic_pointers, both values"
+       "checkpoint was taken with symbolic_pointers=1, not symbolic_pointers=0" e);
   (* The run budget bounds the trajectory, it does not shape it:
      resuming under a larger budget extends the search. *)
   match check ~found:(meta ~max_runs:10 42 Dart.Strategy.Dfs) with
@@ -855,6 +870,27 @@ let test_crash_single_worker () =
   match r.Dart.Parallel.merged.Dart.Driver.verdict with
   | Dart.Driver.Complete -> ()
   | _ -> Alcotest.fail "expected Complete from the respawned worker"
+
+(* A lone worker's respawn gets the whole budget again, as a fresh
+   [Driver.run] would: its attempts share no run pool. The crash fires
+   at the 20th run-boundary probe, after 19 runs, so a respawn that
+   inherited the crashed attempt's budget would stop well short. *)
+let test_single_worker_respawn_budget () =
+  let prog = prepare ~depth:3 Workloads.Paper_examples.ac_controller in
+  let options faultsim =
+    Dart.Driver.Options.make ~depth:3 ~max_runs:40 ~stop_on_first_bug:false ~faultsim ()
+  in
+  let fs =
+    match Faultsim.of_spec "worker_crash@0:20" with
+    | Ok fs -> fs
+    | Error e -> Alcotest.failf "bad spec: %s" e
+  in
+  let r = Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs:1 (options fs)) prog in
+  Alcotest.(check int) "one crash" 1 (List.length r.Dart.Parallel.crashes);
+  let direct = Dart.Driver.run ~options:(options Faultsim.off) prog in
+  Alcotest.(check int) "Driver.run spends the budget" 40 direct.Dart.Driver.runs;
+  Alcotest.(check int) "the respawn spends all of it" direct.Dart.Driver.runs
+    r.Dart.Parallel.merged.Dart.Driver.runs
 
 (* dartc's sequential search is no parallel worker and never probes
    worker_crash: a plan arming it at --jobs 1 would be silently
@@ -1040,6 +1076,8 @@ let suite =
     Alcotest.test_case "crash isolation at jobs=4" `Quick test_crash_isolation;
     Alcotest.test_case "crash without respawn" `Quick test_crash_without_respawn;
     Alcotest.test_case "crash at jobs=1" `Quick test_crash_single_worker;
+    Alcotest.test_case "respawn at jobs=1 gets the whole budget" `Quick
+      test_single_worker_respawn_budget;
     Alcotest.test_case "dartc: worker_crash needs --jobs" `Quick
       test_dartc_worker_crash_needs_jobs;
     Alcotest.test_case "dartc: exit codes" `Quick test_dartc_exit_codes;
